@@ -55,9 +55,12 @@ _NO_VERDICT = {
 
 def _resolve_seed(seed):
     env = os.environ.get("GAUGESET_SEED")
-    if env is not None:
+    if env is None:
+        return seed
+    try:
         return int(env)
-    return seed
+    except ValueError:
+        raise click.ClickException(f"GAUGESET_SEED must be an integer, got {env!r}")
 
 
 def _load_config(path):

@@ -26,15 +26,12 @@ import numpy as np
 
 from .convex_sets import SupportSet, hausdorff, translate
 from .errors import NotASelection
-from . import integrators as it
+from .corpus import named_parts, named_schedule
 from .integrators import (
-    GaugeSchedule,
     birkhoff_integrate,
     build_primitive,
-    henstock_integrate,
+    henstock_with_selection,
     mcshane_integrate,
-    scalar_hk,
-    uniform_schedule,
     vh_check,
 )
 
@@ -49,14 +46,31 @@ def _probe_ts():
 
 @dataclass(frozen=True)
 class Selection:
-    """Point-valued t -> f(t), vectorized, with a display name."""
+    """Point-valued t -> f(t), vectorized, with a display name.
+
+    A selection read off the set, f(t) = pick(Gamma(t)), carries
+    ``from_support`` (support rows (N, m) -> points (N, d)), so callers that
+    already hold Gamma's support values at ts need not evaluate Gamma again.
+    """
 
     name: str
     d: int
     eval_points: object  # ts (N,) -> (N, d)
+    from_support: object = None  # V (N, m) -> (N, d), or None
 
     def __call__(self, ts):
         return self.eval_points(np.asarray(ts, dtype=np.float64))
+
+    def at(self, ts, V):
+        """f(ts), given Gamma's support values V at ts."""
+        return self(ts) if self.from_support is None else self.from_support(V)
+
+    @classmethod
+    def of_support(cls, name, mf, from_support):
+        """Selection f = from_support o Gamma.eval_support."""
+        def ev(ts):
+            return from_support(mf.eval_support(np.asarray(ts, dtype=np.float64)))
+        return cls(name=name, d=mf.grid.d, eval_points=ev, from_support=from_support)
 
 
 @dataclass(frozen=True)
@@ -72,16 +86,14 @@ def steiner_selection(mf):
     """t -> steiner_point(Gamma(t)); always a member of the set."""
     grid = mf.grid
     if grid.d == 1:
-        def ev(ts):
-            V = mf.eval_support(np.asarray(ts, dtype=np.float64))
+        def pick(V):
             return ((V[:, 1] - V[:, 0]) / 2.0)[:, None]
     else:
         U = grid.dirs
 
-        def ev(ts):
-            V = mf.eval_support(np.asarray(ts, dtype=np.float64))
+        def pick(V):
             return (2.0 / grid.m) * (V @ U)
-    return Selection(name="steiner", d=grid.d, eval_points=ev)
+    return Selection.of_support("steiner", mf, pick)
 
 
 def _vertex_of_pair(U, V, i, j):
@@ -107,15 +119,12 @@ def argmax_selection(mf, u):
         if uval not in (1, -1):
             raise ValueError("d=1 directions are +1 and -1")
         if uval == 1:
-            def ev(ts):
-                V = mf.eval_support(np.asarray(ts, dtype=np.float64))
+            def pick(V):
                 return V[:, 1][:, None]
         else:
-            def ev(ts):
-                V = mf.eval_support(np.asarray(ts, dtype=np.float64))
+            def pick(V):
                 return (-V[:, 0])[:, None]
-        return Selection(name=f"argmax:{'+' if uval == 1 else ''}{uval}",
-                         d=1, eval_points=ev)
+        return Selection.of_support(f"argmax:{'+' if uval == 1 else ''}{uval}", mf, pick)
 
     if np.isscalar(u):
         k = int(u) % grid.m
@@ -129,8 +138,7 @@ def argmax_selection(mf, u):
     m = grid.m
     i_prev, i_next = (k - 1) % m, (k + 1) % m
 
-    def ev(ts):
-        V = mf.eval_support(np.asarray(ts, dtype=np.float64))
+    def pick(V):
         p1 = _vertex_of_pair(U, V, min(i_prev, k), max(i_prev, k))
         p2 = _vertex_of_pair(U, V, min(k, i_next), max(k, i_next))
         s1 = p1 @ U[k]
@@ -138,7 +146,7 @@ def argmax_selection(mf, u):
         pick2 = s2 > s1 + 1e-12  # lower pair index wins ties
         return np.where(pick2[:, None], p2, p1)
 
-    return Selection(name=f"argmax:u{k}", d=2, eval_points=ev)
+    return Selection.of_support(f"argmax:u{k}", mf, pick)
 
 
 def subtract_selection(mf, sel):
@@ -153,7 +161,7 @@ def subtract_selection(mf, sel):
     grid = mf.grid
     ts = _probe_ts()
     V = mf.eval_support(ts)
-    X = sel(ts)
+    X = sel.at(ts, V)
     inner = X @ grid.dirs.T
     slack = V - inner  # support values of G at probe points
     worst = float(slack.min())
@@ -165,7 +173,8 @@ def subtract_selection(mf, sel):
 
     def ev(pts):
         pts = np.asarray(pts, dtype=np.float64)
-        return mf.eval_support(pts) - sel(pts) @ grid.dirs.T
+        V = mf.eval_support(pts)
+        return V - sel.at(pts, V) @ grid.dirs.T
 
     G = DerivedMultifunction(name=f"{mf.name}-minus-{sel.name}",
                              grid=grid, eval_support=ev)
@@ -226,17 +235,11 @@ class DecompositionReport:
 def _schedule_for(mf, method, default_tol):
     rec = getattr(mf, "recommended", {}).get(method)
     if rec is None:
-        return uniform_schedule(), default_tol, None
-    from .corpus import named_parts, named_schedule
-
+        return named_schedule("uniform"), default_tol, None
     tol = rec.get("tol", default_tol)
     if "parts" in rec:
         return None, tol, named_parts(rec["parts"])
     return named_schedule(rec["schedule"]), tol, None
-
-
-def _default_parts():
-    return [{"n_pieces": 2 ** l, "interleave_depth": 3} for l in range(1, 15)]
 
 
 def _expected_outcome(mf, theorem):
@@ -256,17 +259,20 @@ def verify_decomposition(mf, sel, theorem, tol, seed=0):
     The remainder G = Gamma - f is built first (NotASelection propagates:
     a non-selection is a caller error, not a theorem failure).  Gamma runs
     under its recommended schedule where the registry provides one; f rides
-    the same schedule (a selection inherits the integrand's singularity);
-    G runs under the defaults for its kind.  Variational clauses use the
-    entry's exact primitive when it has one and a built primitive
-    otherwise, at the entry's recommended variational tolerance.
+    the same schedule (a selection inherits the integrand's singularity),
+    and Gamma and the components of f share one pass over it: one partition
+    and one stream of probe tags per level, Gamma evaluated once per tag set
+    and f read off those values (``Selection.from_support``; a selection
+    without it is evaluated on the same tags).  G runs under the defaults
+    for its kind.  Variational clauses use the entry's exact primitive when
+    it has one and a built primitive otherwise, at the entry's recommended
+    variational tolerance.
     """
     theorem = theorem.lower().replace(".", "").replace("-", "")
     if theorem not in _THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}; expected one of {_THEOREMS}")
 
     grid = mf.grid
-    d = grid.d
     G, membership = subtract_selection(mf, sel)
     clauses, reports = [], {}
 
@@ -283,27 +289,23 @@ def verify_decomposition(mf, sel, theorem, tol, seed=0):
 
     sched_h, tol_h, _ = _schedule_for(mf, "henstock", tol)
     if theorem == "t42":
-        sched_h = it.measurable_uniform_schedule()
-        rep_gamma = henstock_integrate(mf, sched_h, tol, seed=seed)
+        sched_h, tol_h = named_schedule("uniform-measurable"), tol
+    rep_gamma, rep_f = henstock_with_selection(mf, sel.at, sched_h, tol_h, tol,
+                                               seed=seed, name=sel.name)
+    if theorem == "t42":
         rep_gamma.flags["gauge_mode"] = "measurable"
-    else:
-        rep_gamma = henstock_integrate(mf, sched_h, tol_h, seed=seed)
     add_clause("gamma_henstock", rep_gamma)
 
     if theorem == "t42":
-        rep_G = birkhoff_integrate(G, _default_parts(), tol, seed=seed)
+        rep_G = birkhoff_integrate(G, named_parts("dyadic-14"), tol, seed=seed)
         add_clause("remainder_birkhoff", rep_G)
     else:
-        rep_G = mcshane_integrate(G, uniform_schedule(), tol, seed=seed)
+        rep_G = mcshane_integrate(G, named_schedule("uniform"), tol, seed=seed)
         add_clause("remainder_mcshane", rep_G)
 
-    f_ok = True
-    v_f = np.zeros(d)
-    for i in range(d):
-        comp = (lambda idx: lambda ts: sel(ts)[:, idx])(i)
-        rep = scalar_hk(comp, sched_h, tol, seed=seed, name=f"{sel.name}[{i}]")
-        f_ok &= add_clause(f"selection_component_{i}", rep)
-        v_f[i] = rep.value
+    for i, rep in enumerate(rep_f):
+        add_clause(f"selection_component_{i}", rep)
+    v_f = np.array([rep.value for rep in rep_f])
 
     gap = float(hausdorff(rep_gamma.estimate, translate(rep_G.estimate, v_f)))
     clauses.append({
@@ -329,7 +331,7 @@ def verify_decomposition(mf, sel, theorem, tol, seed=0):
             G, build_primitive(G, finest), sched_vh,
             mode="perron", tol=tol_vh, seed=seed))
         add_clause("remainder_birkhoff",
-                   birkhoff_integrate(G, _default_parts(), tol, seed=seed))
+                   birkhoff_integrate(G, named_parts("dyadic-14"), tol, seed=seed))
 
     all_pass = all(c["pass"] for c in clauses)
     failing = [c for c in clauses if not c["pass"]]

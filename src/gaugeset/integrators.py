@@ -29,6 +29,14 @@ Nominal sums are accumulated with math.fsum (exactly rounded, hence
 permutation invariant - constants integrate to themselves bit-exactly and
 Birkhoff sums are order-independent by construction); probe sums use a
 deterministic pairwise tree reduction.
+
+Henstock, McShane, scalar and directional runs share one level loop that
+carries several column blocks at once, each with its own residuals, verdict
+and divergence stop.  Since the sums are columnwise, a block's result is
+bit-identical to running it alone; a set and its selection's components
+(henstock_with_selection) thus share each level's partition, probe tags and
+set evaluation.  Probe tag sets are generated one at a time rather than all
+held for the level.
 """
 
 from __future__ import annotations
@@ -269,10 +277,11 @@ def _probe_tag_sets(P, gauge, rng, mode):
 
     Every variant keeps the cells and replaces tags cellwise, falling back
     to the build tag where a candidate violates fineness, so each variant is
-    itself a valid delta-fine partition of the right kind.
+    itself a valid delta-fine partition of the right kind.  Variants are
+    yielded one at a time (the rng draws keep their order), so only one
+    probe tag array is alive at once.
     """
     a, b, w, t0 = P.a, P.b, P.widths, P.t
-    out = []
 
     def henstock_ok(tau):
         return w < np.atleast_1d(gauge(tau))
@@ -288,73 +297,91 @@ def _probe_tag_sets(P, gauge, rng, mode):
             u = rng.uniform(a, b)
         else:
             u = _free_tags(P, gauge, rng)
-        out.append(np.where(ok(u), u, t0))
+        yield np.where(ok(u), u, t0)
 
     # deterministic near-edge ladder; geometric approach to the left edge
     for i in (1, 2, 3, 4, 6, 8):
         u = a + w * 4.0 ** (-i)
-        out.append(np.where(ok(u), u, t0))
+        yield np.where(ok(u), u, t0)
     for i in (1, 2, 4, 8):
         u = b - w * 4.0 ** (-i)
-        out.append(np.where(ok(u), u, t0))
+        yield np.where(ok(u), u, t0)
     if mode != "henstock":
         for i in (2, 4, 6, 8):  # free tags may leave the cell toward 0
             u = a * 4.0 ** (-i)
-            out.append(np.where(ok(u), u, t0))
-    return out
+            yield np.where(ok(u), u, t0)
 
 
-def _run_schedule(eval_fn, m, schedule, tol, seed, mode, bound=DIVERGENCE_BOUND):
-    """Level loop shared by Henstock / McShane / scalar / directional runs."""
-    stats, effs = [], []
-    nominal_hist = []
-    eff_cols_hist = []
-    fired_dirs = np.zeros(m, dtype=bool)
-    fired_level = None
-    prev = None
+def _run_schedule(eval_blocks, ms, schedule, seed, mode, bound=DIVERGENCE_BOUND):
+    """Level loop shared by Henstock / McShane / scalar / directional runs.
+
+    ``eval_blocks(tags)`` returns one (N, m_b) array per column block, with
+    ``ms`` the block widths.  All blocks share each level's partition, tags
+    and evaluation; each keeps its own residuals, probe spread and
+    divergence stop, and a stopped block records no further levels.  The
+    loop ends when every block has stopped or the schedule is exhausted.
+    Sums are columnwise, so a block's run is bit-identical to a one-block
+    run of the same columns.  Returns one run dict per block.
+    """
+    runs = [{
+        "stats": [], "effs": [], "nominals": [], "eff_cols": [],
+        "fired_dirs": np.zeros(m, dtype=bool), "fired_level": None,
+    } for m in ms]
+    live = list(range(len(ms)))
+    prev = [None] * len(ms)
     for n, gauge in enumerate(schedule.levels, start=1):
+        if not live:
+            break
         t0 = time.perf_counter()
         P = cousin_build(gauge, tag_order="mid")
-        w = P.widths
+        w = P.widths[:, None]
         rng = np.random.default_rng([seed, 7701, n])
+
+        def block_sums(tags, sum_columns):
+            # free each array once used, so a one-block run allocates as a
+            # plain loop would: evaluations before the sums, terms per block
+            vals = eval_blocks(tags)
+            terms = {k: vals[k] * w for k in live}
+            del vals
+            return {k: sum_columns(terms.pop(k)) for k in live}
+
         tags = P.t if mode == "henstock" else _free_tags(P, gauge, rng)
-        nominal = _fsum_columns(eval_fn(tags) * w[:, None])
-        sums_max = np.abs(nominal)
-        spread_cols = np.zeros(m)
+        nominal = block_sums(tags, _fsum_columns)
+        sums_max = {k: np.abs(nominal[k]) for k in live}
+        spread_cols = {k: np.zeros(ms[k]) for k in live}
         for vt in _probe_tag_sets(P, gauge, rng, mode):
-            s = _tree_sum_columns(eval_fn(vt) * w[:, None])
-            np.maximum(sums_max, np.abs(s), out=sums_max)
-            np.maximum(spread_cols, np.abs(s - nominal), out=spread_cols)
-        resid_cols = None if prev is None else np.abs(nominal - prev)
-        eff_cols = spread_cols if resid_cols is None else np.maximum(spread_cols, resid_cols)
-        residual = None if resid_cols is None else float(resid_cols.max())
-        eff = float(eff_cols.max())
-        stats.append(LevelStat(
-            level=n, n_items=len(P),
-            residual=residual,
-            probe_spread=float(spread_cols.max()),
-            eff_residual=eff,
-            max_dir_residual=eff,
-            sum_norm=float(np.abs(nominal).max()),
-            wall_ms=(time.perf_counter() - t0) * 1e3,
-        ))
-        effs.append(eff)
-        nominal_hist.append(nominal)
-        eff_cols_hist.append(eff_cols)
-        newly = sums_max > bound
-        if newly.any():
-            fired_dirs |= newly
-            fired_level = n
-            break
-        prev = nominal
-    return {
-        "stats": stats,
-        "effs": effs,
-        "nominals": nominal_hist,
-        "eff_cols": eff_cols_hist,
-        "fired_dirs": fired_dirs,
-        "fired_level": fired_level,
-    }
+            for k, s in block_sums(vt, _tree_sum_columns).items():
+                np.maximum(sums_max[k], np.abs(s), out=sums_max[k])
+                np.maximum(spread_cols[k], np.abs(s - nominal[k]), out=spread_cols[k])
+        wall_ms = (time.perf_counter() - t0) * 1e3
+        for k in list(live):
+            run, spread = runs[k], spread_cols[k]
+            resid_cols = None if prev[k] is None else np.abs(nominal[k] - prev[k])
+            eff_cols = spread if resid_cols is None else np.maximum(spread, resid_cols)
+            eff = float(eff_cols.max())
+            run["stats"].append(LevelStat(
+                level=n, n_items=len(P),
+                residual=None if resid_cols is None else float(resid_cols.max()),
+                probe_spread=float(spread.max()),
+                eff_residual=eff,
+                max_dir_residual=eff,
+                sum_norm=float(np.abs(nominal[k]).max()),
+                wall_ms=wall_ms,
+            ))
+            run["effs"].append(eff)
+            run["nominals"].append(nominal[k])
+            run["eff_cols"].append(eff_cols)
+            newly = sums_max[k] > bound
+            if newly.any():
+                run["fired_dirs"] |= newly
+                run["fired_level"] = n
+                live.remove(k)
+            prev[k] = nominal[k]
+    return runs
+
+
+def _one_block(eval_fn):
+    return lambda ts: (eval_fn(ts),)
 
 
 def _direction_labels(grid, m):
@@ -393,7 +420,8 @@ def _assemble(method, entry, grid, m, tol, seed, schedule, run, scalar=False,
 
 def henstock_integrate(mf, schedule, tol, seed=0):
     """Henstock integral estimate: Perron partitions from cousin_build."""
-    run = _run_schedule(mf.eval_support, mf.grid.m, schedule, tol, seed, "henstock")
+    [run] = _run_schedule(_one_block(mf.eval_support), (mf.grid.m,), schedule, seed,
+                          "henstock")
     return _assemble("henstock", mf.name, mf.grid, mf.grid.m, tol, seed, schedule, run)
 
 
@@ -409,7 +437,8 @@ def mcshane_integrate(mf, schedule, tol, seed=0, mode="plain"):
         bad = [g.kind for g in schedule.levels if g.kind != "piecewise"]
         if bad:
             raise ValueError("measurable mode needs piecewise gauges at every level")
-    run = _run_schedule(mf.eval_support, mf.grid.m, schedule, tol, seed, "mcshane")
+    [run] = _run_schedule(_one_block(mf.eval_support), (mf.grid.m,), schedule, seed,
+                          "mcshane")
     return _assemble(f"mcshane-{mode}", mf.name, mf.grid, mf.grid.m, tol, seed,
                      schedule, run, extra_flags={"mode": mode})
 
@@ -417,8 +446,33 @@ def mcshane_integrate(mf, schedule, tol, seed=0, mode="plain"):
 def scalar_hk(phi, schedule, tol, seed=0, name="phi"):
     """Scalar Henstock-Kurzweil integral of a vectorized real function."""
     eval_fn = lambda ts: np.asarray(phi(ts), dtype=np.float64)[:, None]
-    run = _run_schedule(eval_fn, 1, schedule, tol, seed, "henstock")
+    [run] = _run_schedule(_one_block(eval_fn), (1,), schedule, seed, "henstock")
     return _assemble("scalar-hk", name, None, 1, tol, seed, schedule, run, scalar=True)
+
+
+def henstock_with_selection(mf, points, schedule, tol, point_tol, seed=0, name="f"):
+    """Henstock run of Gamma and scalar HK runs of a selection's components.
+
+    ``points(ts, V)`` maps tags ts and Gamma's support values V there to
+    the (N, d) selection points, d = mf.grid.d.  All d + 1 runs share one pass: each level
+    builds one partition and one set of probe tags and evaluates Gamma once
+    per tag set, and every component is read off that evaluation.  Returns
+    the Gamma report and the d component reports, equal to
+    henstock_integrate(mf, schedule, tol, seed) and to scalar_hk of each
+    component at point_tol, named ``name[i]``.
+    """
+    def eval_blocks(ts):
+        V = mf.eval_support(ts)
+        X = np.asarray(points(ts, V), dtype=np.float64)
+        return (V, *(X[:, i:i + 1] for i in range(d)))
+
+    m, d = mf.grid.m, mf.grid.d
+    runs = _run_schedule(eval_blocks, (m,) + (1,) * d, schedule, seed, "henstock")
+    gamma = _assemble("henstock", mf.name, mf.grid, m, tol, seed, schedule, runs[0])
+    comps = [_assemble("scalar-hk", f"{name}[{i}]", None, 1, point_tol, seed,
+                       schedule, run, scalar=True)
+             for i, run in enumerate(runs[1:])]
+    return gamma, comps
 
 
 def directional_profile(mf, schedule, tol, seed=0):
@@ -429,7 +483,7 @@ def directional_profile(mf, schedule, tol, seed=0):
     canonicalizing the assembled vector moves no value by more than tol.
     """
     m = mf.grid.m
-    run = _run_schedule(mf.eval_support, m, schedule, tol, seed, "henstock")
+    [run] = _run_schedule(_one_block(mf.eval_support), (m,), schedule, seed, "henstock")
     labels = _direction_labels(mf.grid, m)
     cols = np.stack(run["eff_cols"])  # (levels, m)
     fired = run["fired_dirs"]

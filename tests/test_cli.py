@@ -118,6 +118,20 @@ def test_env_seed_override(runner, tmp_path, monkeypatch):
     assert (tmp_path / "integrate-G6-henstock-s7.json").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["integrate", "G6", "--method", "henstock", "--levels", "2"],
+    ["decompose", "G6"],
+])
+def test_env_seed_not_an_integer_is_usage_error(runner, tmp_path, monkeypatch, command):
+    monkeypatch.setenv("GAUGESET_SEED", "abc")
+    res = runner.invoke(main, command + ["--out", str(tmp_path)])
+    assert res.exit_code == 1, res.output
+    assert "GAUGESET_SEED" in res.output
+    assert "'abc'" in res.output
+    assert not isinstance(res.exception, ValueError)
+    assert not list(tmp_path.iterdir())
+
+
 def test_deterministic_reruns_byte_identical(runner, tmp_path):
     args = ["integrate", "G2", "--method", "mcshane", "--levels", "8",
             "--tol", "1e-3", "--deterministic"]
@@ -137,6 +151,29 @@ def test_decompose_g2_exit_0(runner, tmp_path):
     rep = read_json(tmp_path / "decompose-G2-t33-s0.json")
     assert rep["verdict"] == "holds"
     assert rep["gap"] < 1e-4
+
+
+def test_decompose_t55_g2_end_to_end(runner, tmp_path):
+    args = ["decompose", "G2", "--selection", "steiner", "--theorem", "t55",
+            "--deterministic"]
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    res = runner.invoke(main, args + ["--out", str(out1)])
+    assert res.exit_code == 0, res.output
+    assert "verdict: holds (expected holds)" in res.output
+    rep = read_json(out1 / "decompose-G2-t55-s0.json")
+    assert rep["verdict"] == "holds"
+    assert [c["name"] for c in rep["clauses"]] == [
+        "gamma_henstock", "remainder_mcshane", "selection_component_0",
+        "additivity_gap", "gamma_vh", "selection_vh", "remainder_vh",
+        "remainder_birkhoff"]
+    assert all(c["pass"] for c in rep["clauses"])
+    # Steiner point of [0, t] is t/2, whose integral over [0, 1] is 1/4
+    [f_integral] = rep["reports"]["selection_component_0"]["estimate"]
+    assert abs(f_integral - 0.25) < 1e-4
+
+    assert runner.invoke(main, args + ["--out", str(out2)]).exit_code == 0
+    for name in ("decompose-G2-t55-s0.json", "decompose-G2-t55-s0.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_decompose_argmax_selection_token(runner, tmp_path):

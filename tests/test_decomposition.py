@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ from gaugeset.decomposition import (
     verify_decomposition,
 )
 from gaugeset.errors import NotASelection
+from gaugeset.integrators import henstock_integrate, scalar_hk
 
 LINE = DirectionGrid.line()
 CIRCLE = DirectionGrid.circle(64)
@@ -184,6 +186,89 @@ def test_decomposition_report_serializable():
     assert d["theorem"] == "t33"
     assert d["membership"]["contains_zero"] is True
     assert len(d["report_refs"]) >= 3
+
+
+# -- shared pass for Gamma and the selection components ---------------------------
+
+def _standalone_runs(mf, sel, theorem, tol, seed=0):
+    """Gamma and component reports from separate one-block runs."""
+    if theorem == "t42":
+        sched, tol_h = corpus.named_schedule("uniform-measurable"), tol
+    else:
+        rec = mf.recommended["henstock"]
+        sched, tol_h = corpus.named_schedule(rec["schedule"]), rec["tol"]
+    gamma = henstock_integrate(mf, sched, tol_h, seed=seed)
+    if theorem == "t42":
+        gamma.flags["gauge_mode"] = "measurable"
+    comps = [scalar_hk(lambda ts, i=i: sel(ts)[:, i], sched, tol, seed=seed,
+                       name=f"{sel.name}[{i}]")
+             for i in range(mf.d)]
+    return gamma, comps
+
+
+def _zero_selection(d):
+    return Selection(name="zero", d=d,
+                     eval_points=lambda ts: np.zeros((np.size(ts), d)))
+
+
+@pytest.mark.parametrize("entry, make_sel, theorem, tol", [
+    ("G1", lambda mf: argmax_selection(mf, "-1"), "t33", 1e-3),
+    ("G4", steiner_selection, "t33", 1e-3),
+    ("G2", steiner_selection, "t42", 1e-4),
+    ("G3", lambda mf: _zero_selection(mf.d), "t33", 1e-3),
+])
+def test_shared_pass_reports_equal_standalone_runs(entry, make_sel, theorem, tol):
+    mf = corpus.corpus_get(entry)
+    sel = make_sel(mf)
+    rep = verify_decomposition(mf, sel, theorem, tol=tol, seed=0)
+    gamma, comps = _standalone_runs(mf, sel, theorem, tol)
+    assert (rep.reports["gamma_henstock"].to_json_dict(deterministic=True)
+            == gamma.to_json_dict(deterministic=True))
+    assert len(comps) == mf.d
+    for i, comp in enumerate(comps):
+        assert (rep.reports[f"selection_component_{i}"].to_json_dict(deterministic=True)
+                == comp.to_json_dict(deterministic=True))
+
+
+def test_shared_pass_blocks_stop_independently():
+    # the zero selection has no from_support: the pass falls back to sel(ts)
+    g3 = corpus.corpus_get("G3")
+    rep = verify_decomposition(g3, _zero_selection(1), "t33", tol=1e-3, seed=0)
+    gamma = rep.reports["gamma_henstock"]
+    comp = rep.reports["selection_component_0"]
+    assert gamma.verdict == "diverged"
+    assert [s.level for s in gamma.levels] == [1]
+    assert comp.verdict == "converged"
+    assert [s.level for s in comp.levels] == list(range(1, 13))
+    assert comp.value == 0.0
+
+
+def test_selection_from_support_matches_eval_points():
+    g4 = corpus.corpus_get("G4")
+    ts = np.linspace(0.0, 1.0, 17)
+    V = g4.eval_support(ts)
+    for sel in (steiner_selection(g4), argmax_selection(g4, 3)):
+        np.testing.assert_array_equal(sel.from_support(V), sel(ts))
+        np.testing.assert_array_equal(sel.at(ts, V), sel(ts))
+    zero = _zero_selection(2)
+    assert zero.from_support is None
+    np.testing.assert_array_equal(zero.at(ts, V), np.zeros((ts.size, 2)))
+
+
+def test_remainder_evaluates_gamma_once_per_call():
+    g2 = corpus.corpus_get("G2")
+    calls = []
+
+    def counting(ts):
+        calls.append(np.size(ts))
+        return g2.eval_support(ts)
+
+    mf = dataclasses.replace(g2, eval_support=counting)
+    G, _ = subtract_selection(mf, steiner_selection(mf))
+    calls.clear()
+    row = G.eval_support(np.array([0.6, 0.2]))
+    assert calls == [2]
+    np.testing.assert_allclose(row, [[0.3, 0.3], [0.1, 0.1]], atol=1e-15)
 
 
 # -- measurability probe ------------------------------------------------------------
