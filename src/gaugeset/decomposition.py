@@ -48,29 +48,38 @@ def _probe_ts():
 class Selection:
     """Point-valued t -> f(t), vectorized, with a display name.
 
-    A selection read off the set, f(t) = pick(Gamma(t)), carries
-    ``from_support`` (support rows (N, m) -> points (N, d)), so callers that
-    already hold Gamma's support values at ts need not evaluate Gamma again.
+    A selection read off a set, f(t) = pick(Gamma(t)), carries
+    ``from_support`` (support rows (N, m) -> points (N, d)) and its
+    ``source`` Gamma, so callers that already hold that Gamma's support
+    values at ts need not evaluate it again.  Support values of any other
+    multifunction, even one on the same grid, say nothing about f.
     """
 
     name: str
     d: int
     eval_points: object  # ts (N,) -> (N, d)
     from_support: object = None  # V (N, m) -> (N, d), or None
+    source: object = field(default=None, compare=False, repr=False)
 
     def __call__(self, ts):
         return self.eval_points(np.asarray(ts, dtype=np.float64))
 
-    def at(self, ts, V):
-        """f(ts), given Gamma's support values V at ts."""
-        return self(ts) if self.from_support is None else self.from_support(V)
+    def support_map(self, mf):
+        """``from_support`` if this selection was read off mf itself, else None."""
+        return self.from_support if mf is self.source else None
+
+    def at(self, mf, ts, V):
+        """f(ts), given mf's support values V at ts (read only when f is read off mf)."""
+        pick = self.support_map(mf)
+        return self(ts) if pick is None else pick(V)
 
     @classmethod
     def of_support(cls, name, mf, from_support):
         """Selection f = from_support o Gamma.eval_support."""
         def ev(ts):
             return from_support(mf.eval_support(np.asarray(ts, dtype=np.float64)))
-        return cls(name=name, d=mf.grid.d, eval_points=ev, from_support=from_support)
+        return cls(name=name, d=mf.grid.d, eval_points=ev,
+                   from_support=from_support, source=mf)
 
 
 @dataclass(frozen=True)
@@ -161,7 +170,7 @@ def subtract_selection(mf, sel):
     grid = mf.grid
     ts = _probe_ts()
     V = mf.eval_support(ts)
-    X = sel.at(ts, V)
+    X = sel.at(mf, ts, V)
     inner = X @ grid.dirs.T
     slack = V - inner  # support values of G at probe points
     worst = float(slack.min())
@@ -174,7 +183,7 @@ def subtract_selection(mf, sel):
     def ev(pts):
         pts = np.asarray(pts, dtype=np.float64)
         V = mf.eval_support(pts)
-        return V - sel.at(pts, V) @ grid.dirs.T
+        return V - sel.at(mf, pts, V) @ grid.dirs.T
 
     G = DerivedMultifunction(name=f"{mf.name}-minus-{sel.name}",
                              grid=grid, eval_support=ev)
@@ -262,9 +271,9 @@ def verify_decomposition(mf, sel, theorem, tol, seed=0):
     the same schedule (a selection inherits the integrand's singularity),
     and Gamma and the components of f share one pass over it: one partition
     and one stream of probe tags per level, Gamma evaluated once per tag set
-    and f read off those values (``Selection.from_support``; a selection
-    without it is evaluated on the same tags).  G runs under the defaults
-    for its kind.  Variational clauses use the entry's exact primitive when
+    and f read off those values (``Selection.from_support``, when f was read
+    off this very Gamma; any other selection is evaluated on the same tags).
+    G runs under the defaults for its kind.  Variational clauses use the entry's exact primitive when
     it has one and a built primitive otherwise, at the entry's recommended
     variational tolerance.
     """
@@ -290,8 +299,9 @@ def verify_decomposition(mf, sel, theorem, tol, seed=0):
     sched_h, tol_h, _ = _schedule_for(mf, "henstock", tol)
     if theorem == "t42":
         sched_h, tol_h = named_schedule("uniform-measurable"), tol
-    rep_gamma, rep_f = henstock_with_selection(mf, sel.at, sched_h, tol_h, tol,
-                                               seed=seed, name=sel.name)
+    rep_gamma, rep_f = henstock_with_selection(
+        mf, sel, sched_h, tol_h, tol, seed=seed, name=sel.name,
+        from_support=sel.support_map(mf))
     if theorem == "t42":
         rep_gamma.flags["gauge_mode"] = "measurable"
     add_clause("gamma_henstock", rep_gamma)

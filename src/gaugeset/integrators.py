@@ -315,13 +315,17 @@ def _probe_tag_sets(P, gauge, rng, mode):
 def _run_schedule(eval_blocks, ms, schedule, seed, mode, bound=DIVERGENCE_BOUND):
     """Level loop shared by Henstock / McShane / scalar / directional runs.
 
-    ``eval_blocks(tags)`` returns one (N, m_b) array per column block, with
-    ``ms`` the block widths.  All blocks share each level's partition, tags
-    and evaluation; each keeps its own residuals, probe spread and
+    ``eval_blocks(tags, live)`` returns one (N, m_b) array per column block,
+    with ``ms`` the block widths; the entry of a block not in ``live`` is
+    never read and may be None.  All blocks share each level's partition,
+    tags and evaluation; each keeps its own residuals, probe spread and
     divergence stop, and a stopped block records no further levels.  The
     loop ends when every block has stopped or the schedule is exhausted.
     Sums are columnwise, so a block's run is bit-identical to a one-block
-    run of the same columns.  Returns one run dict per block.
+    run of the same columns.  A level's ``wall_ms`` is the time of the whole
+    shared level, recorded on every block that ran it, so wall times summed
+    across the blocks of one pass count shared levels more than once.
+    Returns one run dict per block.
     """
     runs = [{
         "stats": [], "effs": [], "nominals": [], "eff_cols": [],
@@ -340,7 +344,7 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, bound=DIVERGENCE_BOUND)
         def block_sums(tags, sum_columns):
             # free each array once used, so a one-block run allocates as a
             # plain loop would: evaluations before the sums, terms per block
-            vals = eval_blocks(tags)
+            vals = eval_blocks(tags, live)
             terms = {k: vals[k] * w for k in live}
             del vals
             return {k: sum_columns(terms.pop(k)) for k in live}
@@ -381,7 +385,7 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, bound=DIVERGENCE_BOUND)
 
 
 def _one_block(eval_fn):
-    return lambda ts: (eval_fn(ts),)
+    return lambda ts, live: (eval_fn(ts),)
 
 
 def _direction_labels(grid, m):
@@ -450,20 +454,25 @@ def scalar_hk(phi, schedule, tol, seed=0, name="phi"):
     return _assemble("scalar-hk", name, None, 1, tol, seed, schedule, run, scalar=True)
 
 
-def henstock_with_selection(mf, points, schedule, tol, point_tol, seed=0, name="f"):
+def henstock_with_selection(mf, points, schedule, tol, point_tol, seed=0, name="f",
+                            from_support=None):
     """Henstock run of Gamma and scalar HK runs of a selection's components.
 
-    ``points(ts, V)`` maps tags ts and Gamma's support values V there to
-    the (N, d) selection points, d = mf.grid.d.  All d + 1 runs share one pass: each level
-    builds one partition and one set of probe tags and evaluates Gamma once
-    per tag set, and every component is read off that evaluation.  Returns
-    the Gamma report and the d component reports, equal to
-    henstock_integrate(mf, schedule, tol, seed) and to scalar_hk of each
-    component at point_tol, named ``name[i]``.
+    ``points(ts)`` gives the (N, d) selection points at tags ts, d =
+    mf.grid.d.  All d + 1 runs share one pass: each level builds one
+    partition and one set of probe tags and evaluates Gamma once per tag
+    set.  With ``from_support`` (Gamma's support rows (N, m) -> the same
+    points) every component is read off that evaluation; without it the
+    points are evaluated on the same tags, and Gamma is no longer evaluated
+    once its own run has stopped.  Returns the Gamma report and the d
+    component reports, equal to henstock_integrate(mf, schedule, tol, seed)
+    and to scalar_hk of each component at point_tol, named ``name[i]``.
+    Level wall times are those of the shared levels.
     """
-    def eval_blocks(ts):
-        V = mf.eval_support(ts)
-        X = np.asarray(points(ts, V), dtype=np.float64)
+    def eval_blocks(ts, live):
+        V = mf.eval_support(ts) if from_support is not None or 0 in live else None
+        X = points(ts) if from_support is None else from_support(V)
+        X = np.asarray(X, dtype=np.float64)
         return (V, *(X[:, i:i + 1] for i in range(d)))
 
     m, d = mf.grid.m, mf.grid.d

@@ -17,7 +17,7 @@ from gaugeset.decomposition import (
     verify_decomposition,
 )
 from gaugeset.errors import NotASelection
-from gaugeset.integrators import henstock_integrate, scalar_hk
+from gaugeset.integrators import henstock_integrate, henstock_with_selection, scalar_hk
 
 LINE = DirectionGrid.line()
 CIRCLE = DirectionGrid.circle(64)
@@ -216,6 +216,7 @@ def _zero_selection(d):
     ("G4", steiner_selection, "t33", 1e-3),
     ("G2", steiner_selection, "t42", 1e-4),
     ("G3", lambda mf: _zero_selection(mf.d), "t33", 1e-3),
+    ("G6", lambda mf: steiner_selection(corpus.corpus_get("G2")), "t33", 1e-4),
 ])
 def test_shared_pass_reports_equal_standalone_runs(entry, make_sel, theorem, tol):
     mf = corpus.corpus_get(entry)
@@ -249,10 +250,44 @@ def test_selection_from_support_matches_eval_points():
     V = g4.eval_support(ts)
     for sel in (steiner_selection(g4), argmax_selection(g4, 3)):
         np.testing.assert_array_equal(sel.from_support(V), sel(ts))
-        np.testing.assert_array_equal(sel.at(ts, V), sel(ts))
+        np.testing.assert_array_equal(sel.at(g4, ts, V), sel(ts))
     zero = _zero_selection(2)
-    assert zero.from_support is None
-    np.testing.assert_array_equal(zero.at(ts, V), np.zeros((ts.size, 2)))
+    assert zero.support_map(g4) is None
+    np.testing.assert_array_equal(zero.at(g4, ts, V), np.zeros((ts.size, 2)))
+
+
+def test_selection_of_another_entry_is_evaluated_itself():
+    # steiner(G2) = t/2 lies in G6 = [0, 1], whose own Steiner point is 1/2
+    g6 = corpus.corpus_get("G6")
+    sel = steiner_selection(corpus.corpus_get("G2"))
+    assert sel.support_map(g6) is None
+    ts = np.linspace(0.0, 1.0, 9)
+    G, _ = subtract_selection(g6, sel)
+    np.testing.assert_array_equal(G.eval_support(ts),
+                                  g6.eval_support(ts) - sel(ts) @ LINE.dirs.T)
+
+
+def test_selection_of_another_entry_outside_the_set_raises():
+    # steiner(G3) = F'/2 leaves G2 = [0, t]
+    g2 = corpus.corpus_get("G2")
+    with pytest.raises(NotASelection):
+        subtract_selection(g2, steiner_selection(corpus.corpus_get("G3")))
+
+
+def test_fallback_pass_stops_evaluating_gamma_with_its_run():
+    g3 = corpus.corpus_get("G3")
+    calls = []
+
+    def counting(ts):
+        calls.append(np.size(ts))
+        return g3.eval_support(ts)
+
+    mf = dataclasses.replace(g3, eval_support=counting)
+    gamma, [comp] = henstock_with_selection(
+        mf, _zero_selection(1), corpus.named_schedule("uniform"), 1e-3, 1e-3)
+    assert [s.level for s in gamma.levels] == [1]
+    assert len(comp.levels) == 12
+    assert len(calls) == 19  # level 1 only: the build tags and 18 probe tag sets
 
 
 def test_remainder_evaluates_gamma_once_per_call():
