@@ -15,6 +15,7 @@ times so reruns are byte-identical.  GAUGESET_SEED overrides any seed.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -25,32 +26,23 @@ from . import corpus as corpus_mod
 from . import decomposition as dec
 from . import integrators as it
 
-_FLAG_KEY = {
-    "henstock": "henstock",
-    "mcshane": "mcshane",
-    "birkhoff": "birkhoff",
-    "vh": "vH",
-    "vms": "vMS",
-    "hkp": "hkp",
+# method -> (corpus flag key, verdict a yes flag wants, verdict a no flag wants)
+_METHODS = {
+    "henstock": ("henstock", "converged", "diverged"),
+    "mcshane": ("mcshane", "converged", "diverged"),
+    "birkhoff": ("birkhoff", "converged", "diverged"),
+    "vh": ("vH", "converged", "diverged"),
+    "vms": ("vMS", "converged", "diverged"),
+    "hkp": ("hkp", "hkp-consistent", "not-hkp"),
 }
 
-_YES_VERDICT = {
-    "henstock": "converged",
-    "mcshane": "converged",
-    "birkhoff": "converged",
-    "vh": "converged",
-    "vms": "converged",
-    "hkp": "hkp-consistent",
-}
 
-_NO_VERDICT = {
-    "henstock": "diverged",
-    "mcshane": "diverged",
-    "birkhoff": "diverged",
-    "vh": "diverged",
-    "vms": "diverged",
-    "hkp": "not-hkp",
-}
+def _entry(name):
+    """Registry entry ``name``; an unknown name is a usage error."""
+    try:
+        return corpus_mod.corpus_get(name)
+    except ValueError as e:
+        raise click.ClickException(str(e))
 
 
 def _resolve_seed(seed):
@@ -94,15 +86,12 @@ def _write_reports(out_dir, stem, json_dict, csv_rows, deterministic):
 
 
 def _schedule_for(entry, method, levels, config_settings):
-    rec = entry.recommended.get(method, {})
-    sched_id = config_settings.get("schedule", rec.get("schedule", "uniform"))
     L = levels or config_settings.get("levels")
     if method == "birkhoff":
-        parts = corpus_mod.named_parts(rec.get("parts", "dyadic-14"))
+        parts = corpus_mod.named_parts(
+            corpus_mod.recommendation(entry, method).get("parts", "dyadic-14"))
         return parts[:L] if L else parts
-    if L:
-        return corpus_mod.named_schedule(sched_id, levels=int(L))
-    return corpus_mod.named_schedule(sched_id)
+    return corpus_mod.recommended_schedule(entry, method, config_settings.get("schedule"), L)
 
 
 def _tol_for(entry, method, tol, config_settings):
@@ -110,8 +99,8 @@ def _tol_for(entry, method, tol, config_settings):
         return tol
     if "tol" in config_settings:
         return float(config_settings["tol"])
-    rec = entry.recommended.get(method, {})
-    return rec.get("tol", it.DEFAULT_TOL_D1 if entry.d == 1 else it.DEFAULT_TOL_D2)
+    return corpus_mod.recommendation(entry, method).get(
+        "tol", it.DEFAULT_TOL_D1 if entry.d == 1 else it.DEFAULT_TOL_D2)
 
 
 @click.group()
@@ -121,7 +110,7 @@ def main():
 
 @main.command()
 @click.argument("entry")
-@click.option("--method", type=click.Choice(sorted(_FLAG_KEY)), default="henstock")
+@click.option("--method", type=click.Choice(sorted(_METHODS)), default="henstock")
 @click.option("--tol", type=float, default=None, help="Override the entry tolerance.")
 @click.option("--levels", type=int, default=None, help="Override schedule length.")
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -136,17 +125,15 @@ def integrate(entry, method, tol, levels, seed, out_dir, config_path, determinis
     method = settings.get("method", method)
     seed = _resolve_seed(settings.get("seed", seed))
     out_dir = cfg.get("output", {}).get("dir", out_dir)
-    try:
-        spec = corpus_mod.corpus_get(entry)
-    except ValueError as e:
-        raise click.ClickException(str(e))
+    spec = _entry(entry)
     tol = _tol_for(spec, method, tol, settings)
     sched = _schedule_for(spec, method, levels, settings)
 
     if method == "henstock":
         report = it.henstock_integrate(spec, sched, tol, seed=seed)
     elif method == "mcshane":
-        mode = settings.get("mode", spec.recommended.get("mcshane", {}).get("mode", "plain"))
+        mode = settings.get(
+            "mode", corpus_mod.recommendation(spec, "mcshane").get("mode", "plain"))
         report = it.mcshane_integrate(spec, sched, tol, seed=seed, mode=mode)
     elif method == "birkhoff":
         report = it.birkhoff_integrate(spec, sched, tol, seed=seed)
@@ -167,12 +154,13 @@ def integrate(entry, method, tol, levels, seed, out_dir, config_path, determinis
     click.echo(f"report: {jp}")
     click.echo(f"table: {cp}")
 
-    flag = spec.flag(_FLAG_KEY[method])
+    flag_key, yes_verdict, no_verdict = _METHODS[method]
+    flag = spec.flag(flag_key)
     if report.verdict == "inconclusive":
         sys.exit(3)
     if flag == "unknown":
         sys.exit(0)
-    want = _YES_VERDICT[method] if flag == "yes" else _NO_VERDICT[method]
+    want = yes_verdict if flag == "yes" else no_verdict
     sys.exit(0 if report.verdict == want else 2)
 
 
@@ -199,13 +187,10 @@ def _parse_selection(token, spec):
 @click.option("--deterministic", is_flag=True)
 def decompose(entry, selection, theorem, tol, seed, out_dir, deterministic):
     """Verify a decomposition theorem on ENTRY with a constructed selection."""
-    try:
-        spec = corpus_mod.corpus_get(entry)
-    except ValueError as e:
-        raise click.ClickException(str(e))
+    spec = _entry(entry)
     seed = _resolve_seed(seed)
     if tol is None:
-        tol = spec.recommended.get("henstock", {}).get("tol", 1e-3)
+        tol = corpus_mod.recommendation(spec, "henstock").get("tol", 1e-3)
     report = dec.verify_decomposition(spec, _parse_selection(selection, spec),
                                       theorem, tol, seed=seed)
     gamma_rep = report.reports.get("gamma_henstock")
@@ -223,16 +208,20 @@ def decompose(entry, selection, theorem, tol, seed, out_dir, deterministic):
 
 
 def _parse_set(token):
+    """'0, 0.25:0.75' -> [(0.0, 0.0), (0.25, 0.75)]; a bad component is a usage error."""
     comps = []
-    for part in token.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ":" in part:
-            lo, hi = part.split(":", 1)
-            comps.append((float(lo), float(hi)))
-        else:
-            comps.append(float(part))
+    for part in filter(None, (p.strip() for p in token.split(","))):
+        lo, _, hi = part.partition(":")
+        try:
+            lo, hi = float(lo), float(hi if ":" in part else lo)
+            ok = math.isfinite(lo) and math.isfinite(hi) and lo <= hi
+        except ValueError:
+            ok = False
+        if not ok:
+            raise click.ClickException(
+                f"bad --set component {part!r}: use a point t or an interval lo:hi "
+                "with finite lo <= hi")
+        comps.append((lo, hi))
     return comps
 
 
@@ -246,18 +235,15 @@ def _parse_set(token):
 @click.option("--deterministic", is_flag=True)
 def varmeasure(entry, set_token, seed, levels, out_dir, deterministic):
     """Estimate the variational measure of ENTRY's primitive on a set."""
-    try:
-        spec = corpus_mod.corpus_get(entry)
-    except ValueError as e:
-        raise click.ClickException(str(e))
+    spec = _entry(entry)
     seed = _resolve_seed(seed)
+    E = _parse_set(set_token)
     sched = corpus_mod.named_schedule("uniform", levels=levels or 12)
     phi = (spec.exact_primitive() if spec.exact_primitive
            else it.build_primitive(spec, sched.levels[-1]))
-    E = _parse_set(set_token)
     result = it.variational_measure_estimate(phi, E, sched, seed=seed)
     result["entry"] = spec.name
-    rows = ["level,residual,max_dir_residual,wall_ms"]
+    rows = [it.CSV_HEADER]
     rows += [f"{i + 1},{est!r},{est!r},0.000"
              for i, est in enumerate(result["estimates"])]
     stem = f"varmeasure-{spec.name}-s{seed}"
@@ -279,19 +265,16 @@ def varmeasure(entry, set_token, seed, levels, out_dir, deterministic):
 @click.option("--deterministic", is_flag=True)
 def riemann_check(entry, set_token, delta, eps, trials, seed, out_dir, deterministic):
     """Riemann-measurability oscillation probe of ENTRY's Steiner selection."""
-    try:
-        spec = corpus_mod.corpus_get(entry)
-    except ValueError as e:
-        raise click.ClickException(str(e))
+    spec = _entry(entry)
     seed = _resolve_seed(seed)
+    comps = _parse_set(set_token)
     sel = dec.steiner_selection(spec)
     f = lambda ts: sel(ts)[:, 0]
-    comps = [(c, c) if not isinstance(c, tuple) else c for c in _parse_set(set_token)]
     result = dec.riemann_measurability_probe(f, comps, delta, trials=trials,
                                              eps=eps, seed=seed)
     result["entry"] = spec.name
     result["selection_component"] = 0
-    rows = ["level,residual,max_dir_residual,wall_ms",
+    rows = [it.CSV_HEADER,
             f"1,{result['plain_max']!r},{result['strong_max']!r},0.000"]
     stem = f"riemann-{spec.name}-s{seed}"
     jp, cp = _write_reports(out_dir, stem, result, rows, deterministic)
@@ -316,11 +299,7 @@ def corpus_list():
 @corpus.command("show")
 @click.argument("name")
 def corpus_show(name):
-    try:
-        spec = corpus_mod.corpus_get(name)
-    except ValueError as e:
-        raise click.ClickException(str(e))
-    click.echo(json.dumps(spec.to_json_dict(), sort_keys=True, indent=2))
+    click.echo(json.dumps(_entry(name).to_json_dict(), sort_keys=True, indent=2))
 
 
 if __name__ == "__main__":

@@ -202,6 +202,20 @@ def named_schedule(spec_id, levels=12):
     raise ValueError(f"unknown schedule id {spec_id!r}")
 
 
+def recommendation(mf, method):
+    """mf's recommended settings for method; {} when it has none (off-registry)."""
+    return getattr(mf, "recommended", {}).get(method, {})
+
+
+def recommended_schedule(mf, method, schedule_id=None, levels=None):
+    """Gauge schedule for method on mf: ``schedule_id``, else mf's recommended
+    one, else "uniform".  Without ``levels`` the lookup is named_schedule(id)
+    itself, so it shares that call's cache entry.
+    """
+    sched_id = schedule_id or recommendation(mf, method).get("schedule", "uniform")
+    return named_schedule(sched_id, levels=int(levels)) if levels else named_schedule(sched_id)
+
+
 def named_parts(parts_id):
     if parts_id == "dyadic-14":
         return [{"n_pieces": 2 ** l, "interleave_depth": 3} for l in range(1, 15)]

@@ -24,14 +24,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convex_sets import SupportSet, hausdorff, translate
+from .convex_sets import hausdorff, translate
 from .errors import NotASelection
-from .corpus import named_parts, named_schedule
+from .corpus import named_parts, named_schedule, recommendation, recommended_schedule
 from .integrators import (
     birkhoff_integrate,
     build_primitive,
     henstock_with_selection,
     mcshane_integrate,
+    normalize_set,
     vh_check,
 )
 
@@ -241,16 +242,6 @@ class DecompositionReport:
         }
 
 
-def _schedule_for(mf, method, default_tol):
-    rec = getattr(mf, "recommended", {}).get(method)
-    if rec is None:
-        return named_schedule("uniform"), default_tol, None
-    tol = rec.get("tol", default_tol)
-    if "parts" in rec:
-        return None, tol, named_parts(rec["parts"])
-    return named_schedule(rec["schedule"]), tol, None
-
-
 def _expected_outcome(mf, theorem):
     flags = getattr(mf, "flags", None)
     if not flags:
@@ -296,9 +287,11 @@ def verify_decomposition(mf, sel, theorem, tol, seed=0):
         reports[name] = report
         return ok
 
-    sched_h, tol_h, _ = _schedule_for(mf, "henstock", tol)
     if theorem == "t42":
         sched_h, tol_h = named_schedule("uniform-measurable"), tol
+    else:
+        sched_h = recommended_schedule(mf, "henstock")
+        tol_h = recommendation(mf, "henstock").get("tol", tol)
     rep_gamma, rep_f = henstock_with_selection(
         mf, sel, sched_h, tol_h, tol, seed=seed, name=sel.name,
         from_support=sel.support_map(mf))
@@ -326,7 +319,8 @@ def verify_decomposition(mf, sel, theorem, tol, seed=0):
     })
 
     if theorem == "t55":
-        sched_vh, tol_vh, _ = _schedule_for(mf, "vh", max(tol, 5e-2))
+        sched_vh = recommended_schedule(mf, "vh")
+        tol_vh = recommendation(mf, "vh").get("tol", max(tol, 5e-2))
         finest = sched_vh.levels[-1]
         phi_gamma = (mf.exact_primitive()
                      if getattr(mf, "exact_primitive", None)
@@ -366,26 +360,12 @@ def verify_decomposition(mf, sel, theorem, tol, seed=0):
 
 # -- Riemann measurability probe ---------------------------------------------
 
-def _normalize_components(F_set):
-    items = list(F_set)
-    # a bare (lo, hi) tuple is one component; lists hold explicit components
-    if isinstance(F_set, tuple) and len(items) == 2 and all(np.isscalar(x) for x in items):
-        items = [tuple(items)]
-    comps = []
-    for item in items:
-        if np.isscalar(item):
-            item = (item, item)
-        lo, hi = item
-        lo, hi = max(0.0, float(lo)), min(1.0, float(hi))
-        if hi > lo:
-            comps.append((lo, hi))
-    return sorted(comps)
-
-
 def riemann_measurability_probe(f, F_set, delta, trials=12, eps=0.05, seed=0,
                                 max_intervals=4096):
     """Oscillation statistics of f over seeded interval families inside F.
 
+    F is read as by normalize_set; only its components of positive length
+    are probed, since points hold no intervals.
     Each trial draws pairwise nonoverlapping intervals with widths below
     delta inside the components of F (a tiling when it fits the interval
     budget, seeded placement otherwise) and, per interval, an adversarial
@@ -399,7 +379,7 @@ def riemann_measurability_probe(f, F_set, delta, trials=12, eps=0.05, seed=0,
     holds exactly.  Both are finite lower witnesses of sups over all
     families; a fail is definitive, a pass is evidence.
     """
-    comps = _normalize_components(F_set)
+    comps = [(lo, hi) for lo, hi in normalize_set(F_set) if hi > lo]
     measure = math.fsum(hi - lo for lo, hi in comps)
     complement = 1.0 - measure
     plain_max = strong_max = 0.0

@@ -30,13 +30,16 @@ permutation invariant - constants integrate to themselves bit-exactly and
 Birkhoff sums are order-independent by construction); probe sums use a
 deterministic pairwise tree reduction.
 
-Henstock, McShane, scalar and directional runs share one level loop that
-carries several column blocks at once, each with its own residuals, verdict
-and divergence stop.  Since the sums are columnwise, a block's result is
-bit-identical to running it alone; a set and its selection's components
-(henstock_with_selection) thus share each level's partition, probe tags and
-set evaluation.  Probe tag sets are generated one at a time rather than all
-held for the level.
+Three level loops exist.  _run_schedule, shared by Henstock, McShane,
+scalar and directional runs, carries several column blocks at once, each
+with its own residuals, verdict and divergence stop; the sums are
+columnwise, so a block's result is bit-identical to running it alone, and a
+set and its selection's components (henstock_with_selection) share each
+level's partition, probe tags and set evaluation.  birkhoff_integrate and
+vh_check keep their own loops, since they differ in partition kind, tag
+policy, rng salt and level functional; all three share the level
+bookkeeping (_record), and _assemble builds every report, so the verdict,
+divergence record and report id follow one rule.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .convex_sets import SupportSet, canonical_values
-from .errors import DepthExceeded
 from .partitions import (
     Gauge,
     TaggedPartition,
@@ -61,6 +63,7 @@ DEFAULT_LEVELS = 12
 DEFAULT_TOL_D1 = 1e-4
 DEFAULT_TOL_D2 = 1e-3
 _GROWTH_EPS = 1e-9
+CSV_HEADER = "level,residual,max_dir_residual,wall_ms"
 
 
 # -- gauge schedules ---------------------------------------------------------
@@ -152,7 +155,6 @@ class LevelStat:
     residual: float | None
     probe_spread: float
     eff_residual: float
-    max_dir_residual: float
     sum_norm: float
     wall_ms: float
 
@@ -163,7 +165,7 @@ class LevelStat:
             "residual": self.residual,
             "probe_spread": self.probe_spread,
             "eff_residual": self.eff_residual,
-            "max_dir_residual": self.max_dir_residual,
+            "max_dir_residual": self.eff_residual,  # the per-direction max
             "sum_norm": self.sum_norm,
             "wall_ms": 0.0 if deterministic else self.wall_ms,
         }
@@ -216,11 +218,11 @@ class IntegrationReport:
         }
 
     def csv_rows(self, deterministic=False):
-        rows = ["level,residual,max_dir_residual,wall_ms"]
+        rows = [CSV_HEADER]
         for s in self.levels:
             res = "" if s.residual is None else repr(s.residual)
             ms = 0.0 if deterministic else s.wall_ms
-            rows.append(f"{s.level},{res},{repr(s.max_dir_residual)},{ms:.3f}")
+            rows.append(f"{s.level},{res},{repr(s.eff_residual)},{ms:.3f}")
         return rows
 
 
@@ -312,6 +314,22 @@ def _probe_tag_sets(P, gauge, rng, mode):
             yield np.where(ok(u), u, t0)
 
 
+def _new_run(m):
+    """Empty level record of one run over m columns; _assemble reads it."""
+    return {"stats": [], "effs": [], "nominals": [], "eff_cols": [],
+            "fired_dirs": np.zeros(m, dtype=bool), "fired_level": None}
+
+
+def _record(run, stat, value, fired):
+    """Append one level (its stat and value); returns ``fired``, which ends the run."""
+    run["stats"].append(stat)
+    run["effs"].append(stat.eff_residual)
+    run["nominals"].append(value)
+    if fired:
+        run["fired_level"] = stat.level
+    return fired
+
+
 def _run_schedule(eval_blocks, ms, schedule, seed, mode, bound=DIVERGENCE_BOUND):
     """Level loop shared by Henstock / McShane / scalar / directional runs.
 
@@ -327,10 +345,7 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, bound=DIVERGENCE_BOUND)
     across the blocks of one pass count shared levels more than once.
     Returns one run dict per block.
     """
-    runs = [{
-        "stats": [], "effs": [], "nominals": [], "eff_cols": [],
-        "fired_dirs": np.zeros(m, dtype=bool), "fired_level": None,
-    } for m in ms]
+    runs = [_new_run(m) for m in ms]
     live = list(range(len(ms)))
     prev = [None] * len(ms)
     for n, gauge in enumerate(schedule.levels, start=1):
@@ -362,23 +377,17 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, bound=DIVERGENCE_BOUND)
             run, spread = runs[k], spread_cols[k]
             resid_cols = None if prev[k] is None else np.abs(nominal[k] - prev[k])
             eff_cols = spread if resid_cols is None else np.maximum(spread, resid_cols)
-            eff = float(eff_cols.max())
-            run["stats"].append(LevelStat(
+            stat = LevelStat(
                 level=n, n_items=len(P),
                 residual=None if resid_cols is None else float(resid_cols.max()),
                 probe_spread=float(spread.max()),
-                eff_residual=eff,
-                max_dir_residual=eff,
+                eff_residual=float(eff_cols.max()),
                 sum_norm=float(np.abs(nominal[k]).max()),
                 wall_ms=wall_ms,
-            ))
-            run["effs"].append(eff)
-            run["nominals"].append(nominal[k])
+            )
             run["eff_cols"].append(eff_cols)
-            newly = sums_max[k] > bound
-            if newly.any():
-                run["fired_dirs"] |= newly
-                run["fired_level"] = n
+            run["fired_dirs"] |= sums_max[k] > bound
+            if _record(run, stat, nominal[k], run["fired_dirs"].any()):
                 live.remove(k)
             prev[k] = nominal[k]
     return runs
@@ -394,12 +403,20 @@ def _direction_labels(grid, m):
     return [f"u{k}" for k in range(m)]
 
 
-def _assemble(method, entry, grid, m, tol, seed, schedule, run, scalar=False,
-              extra_flags=None):
+def _assemble(method, entry, grid, tol, seed, schedule, run, flags=None, values=None):
+    """The report of one run; every integrator's report is built here.
+
+    ``schedule`` is the descriptor {"name", "levels"}.  With ``grid`` the
+    values are the last level's sums, read as a set estimate; without it the
+    run is scalar.  A run with no set estimate passes its own ``values``
+    instead (vh: the per-level sums).
+    """
     fired = run["fired_level"] is not None
     verdict = _verdict(run["effs"], tol, fired)
-    values = tuple(float(v) for v in run["nominals"][-1])
-    estimate = None if (scalar or grid is None) else SupportSet(grid, np.array(values))
+    own = values is None
+    values = tuple(float(v) for v in (run["nominals"][-1] if own else values))
+    estimate = SupportSet(grid, np.array(values)) if own and grid is not None else None
+    m = 1 if grid is None else grid.m
     divergence = None
     if fired:
         labels = _direction_labels(grid, m)
@@ -410,13 +427,12 @@ def _assemble(method, entry, grid, m, tol, seed, schedule, run, scalar=False,
         }
     elif verdict == "diverged":
         divergence = {"rule": "monotone-growth", "window": 4}
-    d = grid.d if grid is not None else 0
     return IntegrationReport(
-        report_id=f"{method}:{entry}:s{seed}:L{len(schedule.levels)}",
-        method=method, entry=entry, d=d, m=m, tol=tol, seed=seed,
-        verdict=verdict, estimate=estimate, estimate_values=values,
-        scalar=scalar, levels=run["stats"], schedule=schedule.describe(),
-        flags=dict(extra_flags or {}), divergence=divergence,
+        report_id=f"{method}:{entry}:s{seed}:L{schedule['levels']}",
+        method=method, entry=entry, d=0 if grid is None else grid.d, m=m, tol=tol,
+        seed=seed, verdict=verdict, estimate=estimate, estimate_values=values,
+        scalar=grid is None, levels=run["stats"], schedule=schedule,
+        flags=dict(flags or {}), divergence=divergence,
     )
 
 
@@ -426,7 +442,7 @@ def henstock_integrate(mf, schedule, tol, seed=0):
     """Henstock integral estimate: Perron partitions from cousin_build."""
     [run] = _run_schedule(_one_block(mf.eval_support), (mf.grid.m,), schedule, seed,
                           "henstock")
-    return _assemble("henstock", mf.name, mf.grid, mf.grid.m, tol, seed, schedule, run)
+    return _assemble("henstock", mf.name, mf.grid, tol, seed, schedule.describe(), run)
 
 
 def mcshane_integrate(mf, schedule, tol, seed=0, mode="plain"):
@@ -443,15 +459,15 @@ def mcshane_integrate(mf, schedule, tol, seed=0, mode="plain"):
             raise ValueError("measurable mode needs piecewise gauges at every level")
     [run] = _run_schedule(_one_block(mf.eval_support), (mf.grid.m,), schedule, seed,
                           "mcshane")
-    return _assemble(f"mcshane-{mode}", mf.name, mf.grid, mf.grid.m, tol, seed,
-                     schedule, run, extra_flags={"mode": mode})
+    return _assemble(f"mcshane-{mode}", mf.name, mf.grid, tol, seed, schedule.describe(),
+                     run, flags={"mode": mode})
 
 
 def scalar_hk(phi, schedule, tol, seed=0, name="phi"):
     """Scalar Henstock-Kurzweil integral of a vectorized real function."""
     eval_fn = lambda ts: np.asarray(phi(ts), dtype=np.float64)[:, None]
     [run] = _run_schedule(_one_block(eval_fn), (1,), schedule, seed, "henstock")
-    return _assemble("scalar-hk", name, None, 1, tol, seed, schedule, run, scalar=True)
+    return _assemble("scalar-hk", name, None, tol, seed, schedule.describe(), run)
 
 
 def henstock_with_selection(mf, points, schedule, tol, point_tol, seed=0, name="f",
@@ -477,9 +493,9 @@ def henstock_with_selection(mf, points, schedule, tol, point_tol, seed=0, name="
 
     m, d = mf.grid.m, mf.grid.d
     runs = _run_schedule(eval_blocks, (m,) + (1,) * d, schedule, seed, "henstock")
-    gamma = _assemble("henstock", mf.name, mf.grid, m, tol, seed, schedule, runs[0])
-    comps = [_assemble("scalar-hk", f"{name}[{i}]", None, 1, point_tol, seed,
-                       schedule, run, scalar=True)
+    gamma = _assemble("henstock", mf.name, mf.grid, tol, seed, schedule.describe(), runs[0])
+    comps = [_assemble("scalar-hk", f"{name}[{i}]", None, point_tol, seed,
+                       schedule.describe(), run)
              for i, run in enumerate(runs[1:])]
     return gamma, comps
 
@@ -490,40 +506,30 @@ def directional_profile(mf, schedule, tol, seed=0):
     The candidate is consistent (the desk Pettis test) when no direction
     diverges, every direction's effective residuals settle under tol, and
     canonicalizing the assembled vector moves no value by more than tol.
+    Each direction's verdict follows the rule of a whole run (_verdict).
     """
     m = mf.grid.m
     [run] = _run_schedule(_one_block(mf.eval_support), (m,), schedule, seed, "henstock")
+    report = _assemble("hkp", mf.name, mf.grid, tol, seed, schedule.describe(), run)
     labels = _direction_labels(mf.grid, m)
     cols = np.stack(run["eff_cols"])  # (levels, m)
-    fired = run["fired_dirs"]
-    divergent, converged = [], []
-    for k in range(m):
-        col = [float(x) for x in cols[:, k]]
-        if fired[k] or _strict_growth(col):
-            divergent.append(labels[k])
-        elif col[-1] < tol and _no_bounce(col, tol):
-            converged.append(labels[k])
+    dir_verdicts = [_verdict([float(x) for x in cols[:, k]], tol, run["fired_dirs"][k])
+                    for k in range(m)]
+    divergent = [labels[k] for k, v in enumerate(dir_verdicts) if v == "diverged"]
+    n_converged = dir_verdicts.count("converged")
     values = run["nominals"][-1]
-    candidate = None
     canon_change = None
-    if not divergent:
-        canon = canonical_values(mf.grid, values)
-        canon_change = float(np.max(np.abs(canon - values)))
-        candidate = SupportSet(mf.grid, values)
     if divergent:
-        verdict = "not-hkp"
-    elif len(converged) == m and canon_change <= tol:
-        verdict = "hkp-consistent"
+        report.verdict, report.estimate = "not-hkp", None
     else:
-        verdict = "inconclusive"
-    report = _assemble("hkp", mf.name, mf.grid, m, tol, seed, schedule, run)
-    report.verdict = verdict
-    report.estimate = candidate
+        canon_change = float(np.max(np.abs(canonical_values(mf.grid, values) - values)))
+        settled = n_converged == m and canon_change <= tol
+        report.verdict = "hkp-consistent" if settled else "inconclusive"
     report.per_direction = {
         "labels": labels,
         "values": [float(v) for v in values],
         "divergent": divergent,
-        "n_converged": len(converged),
+        "n_converged": n_converged,
         "canon_change": canon_change,
     }
     return report
@@ -550,89 +556,64 @@ def birkhoff_integrate(mf, part_specs, tol, trials=8, seed=0):
             raise ValueError("partition specs must refine level by level")
         parts.append(mp)
 
-    stats, effs, fired_level = [], [], None
-    fired_dirs = np.zeros(mf.grid.m, dtype=bool)
+    run = _new_run(mf.grid.m)
     prev = None
-    nominal = None
     perm_ok = True
     for n, mp in enumerate(parts, start=1):
         t0 = time.perf_counter()
-        lam = mp.measures
-        tag_sets = [_piece_midpoint_tags(mp)]
+        lam = mp.measures[:, None]
+        los = np.array([[c[0] for c in p] for p in mp.pieces])  # (pieces, cells) left edges
+        width = mp.pieces[0][0][1] - mp.pieces[0][0][0]
+        tag_sets = [los[:, 0] + width / 2.0]  # piece midpoints
         for k in range(trials):
-            tag_sets.append(_piece_random_tags(mp, np.random.default_rng([seed, 40, n, k])))
-        tag_sets.append(_piece_adversarial_tags(mf, mp))
-        sums = [_fsum_columns(mf.eval_support(ts) * lam[:, None]) for ts in tag_sets]
+            tag_sets.append(_piece_random_tags(los, width,
+                                               np.random.default_rng([seed, 40, n, k])))
+        tag_sets.append(_piece_adversarial_tags(mf, los, width))
+        sums = []
+        for ts in tag_sets:  # the adversarial draw's terms stay for the check below
+            terms = mf.eval_support(ts) * lam
+            sums.append(_fsum_columns(terms))
         nominal = sums[0]
         ref = prev if prev is not None else nominal
         dists = [float(np.max(np.abs(s - ref))) for s in sums]
         est = sums[int(np.argmax(dists))]
         spread = max(float(np.max(np.abs(s - nominal))) for s in sums)
-        sums_max = max(float(np.max(np.abs(s))) for s in sums)
         residual = None if prev is None else float(np.max(np.abs(est - prev)))
-        eff = spread if residual is None else max(residual, spread)
-        stats.append(LevelStat(
-            level=n, n_items=mp.n_pieces, residual=residual,
-            probe_spread=spread, eff_residual=eff, max_dir_residual=eff,
+        stat = LevelStat(
+            level=n, n_items=mp.n_pieces, residual=residual, probe_spread=spread,
+            eff_residual=spread if residual is None else max(residual, spread),
             sum_norm=float(np.max(np.abs(nominal))),
-            wall_ms=(time.perf_counter() - t0) * 1e3))
-        effs.append(eff)
+            wall_ms=(time.perf_counter() - t0) * 1e3)
         # unconditionality: exact because fsum is exactly rounded
-        terms = mf.eval_support(tag_sets[-1]) * lam[:, None]
-        base = _fsum_columns(terms)
         n_perms = 8 if terms.size <= (1 << 18) else 2
         for k in range(n_perms):
             perm = np.random.default_rng([seed, 41, n, k]).permutation(len(terms))
-            if not np.array_equal(_fsum_columns(terms[perm]), base):
+            if not np.array_equal(_fsum_columns(terms[perm]), sums[-1]):
                 perm_ok = False
-        if sums_max > DIVERGENCE_BOUND:
-            fired_level = n
-            worst = max(sums, key=lambda s: float(np.max(np.abs(s))))
-            fired_dirs |= np.abs(worst) > DIVERGENCE_BOUND
-            prev = est
+        worst = max(sums, key=lambda s: float(np.max(np.abs(s))))
+        run["fired_dirs"] |= np.abs(worst) > DIVERGENCE_BOUND
+        if _record(run, stat, est, run["fired_dirs"].any()):
             break
         prev = est
 
-    run = {
-        "stats": stats, "effs": effs, "nominals": [prev],
-        "eff_cols": [], "fired_dirs": fired_dirs, "fired_level": fired_level,
-    }
-    schedule = GaugeSchedule.__new__(GaugeSchedule)  # descriptor only
-    object.__setattr__(schedule, "levels", tuple(parts))
-    object.__setattr__(schedule, "name", f"birkhoff-parts(L{len(parts)})")
-    report = _assemble("birkhoff", mf.name, mf.grid, mf.grid.m, tol, seed, schedule, run,
-                       extra_flags={"sup_approximate": True,
-                                    "permutation_bit_exact": perm_ok,
-                                    "trials": trials})
-    return report
+    return _assemble("birkhoff", mf.name, mf.grid, tol, seed,
+                     {"name": f"birkhoff-parts(L{len(parts)})", "levels": len(parts)}, run,
+                     flags={"sup_approximate": True, "permutation_bit_exact": perm_ok,
+                            "trials": trials})
 
 
-def _piece_cell_arrays(mp):
-    """(n_pieces, cells_per_piece) arrays of cell left edges, plus the width."""
-    los = np.array([[c[0] for c in p] for p in mp.pieces])
-    width = mp.pieces[0][0][1] - mp.pieces[0][0][0]
-    return los, width
-
-
-def _piece_midpoint_tags(mp):
-    los, width = _piece_cell_arrays(mp)
-    return los[:, 0] + width / 2.0
-
-
-def _piece_random_tags(mp, rng):
-    los, width = _piece_cell_arrays(mp)
+def _piece_random_tags(los, width, rng):
     idx = rng.integers(0, los.shape[1], size=los.shape[0])
     lo = los[np.arange(los.shape[0]), idx]
     return rng.uniform(lo, lo + width)
 
 
-def _piece_adversarial_tags(mf, mp, floor=1e-8):
+def _piece_adversarial_tags(mf, los, width, floor=1e-8):
     """Per piece, the candidate tag with the largest ||Gamma|| on a ladder.
 
     Candidates: a geometric ladder into the piece's lowest cell (floored at
     1e-8 so singular entries stay finite) plus midpoints of the next cells.
     """
-    los, width = _piece_cell_arrays(mp)
     lo0 = los[:, 0]
     cols = [lo0 + width * 4.0 ** (-i) for i in range(0, 9)]
     cols.append(np.maximum(lo0, floor))
@@ -648,10 +629,16 @@ def _piece_adversarial_tags(mf, mp, floor=1e-8):
 
 # -- variational machinery ---------------------------------------------------
 
-def variational_sum(mf, phi, P):
-    """sum_j d_H(Phi(I_j), |I_j| Gamma(t_j)) for a full tagged partition."""
-    V = phi.query_batch(P.a, P.b)
-    T = mf.eval_support(P.t) * P.widths[:, None]
+def variational_sum(mf, phi, P, tags=None, V=None):
+    """sum_j d_H(Phi(I_j), |I_j| Gamma(t_j)) over the cells of P.
+
+    Tags are P's own unless ``tags`` re-tags the cells; ``V`` =
+    phi.query_batch(P.a, P.b) may be passed in when several tag sets share
+    the cells.
+    """
+    if V is None:
+        V = phi.query_batch(P.a, P.b)
+    T = mf.eval_support(P.t if tags is None else tags) * P.widths[:, None]
     gaps = np.max(np.abs(V - T), axis=1)
     return float(math.fsum(gaps.tolist()))
 
@@ -662,12 +649,12 @@ def vh_check(mf, phi, schedule, mode="perron", tol=5e-2, seed=0):
     Per level: a partition is built (left-tagged cousin cells for perron;
     the same cells with seeded free tags for free mode) and the variational
     sum against ``phi`` is evaluated.  Converged when the sums settle below
-    tol; diverged on the 10^3 bound or four-level monotone growth.
+    tol; diverged on the 10^3 bound or four-level monotone growth.  The
+    report's values are the per-level sums (there is no set estimate).
     """
     if mode not in ("perron", "free"):
         raise ValueError(f"unknown mode {mode!r}")
-    stats, sums = [], []
-    fired_level = None
+    run = _new_run(mf.grid.m)
     probe_mode = "henstock" if mode == "perron" else "mcshane"
     for n, gauge in enumerate(schedule.levels, start=1):
         t0 = time.perf_counter()
@@ -679,40 +666,20 @@ def vh_check(mf, phi, schedule, mode="perron", tol=5e-2, seed=0):
         # the level value is the worst sum across the re-tagging variants;
         # the primitive side depends only on the cells, computed once
         V = phi.query_batch(P.a, P.b)
-        w = P.widths
-
-        def vsum_for(tags):
-            T = mf.eval_support(tags) * w[:, None]
-            gaps = np.max(np.abs(V - T), axis=1)
-            return float(math.fsum(gaps.tolist()))
-
-        s_nominal = vsum_for(P.t)
-        s = s_nominal
+        s = s_nominal = variational_sum(mf, phi, P, V=V)
         for vt in _probe_tag_sets(P, gauge, rng, probe_mode):
-            s = max(s, vsum_for(vt))
+            s = max(s, variational_sum(mf, phi, P, vt, V))
             if s > DIVERGENCE_BOUND:
                 break
-        stats.append(LevelStat(
-            level=n, n_items=len(P), residual=None,
-            probe_spread=s - s_nominal,
-            eff_residual=s, max_dir_residual=s, sum_norm=s,
-            wall_ms=(time.perf_counter() - t0) * 1e3))
-        sums.append(s)
-        if s > DIVERGENCE_BOUND:
-            fired_level = n
+        stat = LevelStat(
+            level=n, n_items=len(P), residual=None, probe_spread=s - s_nominal,
+            eff_residual=s, sum_norm=s, wall_ms=(time.perf_counter() - t0) * 1e3)
+        if _record(run, stat, s, s > DIVERGENCE_BOUND):
             break
-    verdict = _verdict(sums, tol, fired_level is not None)
-    method = "vh" if mode == "perron" else "vms"
-    return IntegrationReport(
-        report_id=f"{method}:{mf.name}:s{seed}:L{len(schedule.levels)}",
-        method=method, entry=mf.name, d=mf.grid.d, m=mf.grid.m, tol=tol,
-        seed=seed, verdict=verdict, estimate=None,
-        estimate_values=tuple(sums), scalar=False, levels=stats,
-        schedule=schedule.describe(),
-        flags={"mode": mode, "sums": [float(s) for s in sums]},
-        divergence=None if fired_level is None else {
-            "bound": DIVERGENCE_BOUND, "level": fired_level, "directions": []},
-    )
+    sums = run["effs"]
+    return _assemble("vh" if mode == "perron" else "vms", mf.name, mf.grid, tol, seed,
+                     schedule.describe(), run, values=sums,
+                     flags={"mode": mode, "sums": [float(s) for s in sums]})
 
 
 def variational_measure_estimate(phi, E, schedule, seed=0, restarts=16):
@@ -725,7 +692,7 @@ def variational_measure_estimate(phi, E, schedule, seed=0, restarts=16):
     is kept.  Estimates are a lower surrogate for the sup in Var and the
     sequence's last value a surrogate for the limit; flagged approximate.
     """
-    comps = _normalize_set(E)
+    comps = normalize_set(E)
     estimates = []
     for n, gauge in enumerate(schedule.levels, start=1):
         best = 0.0
@@ -743,23 +710,27 @@ def variational_measure_estimate(phi, E, schedule, seed=0, restarts=16):
     }
 
 
-def _normalize_set(E):
+def normalize_set(E):
+    """Sorted (lo, hi) components of a finite union of points and intervals.
+
+    E is a dict with "points" and/or "intervals", a bare (lo, hi) tuple, or
+    a list of points and (lo, hi) pairs; a point t is the component (t, t).
+    Components are clipped to [0, 1] first, and those left empty (hi < lo:
+    reversed, or wholly outside [0, 1]) are dropped.
+    """
     if isinstance(E, dict):
-        comps = [(float(p), float(p)) for p in E.get("points", ())]
-        comps += [(float(lo), float(hi)) for lo, hi in E.get("intervals", ())]
+        items = [*E.get("points", ()), *E.get("intervals", ())]
     else:
         items = list(E)
         # a bare (lo, hi) tuple is one interval; a list of scalars is points
         if isinstance(E, tuple) and len(items) == 2 and all(np.isscalar(x) for x in items):
             items = [tuple(items)]
-        comps = []
-        for item in items:
-            if np.isscalar(item):
-                comps.append((float(item), float(item)))
-            else:
-                lo, hi = item
-                comps.append((float(lo), float(hi)))
-    comps = [(max(0.0, lo), min(1.0, hi)) for lo, hi in comps if hi >= lo]
+    comps = []
+    for item in items:
+        lo, hi = (item, item) if np.isscalar(item) else item
+        lo, hi = max(0.0, float(lo)), min(1.0, float(hi))
+        if hi >= lo:
+            comps.append((lo, hi))
     return sorted(comps)
 
 

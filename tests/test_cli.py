@@ -208,6 +208,26 @@ def test_varmeasure_point_list(runner, tmp_path):
     assert rep["final"] < 0.01
 
 
+@pytest.mark.parametrize("command", ["varmeasure", "riemann-check"])
+@pytest.mark.parametrize("token", ["abc", "0.75:0.25", "0.2:x", "nan", "0:inf"])
+def test_set_syntax_error_is_usage_error(runner, tmp_path, command, token):
+    res = runner.invoke(main, [command, "G2", "--set", f"0.1,{token}",
+                               "--out", str(tmp_path)])
+    assert res.exit_code == 1, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert repr(token) in res.output
+    assert not list(tmp_path.iterdir())
+
+
+def test_varmeasure_set_outside_unit_interval_is_empty(runner, tmp_path):
+    res = runner.invoke(main, ["varmeasure", "G2", "--set", "1.5", "--levels", "4",
+                               "--out", str(tmp_path), "--deterministic"])
+    assert res.exit_code == 0, res.output
+    rep = read_json(tmp_path / "varmeasure-G2-s0.json")
+    assert rep["set"] == []
+    assert rep["final"] == 0.0
+
+
 def test_riemann_check_reports_both_stats(runner, tmp_path):
     res = runner.invoke(main, ["riemann-check", "G2", "--set", "0:1",
                                "--delta", "1e-4", "--out", str(tmp_path)])

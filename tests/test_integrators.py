@@ -237,6 +237,12 @@ def test_birkhoff_abs_derivative_diverges():
     assert rep.verdict == "diverged"
 
 
+def test_birkhoff_report_names_its_partition_chain():
+    rep = birkhoff_integrate(corpus.corpus_get("G6"), PARTS14, tol=1e-4, seed=0)
+    assert rep.schedule == {"name": "birkhoff-parts(L14)", "levels": 14}
+    assert rep.report_id.endswith(":L14")
+
+
 def test_birkhoff_requires_refining_chain():
     bad = [{"n_pieces": 4, "interleave_depth": 3},
            {"n_pieces": 2, "interleave_depth": 3}]  # coarsens instead
@@ -276,6 +282,26 @@ def test_vms_g1_free_tags_diverge():
     assert rep.verdict == "diverged"
 
 
+class _OnesPrimitive:
+    """Primitive whose every cell value is the support vector (1, 1)."""
+
+    def query_batch(self, a, b):
+        return np.ones((len(a), 2))
+
+
+def test_vh_growth_divergence_has_common_record():
+    # every cell's gap is 1, so each level's sum is the cell count: it
+    # doubles level to level and never reaches the 10^3 bound
+    rep = vh_check(corpus.corpus_get("G6"), _OnesPrimitive(), uniform_schedule(0.25, 5),
+                   tol=1e-4, seed=0)
+    sums = rep.flags["sums"]
+    assert len(sums) == 5 and max(sums) < DIVERGENCE_BOUND
+    assert all(1.9 < b / a < 2.1 for a, b in zip(sums, sums[1:]))
+    assert rep.verdict == "diverged"
+    assert rep.divergence == {"rule": "monotone-growth", "window": 4}
+    assert rep.estimate is None and rep.estimate_values == tuple(sums)
+
+
 def test_vh_rejects_unknown_mode():
     spec = corpus.corpus_get("G2")
     with pytest.raises(ValueError):
@@ -301,6 +327,16 @@ def test_variational_measure_points_vanish():
                                       sched, seed=0)
     assert vm["final"] < 1e-2
     assert vm["estimates"][-1] < vm["estimates"][0] / 100.0
+
+
+@pytest.mark.parametrize("E", [[1.5], [(-0.5, -0.2)], (0.75, 0.25)])
+def test_variational_measure_set_outside_unit_interval_is_empty(E):
+    # components are clipped to [0, 1] before empty ones are dropped, so a
+    # set wholly outside [0, 1] (or reversed) is empty, never inverted
+    phi = corpus.corpus_get("G6").exact_primitive()
+    vm = variational_measure_estimate(phi, E, uniform_schedule(0.25, 3), seed=0)
+    assert vm["set"] == []
+    assert vm["final"] == 0.0
 
 
 def test_build_primitive_tracks_exact_primitive():
