@@ -87,6 +87,8 @@ def _write_reports(out_dir, stem, json_dict, csv_rows, deterministic):
 
 def _schedule_for(entry, method, levels, config_settings):
     L = levels or config_settings.get("levels")
+    if L is not None and not (isinstance(L, int) and L >= 1):
+        raise click.ClickException(f'"settings.levels" must be an integer >= 1, got {L!r}')
     if method == "birkhoff":
         parts = corpus_mod.named_parts(
             corpus_mod.recommendation(entry, method).get("parts", "dyadic-14"))
@@ -103,7 +105,18 @@ def _tol_for(entry, method, tol, config_settings):
         "tol", it.DEFAULT_TOL_D1 if entry.d == 1 else it.DEFAULT_TOL_D2)
 
 
-@click.group()
+class _Main(click.Group):
+    """Command group whose usage errors exit 1: exit 2 reports a mismatch."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as e:
+            e.exit_code = 1
+            raise
+
+
+@click.group(cls=_Main)
 def main():
     """Gauge integration of convex-set-valued maps on direction grids."""
 
@@ -112,7 +125,8 @@ def main():
 @click.argument("entry")
 @click.option("--method", type=click.Choice(sorted(_METHODS)), default="henstock")
 @click.option("--tol", type=float, default=None, help="Override the entry tolerance.")
-@click.option("--levels", type=int, default=None, help="Override schedule length.")
+@click.option("--levels", type=click.IntRange(min=1), default=None,
+              help="Override schedule length.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_dir", default="gaugeset-runs", show_default=True)
 @click.option("--config", "config_path", default=None, help="RunConfig JSON (schema 1).")
@@ -230,7 +244,7 @@ def _parse_set(token):
 @click.option("--set", "set_token", required=True,
               help="Comma list of points and lo:hi intervals, e.g. '0' or '0.25:0.75'.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--levels", type=int, default=None)
+@click.option("--levels", type=click.IntRange(min=1), default=None)
 @click.option("--out", "out_dir", default="gaugeset-runs", show_default=True)
 @click.option("--deterministic", is_flag=True)
 def varmeasure(entry, set_token, seed, levels, out_dir, deterministic):
@@ -257,14 +271,17 @@ def varmeasure(entry, set_token, seed, levels, out_dir, deterministic):
 @main.command("riemann-check")
 @click.argument("entry")
 @click.option("--set", "set_token", default="0:1", show_default=True)
-@click.option("--delta", type=float, default=1e-3, show_default=True)
+@click.option("--delta", type=click.FloatRange(min=0, min_open=True), default=1e-3,
+              show_default=True)
 @click.option("--eps", type=float, default=0.05, show_default=True)
-@click.option("--trials", type=int, default=12, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=12, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_dir", default="gaugeset-runs", show_default=True)
 @click.option("--deterministic", is_flag=True)
 def riemann_check(entry, set_token, delta, eps, trials, seed, out_dir, deterministic):
     """Riemann-measurability oscillation probe of ENTRY's Steiner selection."""
+    if math.isnan(delta):
+        raise click.BadParameter("nan is not a width", param_hint="'--delta'")
     spec = _entry(entry)
     seed = _resolve_seed(seed)
     comps = _parse_set(set_token)

@@ -81,13 +81,6 @@ class DirectionGrid:
         ang = 2.0 * np.pi * np.arange(m) / m
         return DirectionGrid(2, np.stack([np.cos(ang), np.sin(ang)], axis=1))
 
-    @property
-    def negation_index(self):
-        """Index map nk with dirs[nk[k]] == -dirs[k]."""
-        if self.d == 1:
-            return np.array([1, 0])
-        return (np.arange(self.m) + self.m // 2) % self.m
-
     def compatible(self, other):
         return self is other or (self.d == other.d and self.m == other.m)
 
@@ -328,9 +321,6 @@ class Primitive:
 
     def node_value(self, depth, index):
         return self._nodes[(depth, index)]
-
-    def has_node(self, depth, index):
-        return (depth, index) in self._nodes
 
     def is_leaf(self, depth, index):
         return (depth, index) in self._leaf_keys

@@ -379,6 +379,8 @@ def riemann_measurability_probe(f, F_set, delta, trials=12, eps=0.05, seed=0,
     holds exactly.  Both are finite lower witnesses of sups over all
     families; a fail is definitive, a pass is evidence.
     """
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta!r}")
     comps = [(lo, hi) for lo, hi in normalize_set(F_set) if hi > lo]
     measure = math.fsum(hi - lo for lo, hi in comps)
     complement = 1.0 - measure

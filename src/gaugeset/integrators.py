@@ -544,14 +544,13 @@ def birkhoff_integrate(mf, part_specs, tol, trials=8, seed=0):
     the piece infimum); the level value is the trial farthest from the
     previous level's estimate.  The sup over all tag choices is finitely
     unreachable, so reports carry flags.sup_approximate = True.  Finite
-    unconditionality is exact: eight seeded permutations of the summation
-    order must reproduce the estimate bit for bit.
+    unconditionality is exact: seeded permutations of the summation order
+    (eight, or two when a level has more than 2^18 terms) must reproduce the
+    estimate bit for bit.
     """
     parts = []
-    for i, spec in enumerate(part_specs):
-        mp = measurable_partition(
-            spec["n_pieces"], spec.get("interleave_depth", 0),
-            tag_rule="midpoint", seed=seed * 1009 + i)
+    for spec in part_specs:
+        mp = measurable_partition(spec["n_pieces"], spec.get("interleave_depth", 0))
         if parts and not mp.refines(parts[-1]):
             raise ValueError("partition specs must refine level by level")
         parts.append(mp)
@@ -561,9 +560,8 @@ def birkhoff_integrate(mf, part_specs, tol, trials=8, seed=0):
     perm_ok = True
     for n, mp in enumerate(parts, start=1):
         t0 = time.perf_counter()
-        lam = mp.measures[:, None]
-        los = np.array([[c[0] for c in p] for p in mp.pieces])  # (pieces, cells) left edges
-        width = mp.pieces[0][0][1] - mp.pieces[0][0][0]
+        lam = 1.0 / mp.n_pieces  # every piece has the same measure
+        los, width = mp.left_edges(), mp.width  # (pieces, cells) left edges
         tag_sets = [los[:, 0] + width / 2.0]  # piece midpoints
         for k in range(trials):
             tag_sets.append(_piece_random_tags(los, width,

@@ -183,12 +183,6 @@ class TaggedPartition:
     def __len__(self):
         return len(self.a)
 
-    def to_json_list(self):
-        return [
-            {"a": float(x), "b": float(y), "t": float(z)}
-            for x, y, z in zip(self.a, self.b, self.t)
-        ]
-
 
 def is_delta_fine(P, g, require_perron=False):
     """True when every item satisfies I_i inside (t_i - delta, t_i + delta)."""
@@ -384,86 +378,53 @@ def interior_repair(P, f, phi=None, eps=1e-6, gauge=None):
 
 @dataclass(frozen=True)
 class MeasurablePartition:
-    """Finite measurable partition of [0, 1] into unions of dyadic cells."""
+    """Partition of [0, 1] into n_pieces residue classes of dyadic cells.
 
-    pieces: tuple  # tuple of tuples of (lo, hi)
-    tags: np.ndarray
-    measures: np.ndarray
+    Piece r is the union of the width-2^-depth cells [j w, (j + 1) w) with
+    j = r (mod n_pieces); each piece has measure 1 / n_pieces.  With
+    n_pieces < 2^depth the pieces are interleaved, non-interval sets.
+    """
+
+    n_pieces: int
     depth: int
-    seed: int = 0
 
     def __post_init__(self):
-        lam = np.asarray(self.measures, dtype=np.float64)
-        if abs(float(lam.sum()) - 1.0) > 1e-12:
-            raise ValueError("piece measures must sum to 1")
-        ivs = sorted((lo, hi) for piece in self.pieces for (lo, hi) in piece)
-        for (l1, h1), (l2, h2) in zip(ivs, ivs[1:]):
-            if h1 > l2 + 1e-12:
-                raise ValueError("pieces overlap")
+        n = self.n_pieces
+        if n < 1 or n & (n - 1) or n > 1 << self.depth:
+            raise ValueError("n_pieces must be a power of two no larger than 2^depth")
 
     @property
-    def n_pieces(self):
-        return len(self.pieces)
+    def width(self):
+        return 2.0 ** -self.depth
+
+    def left_edges(self):
+        """(n_pieces, cells per piece) array; row r holds piece r's cells in order."""
+        return np.arange(1 << self.depth).reshape(-1, self.n_pieces).T * self.width
 
     def refines(self, coarser):
-        """True when every piece of self lies inside one piece of coarser."""
-        lows, highs, owners = [], [], []
-        for r, cp in enumerate(coarser.pieces):
-            for lo, hi in cp:
-                lows.append(lo)
-                highs.append(hi)
-                owners.append(r)
-        order = np.argsort(lows)
-        lows = np.asarray(lows)[order]
-        highs = np.asarray(highs)[order]
-        owners = np.asarray(owners)[order]
-        for piece in self.pieces:
-            mids = np.array([(lo + hi) / 2.0 for lo, hi in piece])
-            j = np.searchsorted(lows, mids, side="right") - 1
-            if np.any(j < 0) or np.any(mids >= highs[j]):
-                return False
-            if np.unique(owners[j]).size != 1:
-                return False
-        return True
+        """True when every piece of self lies inside one piece of coarser.
+
+        Each cell at the finer depth is mapped to its piece on both sides.
+        """
+        depth = max(self.depth, coarser.depth)
+        cells = np.arange(1 << depth)
+        fine = (cells >> (depth - self.depth)) % self.n_pieces
+        coarse = (cells >> (depth - coarser.depth)) % coarser.n_pieces
+        owner = np.empty(self.n_pieces, dtype=np.int64)
+        owner[fine] = coarse
+        return bool(np.array_equal(owner[fine], coarse))
 
 
-def measurable_partition(n_pieces, interleave_depth=0, tag_rule="seeded-random", seed=0):
-    """Partition into 2^l residue classes of dyadic cells at depth max(l, d).
+def measurable_partition(n_pieces, interleave_depth=0):
+    """Partition into n_pieces = 2^l residue classes of dyadic cells at depth max(l, d).
 
     With interleave_depth d > l the pieces are honest non-interval measurable
     sets (interleaved unions of width-2^-d cells); with d <= l they are plain
     intervals.  Piece r collects the cells with index j = r (mod n_pieces).
+    A single piece is the interval [0, 1] at depth 0.
     """
-    if n_pieces < 1 or (n_pieces & (n_pieces - 1)) != 0:
-        raise ValueError("n_pieces must be a power of two")
-    ell = n_pieces.bit_length() - 1
-    depth = max(ell, int(interleave_depth))
-    ncells = 1 << depth
-    w = 1.0 / ncells
-    pieces = []
-    for r in range(n_pieces):
-        cells = np.arange(r, ncells, n_pieces)
-        ivs = []
-        for j in cells:  # merge runs of adjacent cells
-            lo, hi = j * w, (j + 1) * w
-            if ivs and abs(ivs[-1][1] - lo) < 1e-15:
-                ivs[-1] = (ivs[-1][0], hi)
-            else:
-                ivs.append((lo, hi))
-        pieces.append(tuple(ivs))
-    rng = np.random.default_rng(seed)
-    tags = np.empty(n_pieces)
-    for r, piece in enumerate(pieces):
-        if tag_rule == "seeded-random":
-            lo, hi = piece[int(rng.integers(len(piece)))]
-            tags[r] = rng.uniform(lo, hi)
-        elif tag_rule == "midpoint":
-            lo, hi = piece[0]
-            tags[r] = (lo + hi) / 2.0
-        else:
-            raise ValueError(f"unknown tag rule {tag_rule!r}")
-    measures = np.full(n_pieces, 1.0 / n_pieces)
-    return MeasurablePartition(tuple(pieces), tags, measures, depth, seed)
+    depth = max(n_pieces.bit_length() - 1, int(interleave_depth)) if n_pieces > 1 else 0
+    return MeasurablePartition(n_pieces, depth)
 
 
 def build_measurable_gauge(delta0, filtration):

@@ -219,6 +219,36 @@ def test_set_syntax_error_is_usage_error(runner, tmp_path, command, token):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("args, option", [
+    (["integrate", "G2", "--levels", "-1"], "--levels"),
+    (["integrate", "G2", "--levels", "0"], "--levels"),
+    (["integrate", "G2", "--method", "birkhoff", "--levels", "-1"], "--levels"),
+    (["varmeasure", "G2", "--set", "0.5", "--levels", "-2"], "--levels"),
+    (["riemann-check", "G2", "--delta", "0"], "--delta"),
+    (["riemann-check", "G2", "--delta", "-1"], "--delta"),
+    (["riemann-check", "G2", "--delta", "nan"], "--delta"),
+    (["riemann-check", "G2", "--trials", "0"], "--trials"),
+])
+def test_out_of_range_option_is_usage_error(runner, tmp_path, args, option):
+    res = runner.invoke(main, args + ["--out", str(tmp_path)])
+    assert res.exit_code == 1, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert option in res.output
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("levels", [0, -3, 2.5, "4"])
+def test_config_levels_out_of_range_is_usage_error(runner, tmp_path, levels):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "entry": "G2",
+                               "settings": {"method": "birkhoff", "levels": levels}}))
+    res = runner.invoke(main, ["integrate", "G2", "--config", str(cfg),
+                               "--out", str(tmp_path / "out")])
+    assert res.exit_code == 1, res.output
+    assert "settings.levels" in res.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_varmeasure_set_outside_unit_interval_is_empty(runner, tmp_path):
     res = runner.invoke(main, ["varmeasure", "G2", "--set", "1.5", "--levels", "4",
                                "--out", str(tmp_path), "--deterministic"])

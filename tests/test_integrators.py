@@ -250,6 +250,16 @@ def test_birkhoff_requires_refining_chain():
         birkhoff_integrate(corpus.corpus_get("G6"), bad, tol=1e-4, seed=0)
 
 
+def test_birkhoff_rejects_chain_that_only_refines_at_midpoints():
+    # level 1 pieces are the cells {0, 2} and {1, 3} of width 1/4; level 2
+    # pieces are [0, 1/2] and [1/2, 1], whose midpoints 1/4 and 3/4 both
+    # fall in level 1's first piece though neither lies inside one piece
+    bad = [{"n_pieces": 2, "interleave_depth": 2},
+           {"n_pieces": 2, "interleave_depth": 0}]
+    with pytest.raises(ValueError):
+        birkhoff_integrate(corpus.corpus_get("G6"), bad, tol=1e-4, seed=0)
+
+
 # -- variational checks -----------------------------------------------------------
 
 def test_vh_g2_converges_both_modes_with_halving():

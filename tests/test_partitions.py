@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,19 +220,21 @@ def test_interior_repair_randomized_bounds(seed):
 # -- measurable partitions -----------------------------------------------------
 
 def test_measurable_partition_residue_classes():
-    mp = measurable_partition(4, interleave_depth=3, tag_rule="midpoint", seed=0)
-    assert mp.n_pieces == 4
-    np.testing.assert_allclose(mp.measures, 0.25)
-    # piece 0 at depth 3 holds cells 0 and 4: [0, 1/8] and [1/2, 5/8]
-    assert mp.pieces[0] == ((0.0, 0.125), (0.5, 0.625))
-    # tags sit inside their pieces
-    for r, piece in enumerate(mp.pieces):
-        assert any(lo <= mp.tags[r] <= hi for lo, hi in piece)
+    mp = measurable_partition(4, interleave_depth=3)
+    assert (mp.n_pieces, mp.depth, mp.width) == (4, 3, 0.125)
+    # piece r at depth 3 holds cells r and r + 4: piece 0 is [0, 1/8] and [1/2, 5/8]
+    np.testing.assert_array_equal(mp.left_edges(), [[0.0, 0.5], [0.125, 0.625],
+                                                    [0.25, 0.75], [0.375, 0.875]])
 
 
 def test_measurable_partition_interleaved_pieces_are_not_intervals():
-    mp = measurable_partition(2, interleave_depth=4, seed=1)
-    assert len(mp.pieces[0]) > 1
+    mp = measurable_partition(2, interleave_depth=4)
+    los = mp.left_edges()[0]
+    assert len(los) == 8
+    assert np.all(np.diff(los) > mp.width)  # a gap follows every cell
+    # a single piece is the whole interval
+    one = measurable_partition(1, interleave_depth=4)
+    assert one.width == 1.0 and one.left_edges().tolist() == [[0.0]]
 
 
 def test_measurable_partition_requires_power_of_two():
@@ -239,21 +243,50 @@ def test_measurable_partition_requires_power_of_two():
 
 
 def test_measurable_refinement_chain():
-    chain = [measurable_partition(2**l, interleave_depth=3, seed=l)
-             for l in range(1, 6)]
+    chain = [measurable_partition(2**l, interleave_depth=3) for l in range(1, 6)]
     for finer, coarser in zip(chain[1:], chain):
         assert finer.refines(coarser)
     assert not chain[0].refines(chain[-1])
 
 
-def test_measurable_partition_measures_validated():
+def test_measurable_partition_validated():
     with pytest.raises(ValueError):
-        MeasurablePartition(
-            (((0.0, 0.5),), ((0.5, 1.0),)),
-            np.array([0.2, 0.7]),
-            np.array([0.5, 0.6]),  # sums past 1
-            depth=1,
-        )
+        MeasurablePartition(3, 2)  # not a power of two
+    with pytest.raises(ValueError):
+        MeasurablePartition(8, 2)  # more pieces than the 4 cells
+    assert MeasurablePartition(4, 2).left_edges().shape == (4, 1)
+
+
+def _fraction_pieces(n_pieces, interleave_depth):
+    """Piece r as exact intervals: cells j = r (mod n) at depth max(log2 n, d)."""
+    depth = max(n_pieces.bit_length() - 1, interleave_depth)
+    w = Fraction(1, 2**depth)
+    return [[(j * w, (j + 1) * w) for j in range(r, 2**depth, n_pieces)]
+            for r in range(n_pieces)]
+
+
+def _refines_oracle(fine, coarse):
+    """Each fine piece meets exactly one coarse piece in positive measure.
+
+    Both are partitions of [0, 1], so a fine piece lies inside one coarse
+    piece iff it overlaps no other.
+    """
+    owner = [(lo, hi, r) for r, piece in enumerate(coarse) for lo, hi in piece]
+    for piece in fine:
+        met = {r for lo, hi in piece for clo, chi, r in owner
+               if min(hi, chi) > max(lo, clo)}
+        if len(met) != 1:
+            return False
+    return True
+
+
+def test_measurable_refines_matches_exact_containment():
+    specs = [(n, d) for n in (1, 2, 4, 8, 16, 32) for d in range(7)]
+    exact = {spec: _fraction_pieces(*spec) for spec in specs}
+    for fs in specs:
+        for cs in specs:
+            got = measurable_partition(*fs).refines(measurable_partition(*cs))
+            assert got == _refines_oracle(exact[fs], exact[cs]), (fs, cs)
 
 
 def test_build_measurable_gauge_piecewise_and_capped():
