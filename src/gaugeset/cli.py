@@ -45,14 +45,33 @@ def _entry(name):
         raise click.ClickException(str(e))
 
 
-def _resolve_seed(seed):
+def _resolve_seed(seed, settings=None):
+    """GAUGESET_SEED, else ``settings.seed``, else ``--seed``: an integer >= 0."""
     env = os.environ.get("GAUGESET_SEED")
-    if env is None:
+    if env is not None:
+        source, value = "GAUGESET_SEED", env
+        try:
+            value = int(env)
+        except ValueError:
+            pass
+    elif settings and "seed" in settings:
+        source, value = '"settings.seed"', settings["seed"]
+    else:
         return seed
+    if not (type(value) is int and value >= 0):
+        raise click.ClickException(f"{source} must be an integer >= 0, got {value!r}")
+    return value
+
+
+def _positive_tol(value, source):
+    """A tolerance is a finite number > 0; anything else is a usage error."""
     try:
-        return int(env)
-    except ValueError:
-        raise click.ClickException(f"GAUGESET_SEED must be an integer, got {env!r}")
+        tol = float(value)
+    except (TypeError, ValueError):
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise click.ClickException(f"{source} must be a finite number > 0, got {value!r}")
+    return tol
 
 
 def _load_config(path):
@@ -66,9 +85,11 @@ def _load_config(path):
     unknown = set(cfg) - allowed
     if unknown:
         raise click.ClickException(f"unknown config keys: {sorted(unknown)}")
-    settings = cfg.get("settings", {})
-    if not isinstance(settings, dict):
+    if not isinstance(cfg.get("settings", {}), dict):
         raise click.ClickException('"settings" must be an object')
+    output = cfg.get("output", {})
+    if not (isinstance(output, dict) and isinstance(output.get("dir", ""), str)):
+        raise click.ClickException('"output" must be an object with a string "dir"')
     return cfg
 
 
@@ -93,27 +114,36 @@ def _schedule_for(entry, method, levels, config_settings):
         parts = corpus_mod.named_parts(
             corpus_mod.recommendation(entry, method).get("parts", "dyadic-14"))
         return parts[:L] if L else parts
-    return corpus_mod.recommended_schedule(entry, method, config_settings.get("schedule"), L)
+    try:
+        return corpus_mod.recommended_schedule(entry, method, config_settings.get("schedule"), L)
+    except (TypeError, ValueError) as e:
+        raise click.ClickException(f'"settings.schedule": {e}')
 
 
 def _tol_for(entry, method, tol, config_settings):
     if tol is not None:
-        return tol
+        return _positive_tol(tol, "--tol")
     if "tol" in config_settings:
-        return float(config_settings["tol"])
+        return _positive_tol(config_settings["tol"], '"settings.tol"')
     return corpus_mod.recommendation(entry, method).get(
         "tol", it.DEFAULT_TOL_D1 if entry.d == 1 else it.DEFAULT_TOL_D2)
 
 
-class _Main(click.Group):
-    """Command group whose usage errors exit 1: exit 2 reports a mismatch."""
+class _Context(click.Context):
+    """Context whose usage errors exit 1: exit 2 reports a mismatch.
 
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except click.UsageError as e:
-            e.exit_code = 1
-            raise
+    The group's own parse errors and everything raised under its subcommands
+    leave through the group's context, so this one hook covers them all.
+    """
+
+    def __exit__(self, exc_type, exc_value, tb):
+        if isinstance(exc_value, click.UsageError):
+            exc_value.exit_code = 1
+        return super().__exit__(exc_type, exc_value, tb)
+
+
+class _Main(click.Group):
+    context_class = _Context
 
 
 @click.group(cls=_Main)
@@ -127,7 +157,7 @@ def main():
 @click.option("--tol", type=float, default=None, help="Override the entry tolerance.")
 @click.option("--levels", type=click.IntRange(min=1), default=None,
               help="Override schedule length.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", "out_dir", default="gaugeset-runs", show_default=True)
 @click.option("--config", "config_path", default=None, help="RunConfig JSON (schema 1).")
 @click.option("--deterministic", is_flag=True, help="Zero wall times for byte-identical reruns.")
@@ -137,7 +167,10 @@ def integrate(entry, method, tol, levels, seed, out_dir, config_path, determinis
     settings = cfg.get("settings", {})
     entry = cfg.get("entry", entry)
     method = settings.get("method", method)
-    seed = _resolve_seed(settings.get("seed", seed))
+    if not (isinstance(method, str) and method in _METHODS):
+        raise click.ClickException(
+            f'"settings.method" must be one of {sorted(_METHODS)}, got {method!r}')
+    seed = _resolve_seed(seed, settings)
     out_dir = cfg.get("output", {}).get("dir", out_dir)
     spec = _entry(entry)
     tol = _tol_for(spec, method, tol, settings)
@@ -148,7 +181,10 @@ def integrate(entry, method, tol, levels, seed, out_dir, config_path, determinis
     elif method == "mcshane":
         mode = settings.get(
             "mode", corpus_mod.recommendation(spec, "mcshane").get("mode", "plain"))
-        report = it.mcshane_integrate(spec, sched, tol, seed=seed, mode=mode)
+        try:  # the mode is checked before any level runs
+            report = it.mcshane_integrate(spec, sched, tol, seed=seed, mode=mode)
+        except ValueError as e:
+            raise click.ClickException(f'"settings.mode": {e}')
     elif method == "birkhoff":
         report = it.birkhoff_integrate(spec, sched, tol, seed=seed)
     elif method in ("vh", "vms"):
@@ -183,9 +219,10 @@ def _parse_selection(token, spec):
         return dec.steiner_selection(spec)
     if token.startswith("argmax:"):
         u = token.split(":", 1)[1]
-        if spec.d == 1:
-            return dec.argmax_selection(spec, int(u))
-        return dec.argmax_selection(spec, int(u.lstrip("u")))
+        try:
+            return dec.argmax_selection(spec, u if spec.d == 1 else u.removeprefix("u"))
+        except ValueError as e:
+            raise click.ClickException(f"bad selection {token!r}: {e}")
     raise click.ClickException(
         f"unknown selection {token!r}; use steiner or argmax:<direction>")
 
@@ -196,15 +233,15 @@ def _parse_selection(token, spec):
               help="steiner or argmax:<direction> (+1/-1 in d=1, index in d=2).")
 @click.option("--theorem", type=click.Choice(["t33", "t42", "t55"]), default="t33")
 @click.option("--tol", type=float, default=None)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", "out_dir", default="gaugeset-runs", show_default=True)
 @click.option("--deterministic", is_flag=True)
 def decompose(entry, selection, theorem, tol, seed, out_dir, deterministic):
     """Verify a decomposition theorem on ENTRY with a constructed selection."""
     spec = _entry(entry)
     seed = _resolve_seed(seed)
-    if tol is None:
-        tol = corpus_mod.recommendation(spec, "henstock").get("tol", 1e-3)
+    tol = (corpus_mod.recommendation(spec, "henstock").get("tol", 1e-3) if tol is None
+           else _positive_tol(tol, "--tol"))
     report = dec.verify_decomposition(spec, _parse_selection(selection, spec),
                                       theorem, tol, seed=seed)
     gamma_rep = report.reports.get("gamma_henstock")
@@ -243,7 +280,7 @@ def _parse_set(token):
 @click.argument("entry")
 @click.option("--set", "set_token", required=True,
               help="Comma list of points and lo:hi intervals, e.g. '0' or '0.25:0.75'.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--levels", type=click.IntRange(min=1), default=None)
 @click.option("--out", "out_dir", default="gaugeset-runs", show_default=True)
 @click.option("--deterministic", is_flag=True)
@@ -275,7 +312,7 @@ def varmeasure(entry, set_token, seed, levels, out_dir, deterministic):
               show_default=True)
 @click.option("--eps", type=float, default=0.05, show_default=True)
 @click.option("--trials", type=click.IntRange(min=1), default=12, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", "out_dir", default="gaugeset-runs", show_default=True)
 @click.option("--deterministic", is_flag=True)
 def riemann_check(entry, set_token, delta, eps, trials, seed, out_dir, deterministic):

@@ -81,9 +81,6 @@ class DirectionGrid:
         ang = 2.0 * np.pi * np.arange(m) / m
         return DirectionGrid(2, np.stack([np.cos(ang), np.sin(ang)], axis=1))
 
-    def compatible(self, other):
-        return self is other or (self.d == other.d and self.m == other.m)
-
     def __eq__(self, other):
         return isinstance(other, DirectionGrid) and self.d == other.d and self.m == other.m
 
@@ -95,7 +92,7 @@ class DirectionGrid:
 
 
 def _check_grids(a, b):
-    if not a.grid.compatible(b.grid):
+    if a.grid != b.grid:
         raise GridMismatch(f"grids differ: {a.grid!r} vs {b.grid!r}")
 
 
@@ -262,14 +259,17 @@ class Primitive:
 
     Built from a full partition of [0,1] into dyadic cells (each width 2^-k,
     dyadically aligned, depths may differ across cells) with one value vector
-    per cell; cell values are typically w * h_{Gamma(t)}.  All ancestor sums
-    are materialized once, so for every tree node
+    per cell; cell values are typically w * h_{Gamma(t)}.  Only the cells are
+    stored.  Exact values are summed in tree order: from the deepest depth
+    up, each left sibling absorbs its right neighbour (the next cell in
+    position order), so for every tree node
 
-        node value == left child value + right child value   (bit exact),
+        node value == left child value + right child value   (bit exact).
 
-    which makes query additive with zero grid error across canonical dyadic
-    splits.  Queries not aligned to the tiling split boundary cells
-    proportionally.  A degenerate interval queries to the singleton {0}.
+    ``query`` weights every cell by its covered share (1 inside, 0 outside,
+    proportional at the two boundary cells) and sums all cells that way, so
+    it is additive with zero grid error across canonical dyadic splits and
+    costs O(cells) per call.  A degenerate interval queries to {0}.
     """
 
     def __init__(self, grid, starts, widths, cell_values):
@@ -281,36 +281,23 @@ class Primitive:
         if V.ndim != 2 or V.shape != (len(starts), grid.m):
             raise ValueError("cell_values must be (n_cells, m)")
         depths = np.round(-np.log2(widths)).astype(int)
-        if np.max(np.abs(widths - 2.0 ** (-depths.astype(float)))) > 1e-12:
+        if np.max(np.abs(widths * 2.0 ** depths.astype(float) - 1.0)) > 1e-12:
             raise ValueError("cell widths must be dyadic (2^-k)")
         idx = np.round(starts * 2.0 ** depths.astype(float)).astype(np.int64)
         if np.max(np.abs(starts - idx * 2.0 ** (-depths.astype(float)))) > 1e-12:
             raise ValueError("cells must be dyadically aligned")
-        if abs(widths.sum() - 1.0) > 1e-12 or starts[0] != 0.0:
-            raise ValueError("cells must tile [0, 1]")
-        self.grid = grid
         self.level = int(depths.max())
-        # nodes keyed by (depth, index); leaves first, then ancestors
-        nodes = {(int(d), int(i)): V[k] for k, (d, i) in enumerate(zip(depths, idx))}
-        self._leaf_keys = set(nodes)
-        by_depth = {}
-        for (d, i) in nodes:
-            by_depth.setdefault(d, []).append(i)
-        for d in range(self.level, 0, -1):
-            done = set()
-            for ii in sorted(by_depth.get(d, ())):
-                if ii in done:
-                    continue
-                sib = ii ^ 1
-                if (d, sib) not in nodes:
-                    raise ValueError("cells do not form a dyadic tiling")
-                parent = (d - 1, ii >> 1)
-                nodes[parent] = nodes[(d, min(ii, sib))] + nodes[(d, max(ii, sib))]
-                by_depth.setdefault(d - 1, []).append(ii >> 1)
-                done.add(sib)
-        self._nodes = nodes
+        if self.level > 62:
+            raise ValueError("tilings deeper than 62 levels are not supported")
+        # integer positions at the deepest depth: each cell must end where the next starts
+        pos = idx << (self.level - depths)
+        end = pos + (np.int64(1) << (self.level - depths))
+        if pos[0] != 0 or end[-1] != 1 << self.level or np.any(pos[1:] != end[:-1]):
+            raise ValueError("cells do not tile [0, 1]")
+        self.grid = grid
         self._starts = starts
         self._widths = widths
+        self._depths = depths
         self._prefix = np.vstack([np.zeros((1, grid.m)), np.cumsum(V, axis=0)])
         self._cellV = V
 
@@ -319,36 +306,45 @@ class Primitive:
         """(starts, widths) of the underlying tiling, sorted."""
         return self._starts, self._widths
 
+    @staticmethod
+    def _tree_sum(V, depths, top):
+        """Rows V of all cells under one node of depth ``top``, summed in tree
+        order: at each depth, nodes pair up as neighbours in position order."""
+        V = np.array(V)
+        for depth in range(int(depths.max()), top, -1):
+            pair = np.flatnonzero(depths == depth)
+            left, right = pair[0::2], pair[1::2]
+            V[left] += V[right]
+            keep = np.ones(len(V), dtype=bool)
+            keep[right] = False
+            V, depths = V[keep], np.minimum(depths[keep], depth - 1)
+        return V[0]
+
+    def _run(self, depth, index):
+        """Cell range [lo, hi) whose starts lie in node (depth, index)."""
+        w = 2.0 ** (-depth)
+        lo, hi = np.searchsorted(self._starts, [index * w, (index + 1) * w])
+        return int(lo), int(hi)
+
     def node_value(self, depth, index):
-        return self._nodes[(depth, index)]
+        lo, hi = self._run(depth, index)
+        if hi == lo or self._depths[lo] < depth:
+            raise KeyError((depth, index))
+        return self._tree_sum(self._cellV[lo:hi], self._depths[lo:hi], depth)
 
     def is_leaf(self, depth, index):
-        return (depth, index) in self._leaf_keys
+        lo, hi = self._run(depth, index)
+        return hi - lo == 1 and self._depths[lo] == depth
 
     def query(self, a, b):
-        """Value on [a, b] by exact tree descent; {0} when b <= a."""
+        """Value on [a, b] as the tree-order sum of covered shares; {0} when b <= a."""
         a = max(0.0, min(1.0, a))
         b = max(0.0, min(1.0, b))
         if b <= a:
             return SupportSet(self.grid, np.zeros(self.grid.m))
-        acc = np.zeros(self.grid.m)
-        stack = [(0, 0)]
-        while stack:
-            depth, idx = stack.pop()
-            w = 2.0 ** (-depth)
-            lo, hi = idx * w, (idx + 1) * w
-            if hi <= a or lo >= b:
-                continue
-            if a <= lo and hi <= b:
-                acc = acc + self._nodes[(depth, idx)]
-                continue
-            if (depth, idx) in self._leaf_keys:
-                frac = (min(hi, b) - max(lo, a)) / w
-                acc = acc + self._nodes[(depth, idx)] * frac
-                continue
-            stack.append((depth + 1, 2 * idx + 1))
-            stack.append((depth + 1, 2 * idx))
-        return SupportSet(self.grid, acc)
+        lo, hi = self._starts, self._starts + self._widths
+        frac = np.clip((np.minimum(hi, b) - np.maximum(lo, a)) / self._widths, 0.0, 1.0)
+        return SupportSet(self.grid, self._tree_sum(self._cellV * frac[:, None], self._depths, 0))
 
     def query_batch(self, a, b):
         """Value matrix (n, m) for interval batches, via prefix sums.
@@ -379,13 +375,9 @@ class ExactIntervalMap:
         self.grid = grid
         self.fn = fn
         self.name = name
-        self.level = None
 
     def query(self, a, b):
-        if b <= a:
-            return SupportSet(self.grid, np.zeros(self.grid.m))
-        row = self.fn(np.asarray([a]), np.asarray([b]))[0]
-        return SupportSet(self.grid, row)
+        return SupportSet(self.grid, self.query_batch([a], [b])[0])
 
     def query_batch(self, a, b):
         a = np.asarray(a, dtype=np.float64)

@@ -121,7 +121,7 @@ def argmax_selection(mf, u):
     vertex of the grid polytope attaining sigma(u, .): the supporting line
     of u meets its two grid neighbors; of those vertices the one with the
     larger <u, x> wins, ties to the lower pair index.  u may be a grid
-    index or a direction vector matching a grid row.
+    index 0 <= u < m or a direction vector matching a grid row.
     """
     grid = mf.grid
     if grid.d == 1:
@@ -137,7 +137,9 @@ def argmax_selection(mf, u):
         return Selection.of_support(f"argmax:{'+' if uval == 1 else ''}{uval}", mf, pick)
 
     if np.isscalar(u):
-        k = int(u) % grid.m
+        k = int(u)
+        if not 0 <= k < grid.m:
+            raise ValueError(f"grid index must be in 0..{grid.m - 1}, got {k}")
     else:
         u = np.asarray(u, dtype=np.float64)
         hits = np.flatnonzero(np.all(np.abs(grid.dirs - u) <= 1e-12, axis=1))

@@ -228,6 +228,11 @@ def test_set_syntax_error_is_usage_error(runner, tmp_path, command, token):
     (["riemann-check", "G2", "--delta", "-1"], "--delta"),
     (["riemann-check", "G2", "--delta", "nan"], "--delta"),
     (["riemann-check", "G2", "--trials", "0"], "--trials"),
+    (["integrate", "G2", "--tol", "0"], "--tol"),
+    (["integrate", "G2", "--tol", "nan"], "--tol"),
+    (["decompose", "G2", "--tol", "-1"], "--tol"),
+    (["decompose", "G2", "--tol", "inf"], "--tol"),
+    (["integrate", "G2", "--seed", "-1"], "--seed"),
 ])
 def test_out_of_range_option_is_usage_error(runner, tmp_path, args, option):
     res = runner.invoke(main, args + ["--out", str(tmp_path)])
@@ -247,6 +252,47 @@ def test_config_levels_out_of_range_is_usage_error(runner, tmp_path, levels):
     assert res.exit_code == 1, res.output
     assert "settings.levels" in res.output
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cfg, name", [
+    ({"settings": {"method": "banana"}}, "settings.method"),
+    ({"settings": {"tol": "abc"}}, "settings.tol"),
+    ({"settings": {"tol": 0}}, "settings.tol"),
+    ({"settings": {"seed": "x"}}, "settings.seed"),
+    ({"settings": {"seed": -1}}, "settings.seed"),
+    ({"settings": {"schedule": "nope"}}, "settings.schedule"),
+    ({"settings": {"method": "mcshane", "mode": "banana"}}, "settings.mode"),
+    ({"output": "x"}, "output"),
+])
+def test_config_value_is_usage_error(runner, tmp_path, cfg, name):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema": 1, "entry": "G2", **cfg}))
+    res = runner.invoke(main, ["integrate", "G2", "--config", str(path),
+                               "--out", str(tmp_path / "out")])
+    assert res.exit_code == 1, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert name in res.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("entry, token", [
+    ("G2", "argmax:abc"), ("G2", "argmax:u"), ("G2", "argmax:u5"), ("G2", "argmax:2"),
+    ("G4", "argmax:99"),
+])
+def test_bad_selection_direction_is_usage_error(runner, tmp_path, entry, token):
+    res = runner.invoke(main, ["decompose", entry, "--selection", token,
+                               "--out", str(tmp_path)])
+    assert res.exit_code == 1, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert repr(token) in res.output
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args", [["--bogus"], []])
+def test_group_usage_error_exits_1(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1, res.output
+    assert "Usage:" in res.output
 
 
 def test_varmeasure_set_outside_unit_interval_is_empty(runner, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -310,6 +311,90 @@ def test_primitive_rejects_non_dyadic_cells():
     with pytest.raises(ValueError):
         Primitive(LINE, np.array([0.0, 0.3]), np.array([0.3, 0.7]),
                   np.zeros((2, 2)))
+
+
+def mixed_tiling(seed=0, max_depth=8):
+    """Random dyadic tiling of [0, 1] with depths 0..max_depth, as {(depth, index): row}."""
+    rng = np.random.default_rng(seed)
+    leaves, stack = {}, [(0, 0)]
+    while stack:
+        d, i = stack.pop()
+        if d == max_depth or (d > 0 and rng.random() < 0.3):
+            leaves[(d, i)] = rng.normal(size=2)
+        else:
+            stack += [(d + 1, 2 * i), (d + 1, 2 * i + 1)]
+    keys = list(leaves)
+    starts = np.array([i * 2.0 ** -d for d, i in keys])
+    widths = np.array([2.0 ** -d for d, _ in keys])
+    phi = Primitive(LINE, starts, widths, np.stack([leaves[k] for k in keys]))
+    return leaves, phi
+
+
+def test_primitive_node_values_match_recursive_reference():
+    leaves, phi = mixed_tiling()
+    assert phi.level == 8 and len({d for d, _ in leaves}) > 4
+
+    def reference(d, i):
+        if (d, i) in leaves:
+            return leaves[(d, i)]
+        return reference(d + 1, 2 * i) + reference(d + 1, 2 * i + 1)
+
+    checked = 0
+    for d, i in leaves:
+        for up in range(d + 1):
+            np.testing.assert_array_equal(phi.node_value(d - up, i >> up),
+                                          reference(d - up, i >> up))
+            checked += 1
+    assert checked > len(leaves)
+
+
+def test_primitive_is_leaf_on_mixed_tiling():
+    leaves, phi = mixed_tiling()
+    for d in range(phi.level + 2):
+        for i in range(2**d):
+            assert phi.is_leaf(d, i) == ((d, i) in leaves), (d, i)
+
+
+def test_primitive_query_children_sum_to_parent():
+    _, phi = mixed_tiling()
+    for d in range(5):
+        w = 2.0**-d
+        for i in range(2**d):
+            parent = phi.query(i * w, (i + 1) * w).values
+            halves = (phi.query(i * w, (i + 0.5) * w).values
+                      + phi.query((i + 0.5) * w, (i + 1) * w).values)
+            np.testing.assert_array_equal(parent, halves)
+
+
+def test_primitive_rejects_overlap_with_gap():
+    # aligned dyadic cells whose widths sum to 1: [0, 1/2] and [1/4, 1/2] overlap,
+    # and [1/2, 3/4] is left uncovered
+    with pytest.raises(ValueError):
+        Primitive(LINE, np.array([0.0, 0.25, 0.75]), np.array([0.5, 0.25, 0.25]),
+                  np.zeros((3, 2)))
+
+
+def test_primitive_rejects_deep_non_dyadic_width():
+    # [0, 2^-42] claimed 1.3 times as wide: off by far less than 1e-12 in absolute terms
+    depth = 42
+    starts = np.array([0.0] + [2.0**-k for k in range(depth, 0, -1)])
+    widths = np.array([1.3 * 2.0**-depth] + [2.0**-k for k in range(depth, 0, -1)])
+    with pytest.raises(ValueError, match="dyadic"):
+        Primitive(LINE, starts, widths, np.ones((depth + 1, 2)))
+
+
+def test_primitive_retains_only_its_cells():
+    n = 2**16
+    starts, widths = np.arange(n) / n, np.full(n, 1.0 / n)
+    V = interval_growth(starts, starts + widths)
+    tracemalloc.start()
+    try:
+        phi = Primitive(LINE, starts, widths, V)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert phi.level == 16
+    assert retained < 8 * V.nbytes
 
 
 def test_exact_interval_map_zeroes_degenerate_rows():

@@ -90,6 +90,9 @@ def test_argmax_selection_rejects_bad_direction():
         argmax_selection(corpus.corpus_get("G2"), "0")
     with pytest.raises(ValueError):
         argmax_selection(corpus.corpus_get("G4"), [0.0, 0.0])
+    for k in (-1, 64):  # grid indices are 0..m-1
+        with pytest.raises(ValueError, match="grid index"):
+            argmax_selection(corpus.corpus_get("G4"), k)
 
 
 def test_subtract_selection_reports_membership():
