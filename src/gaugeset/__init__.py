@@ -75,11 +75,9 @@ from .integrators import (
     mcshane_integrate,
     measurable_uniform_schedule,
     origin_schedule,
-    riemann_sum,
     scalar_hk,
     uniform_schedule,
     variational_measure_estimate,
-    variational_sum,
     vh_check,
 )
 from .partitions import (
@@ -88,7 +86,6 @@ from .partitions import (
     TaggedPartition,
     build_measurable_gauge,
     cousin_build,
-    free_partition,
     interior_repair,
     is_delta_fine,
     measurable_partition,

@@ -111,6 +111,8 @@ def _schedule_for(entry, method, levels, config_settings):
     if L is not None and not (isinstance(L, int) and L >= 1):
         raise click.ClickException(f'"settings.levels" must be an integer >= 1, got {L!r}')
     if method == "birkhoff":
+        if "schedule" in config_settings:  # birkhoff runs on partition chains
+            raise click.ClickException('"settings.schedule" does not apply to birkhoff')
         parts = corpus_mod.named_parts(
             corpus_mod.recommendation(entry, method).get("parts", "dyadic-14"))
         return parts[:L] if L else parts
@@ -319,6 +321,7 @@ def riemann_check(entry, set_token, delta, eps, trials, seed, out_dir, determini
     """Riemann-measurability oscillation probe of ENTRY's Steiner selection."""
     if math.isnan(delta):
         raise click.BadParameter("nan is not a width", param_hint="'--delta'")
+    eps = _positive_tol(eps, "--eps")
     spec = _entry(entry)
     seed = _resolve_seed(seed)
     comps = _parse_set(set_token)

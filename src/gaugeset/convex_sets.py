@@ -283,8 +283,11 @@ class Primitive:
         depths = np.round(-np.log2(widths)).astype(int)
         if np.max(np.abs(widths * 2.0 ** depths.astype(float) - 1.0)) > 1e-12:
             raise ValueError("cell widths must be dyadic (2^-k)")
-        idx = np.round(starts * 2.0 ** depths.astype(float)).astype(np.int64)
-        if np.max(np.abs(starts - idx * 2.0 ** (-depths.astype(float)))) > 1e-12:
+        # alignment in cell units: a start may carry rounding noise (one ulp
+        # near 1 is about 1e-4 of a cell at depth 40), not a shift of the cell
+        scaled = starts * 2.0 ** depths.astype(float)
+        idx = np.round(scaled).astype(np.int64)
+        if np.max(np.abs(scaled - idx)) > 1e-3:
             raise ValueError("cells must be dyadically aligned")
         self.level = int(depths.max())
         if self.level > 62:
@@ -320,21 +323,12 @@ class Primitive:
             V, depths = V[keep], np.minimum(depths[keep], depth - 1)
         return V[0]
 
-    def _run(self, depth, index):
-        """Cell range [lo, hi) whose starts lie in node (depth, index)."""
-        w = 2.0 ** (-depth)
-        lo, hi = np.searchsorted(self._starts, [index * w, (index + 1) * w])
-        return int(lo), int(hi)
-
     def node_value(self, depth, index):
-        lo, hi = self._run(depth, index)
+        w = 2.0 ** (-depth)  # the cells [lo, hi) whose starts lie in the node
+        lo, hi = np.searchsorted(self._starts, [index * w, (index + 1) * w])
         if hi == lo or self._depths[lo] < depth:
             raise KeyError((depth, index))
         return self._tree_sum(self._cellV[lo:hi], self._depths[lo:hi], depth)
-
-    def is_leaf(self, depth, index):
-        lo, hi = self._run(depth, index)
-        return hi - lo == 1 and self._depths[lo] == depth
 
     def query(self, a, b):
         """Value on [a, b] as the tree-order sum of covered shares; {0} when b <= a."""

@@ -28,12 +28,12 @@ from .convex_sets import hausdorff, translate
 from .errors import NotASelection
 from .corpus import named_parts, named_schedule, recommendation, recommended_schedule
 from .integrators import (
+    _built_primitives,
+    _vh_pass,
     birkhoff_integrate,
-    build_primitive,
     henstock_with_selection,
     mcshane_integrate,
     normalize_set,
-    vh_check,
 )
 
 _MEMBERSHIP_SLACK = 1e-9
@@ -161,6 +161,13 @@ def argmax_selection(mf, u):
     return Selection.of_support(f"argmax:u{k}", mf, pick)
 
 
+def _support_parts(mf, sel, ts):
+    """Support rows at ts of Gamma, {f} and G = Gamma - f, from one evaluation of Gamma."""
+    V = mf.eval_support(ts)
+    S = sel.at(mf, ts, V) @ mf.grid.dirs.T
+    return V, S, V - S
+
+
 def subtract_selection(mf, sel):
     """Remainder G(t) = Gamma(t) - {f(t)} after validating f as a selection.
 
@@ -170,12 +177,8 @@ def subtract_selection(mf, sel):
     bad t.  The remainder then contains 0 at the probe points by the same
     inequality, recorded as stats.
     """
-    grid = mf.grid
     ts = _probe_ts()
-    V = mf.eval_support(ts)
-    X = sel.at(mf, ts, V)
-    inner = X @ grid.dirs.T
-    slack = V - inner  # support values of G at probe points
+    _, _, slack = _support_parts(mf, sel, ts)  # support values of G at probe points
     worst = float(slack.min())
     if worst < -_MEMBERSHIP_SLACK:
         i, _ = np.unravel_index(int(np.argmin(slack)), slack.shape)
@@ -184,12 +187,10 @@ def subtract_selection(mf, sel):
             f"(support violation {-worst:.3e})", t=float(ts[i]))
 
     def ev(pts):
-        pts = np.asarray(pts, dtype=np.float64)
-        V = mf.eval_support(pts)
-        return V - sel.at(mf, pts, V) @ grid.dirs.T
+        return _support_parts(mf, sel, np.asarray(pts, dtype=np.float64))[2]
 
     G = DerivedMultifunction(name=f"{mf.name}-minus-{sel.name}",
-                             grid=grid, eval_support=ev)
+                             grid=mf.grid, eval_support=ev)
     stats = {
         "probe_points": int(ts.size),
         "min_support": worst,
@@ -266,9 +267,12 @@ def verify_decomposition(mf, sel, theorem, tol, seed=0):
     and one stream of probe tags per level, Gamma evaluated once per tag set
     and f read off those values (``Selection.from_support``, when f was read
     off this very Gamma; any other selection is evaluated on the same tags).
-    G runs under the defaults for its kind.  Variational clauses use the entry's exact primitive when
-    it has one and a built primitive otherwise, at the entry's recommended
-    variational tolerance.
+    G runs under the defaults for its kind.  t55's variational clauses on
+    Gamma, {f} and G share one pass in the same way, {f} and G read off
+    each evaluation of Gamma, at the entry's recommended variational
+    tolerance.  Gamma uses the entry's exact primitive when it has one; the
+    other primitives are built at the finest variational gauge, all from
+    one partition and one evaluation of Gamma.
     """
     theorem = theorem.lower().replace(".", "").replace("-", "")
     if theorem not in _THEOREMS:
@@ -323,19 +327,15 @@ def verify_decomposition(mf, sel, theorem, tol, seed=0):
     if theorem == "t55":
         sched_vh = recommended_schedule(mf, "vh")
         tol_vh = recommendation(mf, "vh").get("tol", max(tol, 5e-2))
-        finest = sched_vh.levels[-1]
-        phi_gamma = (mf.exact_primitive()
-                     if getattr(mf, "exact_primitive", None)
-                     else build_primitive(mf, finest))
-        add_clause("gamma_vh", vh_check(mf, phi_gamma, sched_vh,
-                                        mode="perron", tol=tol_vh, seed=seed))
-        Sf = singleton_of(sel, grid)
-        add_clause("selection_vh", vh_check(
-            Sf, build_primitive(Sf, finest), sched_vh,
-            mode="perron", tol=tol_vh, seed=seed))
-        add_clause("remainder_vh", vh_check(
-            G, build_primitive(G, finest), sched_vh,
-            mode="perron", tol=tol_vh, seed=seed))
+        eval_blocks = lambda ts, blocks: _support_parts(mf, sel, ts)
+        exact = mf.exact_primitive() if getattr(mf, "exact_primitive", None) else None
+        built = _built_primitives(eval_blocks, grid, sched_vh.levels[-1],
+                                  [0, 1, 2] if exact is None else [1, 2])
+        names = (mf.name, singleton_of(sel, grid).name, G.name)
+        reps = _vh_pass(eval_blocks, grid, names, [built.get(0, exact), built[1], built[2]],
+                        sched_vh, "perron", tol_vh, seed)
+        for clause, rep in zip(("gamma_vh", "selection_vh", "remainder_vh"), reps):
+            add_clause(clause, rep)
         add_clause("remainder_birkhoff",
                    birkhoff_integrate(G, named_parts("dyadic-14"), tol, seed=seed))
 

@@ -30,16 +30,20 @@ permutation invariant - constants integrate to themselves bit-exactly and
 Birkhoff sums are order-independent by construction); probe sums use a
 deterministic pairwise tree reduction.
 
-Three level loops exist.  _run_schedule, shared by Henstock, McShane,
-scalar and directional runs, carries several column blocks at once, each
-with its own residuals, verdict and divergence stop; the sums are
-columnwise, so a block's result is bit-identical to running it alone, and a
-set and its selection's components (henstock_with_selection) share each
-level's partition, probe tags and set evaluation.  birkhoff_integrate and
-vh_check keep their own loops, since they differ in partition kind, tag
-policy, rng salt and level functional; all three share the level
-bookkeeping (_record), and _assemble builds every report, so the verdict,
-divergence record and report id follow one rule.
+Two level loops exist.  _run_schedule runs every method over Cousin
+partitions: Henstock, McShane, scalar, directional and variational.  It
+carries several blocks at once, each with its own level values, verdict
+and stop; the sums are per block, so a block's result is bit-identical to
+running it alone, and a set and its selection's components
+(henstock_with_selection) or t55's Gamma, {f} and G (_vh_pass) share each
+level's partition, probe tags and set evaluation.  Its blocks are of one of
+two kinds.  Column-sum blocks take Riemann sums per column.  Variational
+blocks take the summed primitive-vs-term gaps, worst over the level's tag
+sets, on left-first tags, with rng salt 7702, and in free mode their probes
+fall back to the nominal free tags rather than the build tags.
+birkhoff_integrate keeps its own loop over measurable partitions.  Both
+loops share the level bookkeeping (_record), and _assemble builds every
+report, so the verdict, divergence record and report id follow one rule.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convex_sets import SupportSet, canonical_values
+from .convex_sets import Primitive, SupportSet, canonical_values
 from .partitions import (
     Gauge,
     TaggedPartition,
@@ -256,12 +260,6 @@ def _verdict(effs, tol, fired):
 
 # -- shared Riemann-sum engine -----------------------------------------------
 
-def riemann_sum(mf, P):
-    """Minkowski sum of |I_i| Gamma(t_i); exact on the grid by linearity."""
-    terms = mf.eval_support(P.t) * P.widths[:, None]
-    return SupportSet(mf.grid, _fsum_columns(terms))
-
-
 def _free_tags(P, gauge, rng):
     """Seeded free tags, one per cell, each validity-checked for fineness."""
     mid = (P.a + P.b) / 2.0
@@ -330,71 +328,103 @@ def _record(run, stat, value, fired):
     return fired
 
 
-def _run_schedule(eval_blocks, ms, schedule, seed, mode, bound=DIVERGENCE_BOUND):
-    """Level loop shared by Henstock / McShane / scalar / directional runs.
+def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None, bound=DIVERGENCE_BOUND):
+    """The level loop of every run over Cousin partitions.
 
-    ``eval_blocks(tags, live)`` returns one (N, m_b) array per column block,
-    with ``ms`` the block widths; the entry of a block not in ``live`` is
-    never read and may be None.  All blocks share each level's partition,
-    tags and evaluation; each keeps its own residuals, probe spread and
-    divergence stop, and a stopped block records no further levels.  The
-    loop ends when every block has stopped or the schedule is exhausted.
-    Sums are columnwise, so a block's run is bit-identical to a one-block
-    run of the same columns.  A level's ``wall_ms`` is the time of the whole
-    shared level, recorded on every block that ran it, so wall times summed
-    across the blocks of one pass count shared levels more than once.
-    Returns one run dict per block.
+    ``eval_blocks(tags, blocks)`` returns one (N, m_b) array per block, with
+    ``ms`` the block widths; the entry of a block not in ``blocks`` is never
+    read and may be None.  All blocks share each level's partition, tags and
+    evaluation; each keeps its own level values, verdict and divergence
+    stop, and a stopped block records no further levels.  The blocks of a
+    run are of one kind:
+
+      - column sums (``phis`` None): each column's Riemann sum; the
+        effective residual is the larger of probe spread and Cauchy residual;
+      - variational (``phis``, one interval map per block): the level value,
+        also the effective residual, is sum_j d_H(Phi(I_j), |I_j| Gamma(t_j)),
+        the worst over the level's tag sets (a sup over partitions).  A
+        block whose value passes ``bound`` freezes it, since later probes
+        could only raise it, and the probes end once every live block has
+        frozen.  This kind fixes left-first tags, rng salt 7702, and probes
+        that in free mode fall back to the nominal free tags.
+
+    Sums are per block, so a block's run is bit-identical to a one-block
+    run.  A level's ``wall_ms`` is that of the whole shared level, recorded
+    on every block that ran it.  Returns one run dict per block.
     """
+    variational = phis is not None
     runs = [_new_run(m) for m in ms]
     live = list(range(len(ms)))
-    prev = [None] * len(ms)
     for n, gauge in enumerate(schedule.levels, start=1):
         if not live:
             break
         t0 = time.perf_counter()
-        P = cousin_build(gauge, tag_order="mid")
+        P = cousin_build(gauge, tag_order="left" if variational else "mid")
+        rng = np.random.default_rng([seed, 7702 if variational else 7701, n])
+        tags = P.t if mode == "henstock" else _free_tags(P, gauge, rng)
+        if variational and mode != "henstock":
+            P = TaggedPartition(P.a, P.b, tags)
         w = P.widths[:, None]
-        rng = np.random.default_rng([seed, 7701, n])
+        # the primitive side of a variational sum depends only on the cells
+        cells = {k: phis[k].query_batch(P.a, P.b) for k in live} if variational else None
 
-        def block_sums(tags, sum_columns):
+        def block_sums(ts, blocks, sum_columns):
             # free each array once used, so a one-block run allocates as a
             # plain loop would: evaluations before the sums, terms per block
-            vals = eval_blocks(tags, live)
-            terms = {k: vals[k] * w for k in live}
+            vals = eval_blocks(ts, blocks)
+            terms = {k: vals[k] * w for k in blocks}
             del vals
-            return {k: sum_columns(terms.pop(k)) for k in live}
+            if variational:
+                return {k: math.fsum(np.max(np.abs(cells[k] - terms.pop(k)), axis=1).tolist())
+                        for k in blocks}
+            return {k: sum_columns(terms.pop(k)) for k in blocks}
 
-        tags = P.t if mode == "henstock" else _free_tags(P, gauge, rng)
-        nominal = block_sums(tags, _fsum_columns)
-        sums_max = {k: np.abs(nominal[k]) for k in live}
-        spread_cols = {k: np.zeros(ms[k]) for k in live}
+        nominal = block_sums(tags, live, _fsum_columns)
+        worst = {k: abs(v) for k, v in nominal.items()}  # largest |sum| over the tag sets
+        spread_cols = {} if variational else {k: np.zeros(ms[k]) for k in live}
+        active = list(live)
         for vt in _probe_tag_sets(P, gauge, rng, mode):
-            for k, s in block_sums(vt, _tree_sum_columns).items():
-                np.maximum(sums_max[k], np.abs(s), out=sums_max[k])
-                np.maximum(spread_cols[k], np.abs(s - nominal[k]), out=spread_cols[k])
+            for k, s in block_sums(vt, active, _tree_sum_columns).items():
+                if variational:
+                    worst[k] = max(worst[k], s)
+                else:
+                    np.maximum(worst[k], np.abs(s), out=worst[k])
+                    np.maximum(spread_cols[k], np.abs(s - nominal[k]), out=spread_cols[k])
+            if variational:
+                active = [k for k in active if not worst[k] > bound]
+                if not active:
+                    break
         wall_ms = (time.perf_counter() - t0) * 1e3
         for k in list(live):
-            run, spread = runs[k], spread_cols[k]
-            resid_cols = None if prev[k] is None else np.abs(nominal[k] - prev[k])
-            eff_cols = spread if resid_cols is None else np.maximum(spread, resid_cols)
-            stat = LevelStat(
-                level=n, n_items=len(P),
-                residual=None if resid_cols is None else float(resid_cols.max()),
-                probe_spread=float(spread.max()),
-                eff_residual=float(eff_cols.max()),
-                sum_norm=float(np.abs(nominal[k]).max()),
-                wall_ms=wall_ms,
-            )
-            run["eff_cols"].append(eff_cols)
-            run["fired_dirs"] |= sums_max[k] > bound
-            if _record(run, stat, nominal[k], run["fired_dirs"].any()):
+            run = runs[k]
+            if variational:
+                s = value = worst[k]
+                stat = LevelStat(level=n, n_items=len(P), residual=None,
+                                 probe_spread=s - nominal[k], eff_residual=s, sum_norm=s,
+                                 wall_ms=wall_ms)
+                fired = s > bound
+            else:
+                spread, value = spread_cols[k], nominal[k]
+                resid_cols = np.abs(value - run["nominals"][-1]) if run["nominals"] else None
+                eff_cols = spread if resid_cols is None else np.maximum(spread, resid_cols)
+                stat = LevelStat(
+                    level=n, n_items=len(P),
+                    residual=None if resid_cols is None else float(resid_cols.max()),
+                    probe_spread=float(spread.max()),
+                    eff_residual=float(eff_cols.max()),
+                    sum_norm=float(np.abs(value).max()),
+                    wall_ms=wall_ms,
+                )
+                run["eff_cols"].append(eff_cols)
+                run["fired_dirs"] |= worst[k] > bound
+                fired = run["fired_dirs"].any()
+            if _record(run, stat, value, fired):
                 live.remove(k)
-            prev[k] = nominal[k]
     return runs
 
 
 def _one_block(eval_fn):
-    return lambda ts, live: (eval_fn(ts),)
+    return lambda ts, blocks: (eval_fn(ts),)
 
 
 def _direction_labels(grid, m):
@@ -627,18 +657,20 @@ def _piece_adversarial_tags(mf, los, width, floor=1e-8):
 
 # -- variational machinery ---------------------------------------------------
 
-def variational_sum(mf, phi, P, tags=None, V=None):
-    """sum_j d_H(Phi(I_j), |I_j| Gamma(t_j)) over the cells of P.
+def _vh_pass(eval_blocks, grid, names, phis, schedule, mode, tol, seed):
+    """Variational runs of the blocks of ``eval_blocks``, one per primitive.
 
-    Tags are P's own unless ``tags`` re-tags the cells; ``V`` =
-    phi.query_batch(P.a, P.b) may be passed in when several tag sets share
-    the cells.
+    All blocks share one pass (_run_schedule's variational kind); returns one
+    report per block, named by ``names``, each bit-identical to its vh_check.
     """
-    if V is None:
-        V = phi.query_batch(P.a, P.b)
-    T = mf.eval_support(P.t if tags is None else tags) * P.widths[:, None]
-    gaps = np.max(np.abs(V - T), axis=1)
-    return float(math.fsum(gaps.tolist()))
+    if mode not in ("perron", "free"):
+        raise ValueError(f"unknown mode {mode!r}")
+    runs = _run_schedule(eval_blocks, (grid.m,) * len(phis), schedule, seed,
+                         "henstock" if mode == "perron" else "mcshane", phis=phis)
+    return [_assemble("vh" if mode == "perron" else "vms", name, grid, tol, seed,
+                      schedule.describe(), run, values=run["effs"],
+                      flags={"mode": mode, "sums": [float(s) for s in run["effs"]]})
+            for name, run in zip(names, runs)]
 
 
 def vh_check(mf, phi, schedule, mode="perron", tol=5e-2, seed=0):
@@ -646,38 +678,14 @@ def vh_check(mf, phi, schedule, mode="perron", tol=5e-2, seed=0):
 
     Per level: a partition is built (left-tagged cousin cells for perron;
     the same cells with seeded free tags for free mode) and the variational
-    sum against ``phi`` is evaluated.  Converged when the sums settle below
-    tol; diverged on the 10^3 bound or four-level monotone growth.  The
-    report's values are the per-level sums (there is no set estimate).
+    sum against ``phi`` is evaluated, the worst over the level's re-tagging
+    variants.  Converged when the sums settle below tol; diverged on the
+    10^3 bound or four-level monotone growth.  The report's values are the
+    per-level sums (there is no set estimate).
     """
-    if mode not in ("perron", "free"):
-        raise ValueError(f"unknown mode {mode!r}")
-    run = _new_run(mf.grid.m)
-    probe_mode = "henstock" if mode == "perron" else "mcshane"
-    for n, gauge in enumerate(schedule.levels, start=1):
-        t0 = time.perf_counter()
-        P = cousin_build(gauge, tag_order="left")
-        rng = np.random.default_rng([seed, 7702, n])
-        if mode == "free":
-            P = TaggedPartition(P.a, P.b, _free_tags(P, gauge, rng))
-        # the variational quantities are sups over admissible partitions, so
-        # the level value is the worst sum across the re-tagging variants;
-        # the primitive side depends only on the cells, computed once
-        V = phi.query_batch(P.a, P.b)
-        s = s_nominal = variational_sum(mf, phi, P, V=V)
-        for vt in _probe_tag_sets(P, gauge, rng, probe_mode):
-            s = max(s, variational_sum(mf, phi, P, vt, V))
-            if s > DIVERGENCE_BOUND:
-                break
-        stat = LevelStat(
-            level=n, n_items=len(P), residual=None, probe_spread=s - s_nominal,
-            eff_residual=s, sum_norm=s, wall_ms=(time.perf_counter() - t0) * 1e3)
-        if _record(run, stat, s, s > DIVERGENCE_BOUND):
-            break
-    sums = run["effs"]
-    return _assemble("vh" if mode == "perron" else "vms", mf.name, mf.grid, tol, seed,
-                     schedule.describe(), run, values=sums,
-                     flags={"mode": mode, "sums": [float(s) for s in sums]})
+    [report] = _vh_pass(_one_block(mf.eval_support), mf.grid, [mf.name], [phi], schedule,
+                        mode, tol, seed)
+    return report
 
 
 def variational_measure_estimate(phi, E, schedule, seed=0, restarts=16):
@@ -781,14 +789,19 @@ def _greedy_pack_value(phi, comps, gauge, rng, max_items=200_000):
     return float(math.fsum(norms.tolist()))
 
 
-def build_primitive(mf, gauge):
-    """Primitive on the dyadic cells of one cousin partition of [0, 1].
+def _built_primitives(eval_blocks, grid, gauge, blocks):
+    """{block: Primitive} on one cousin partition of [0, 1], from one evaluation.
 
     Cell values are |I| Gamma(t) at the build tags, so variational sums
-    against this primitive measure the integrator's self-consistency.
+    against these primitives measure the integrator's self-consistency.
     """
-    from .convex_sets import Primitive
-
     P = cousin_build(gauge, tag_order="mid")
-    V = mf.eval_support(P.t) * P.widths[:, None]
-    return Primitive(mf.grid, P.a, P.widths, V)
+    vals = eval_blocks(P.t, blocks)
+    terms = {k: vals[k] * P.widths[:, None] for k in blocks}
+    del vals
+    return {k: Primitive(grid, P.a, P.widths, terms.pop(k)) for k in blocks}
+
+
+def build_primitive(mf, gauge):
+    """Primitive of mf on the dyadic cells of one cousin partition of [0, 1]."""
+    return _built_primitives(_one_block(mf.eval_support), mf.grid, gauge, [0])[0]

@@ -248,28 +248,6 @@ def cousin_build(g, max_depth=40, tag_order="mid", cell_budget=1 << 22):
     return TaggedPartition(a, a + w, t)
 
 
-def free_partition(n, tag_rule="midpoint", seed=None, tags=None):
-    """Uniform n-cell partition with tags anywhere in [0, 1] per rule."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    a = np.arange(n) / n
-    b = np.arange(1, n + 1) / n
-    if tag_rule == "midpoint":
-        t = (a + b) / 2.0
-    elif tag_rule == "left":
-        t = a.copy()
-    elif tag_rule == "seeded-random":
-        rng = np.random.default_rng(0 if seed is None else seed)
-        t = rng.uniform(0.0, 1.0, size=n)
-    elif tag_rule == "supplied":
-        t = np.asarray(tags, dtype=np.float64)
-        if t.shape != (n,):
-            raise ValueError("supplied tags must have length n")
-    else:
-        raise ValueError(f"unknown tag rule {tag_rule!r}")
-    return TaggedPartition(a, b, t)
-
-
 def _merge_duplicate_tags(a, b, t):
     """Merge adjacent cells sharing one tag at their common endpoint.
 

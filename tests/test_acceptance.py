@@ -104,6 +104,28 @@ def test_criterion_02_free_tag_divergence_vs_henstock(g1_henstock):
     announce(2, f"free-tag runs diverge, gauge-tagged estimate off truth by {gap:.2e}")
 
 
+# Closed forms from mpmath at 30 digits, independent of the corpus code (each
+# test imports it, so the rest of this module runs without it).
+
+def test_g1_henstock_matches_mpmath_sin1(g1_henstock):
+    import mpmath as mp
+
+    with mp.workdps(30):  # int_0^1 F' = F(1) - F(0+) = sin 1
+        sin1 = float(mp.sin(1))
+    np.testing.assert_allclose(g1_henstock.estimate_values, [-sin1, 1.0 + sin1],
+                               rtol=0.0, atol=1e-3)
+
+
+def test_g4_henstock_matches_mpmath_half_ball():
+    import mpmath as mp
+
+    with mp.workdps(30):  # the radius-t ball integrates to the radius-1/2 ball
+        half = float(mp.quad(lambda t: t, [0, 1]))
+    rep = henstock_integrate(corpus.corpus_get("G4"), UNIFORM12, tol=1e-3, seed=0)
+    assert rep.verdict == "converged"
+    np.testing.assert_allclose(rep.estimate_values, [half] * 64, rtol=0.0, atol=1e-3)
+
+
 def test_criterion_03_decomposition_with_derivative_selection(runner, tmp_path):
     g1 = corpus.corpus_get("G1")
     sel = argmax_selection(g1, "-1")

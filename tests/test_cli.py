@@ -233,6 +233,10 @@ def test_set_syntax_error_is_usage_error(runner, tmp_path, command, token):
     (["decompose", "G2", "--tol", "-1"], "--tol"),
     (["decompose", "G2", "--tol", "inf"], "--tol"),
     (["integrate", "G2", "--seed", "-1"], "--seed"),
+    (["riemann-check", "G2", "--eps", "nan"], "--eps"),
+    (["riemann-check", "G2", "--eps", "-1"], "--eps"),
+    (["riemann-check", "G2", "--eps", "0"], "--eps"),
+    (["riemann-check", "G2", "--eps", "inf"], "--eps"),
 ])
 def test_out_of_range_option_is_usage_error(runner, tmp_path, args, option):
     res = runner.invoke(main, args + ["--out", str(tmp_path)])
@@ -263,6 +267,7 @@ def test_config_levels_out_of_range_is_usage_error(runner, tmp_path, levels):
     ({"settings": {"schedule": "nope"}}, "settings.schedule"),
     ({"settings": {"method": "mcshane", "mode": "banana"}}, "settings.mode"),
     ({"output": "x"}, "output"),
+    ({"settings": {"method": "birkhoff", "schedule": "nope"}}, "settings.schedule"),
 ])
 def test_config_value_is_usage_error(runner, tmp_path, cfg, name):
     path = tmp_path / "cfg.json"

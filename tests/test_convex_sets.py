@@ -304,7 +304,10 @@ def test_primitive_mixed_depth_tiling():
     np.testing.assert_array_equal(
         phi.node_value(0, 0), V[0] + (V[1] + V[2])
     )
-    assert phi.is_leaf(1, 0) and not phi.is_leaf(1, 1)
+    np.testing.assert_array_equal(phi.node_value(1, 0), V[0])
+    np.testing.assert_array_equal(phi.node_value(1, 1), V[1] + V[2])
+    with pytest.raises(KeyError):  # inside the depth-1 leaf
+        phi.node_value(2, 0)
 
 
 def test_primitive_rejects_non_dyadic_cells():
@@ -348,13 +351,6 @@ def test_primitive_node_values_match_recursive_reference():
     assert checked > len(leaves)
 
 
-def test_primitive_is_leaf_on_mixed_tiling():
-    leaves, phi = mixed_tiling()
-    for d in range(phi.level + 2):
-        for i in range(2**d):
-            assert phi.is_leaf(d, i) == ((d, i) in leaves), (d, i)
-
-
 def test_primitive_query_children_sum_to_parent():
     _, phi = mixed_tiling()
     for d in range(5):
@@ -377,10 +373,40 @@ def test_primitive_rejects_overlap_with_gap():
 def test_primitive_rejects_deep_non_dyadic_width():
     # [0, 2^-42] claimed 1.3 times as wide: off by far less than 1e-12 in absolute terms
     depth = 42
-    starts = np.array([0.0] + [2.0**-k for k in range(depth, 0, -1)])
-    widths = np.array([1.3 * 2.0**-depth] + [2.0**-k for k in range(depth, 0, -1)])
+    starts, widths = halving_tiling(depth)
+    widths[0] *= 1.3
     with pytest.raises(ValueError, match="dyadic"):
         Primitive(LINE, starts, widths, np.ones((depth + 1, 2)))
+
+
+def halving_tiling(depth):
+    """[0, 2^-depth] and [2^-k, 2^-(k-1)] for k = depth..1: cells of every depth."""
+    starts = np.array([0.0] + [2.0**-k for k in range(depth, 0, -1)])
+    widths = np.array([2.0**-depth] + [2.0**-k for k in range(depth, 0, -1)])
+    return starts, widths
+
+
+def test_primitive_rejects_deep_misaligned_start():
+    # the second cell [w, 2w] starts 0.4 cells late: 9e-14 off, under an absolute 1e-12
+    depth = 42
+    starts, widths = halving_tiling(depth)
+    starts[1] = 1.4 * 2.0**-depth
+    with pytest.raises(ValueError, match="aligned"):
+        Primitive(LINE, starts, widths, np.ones((depth + 1, 2)))
+
+
+def test_primitive_accepts_ulp_noise_in_deep_starts_near_one():
+    # mirrored halving tiling: the depth-40 cells sit at 1, where one ulp of a
+    # start is about 1e-4 of a cell
+    depth = 40
+    starts, widths = halving_tiling(depth)
+    starts = 1.0 - starts - widths
+    noisy = starts.copy()
+    noisy[:3] = np.nextafter(starts[:3], 0.0)
+    assert np.all(noisy[:3] != starts[:3]) and np.all(noisy[:3] > 0.5)
+    phi = Primitive(LINE, noisy, widths, np.ones((depth + 1, 2)))
+    assert phi.level == depth
+    np.testing.assert_array_equal(phi.node_value(0, 0), [depth + 1.0, depth + 1.0])
 
 
 def test_primitive_retains_only_its_cells():

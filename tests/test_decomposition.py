@@ -17,7 +17,14 @@ from gaugeset.decomposition import (
     verify_decomposition,
 )
 from gaugeset.errors import NotASelection
-from gaugeset.integrators import henstock_integrate, henstock_with_selection, scalar_hk
+from gaugeset.integrators import (
+    _vh_pass,
+    build_primitive,
+    henstock_integrate,
+    henstock_with_selection,
+    scalar_hk,
+    vh_check,
+)
 
 LINE = DirectionGrid.line()
 CIRCLE = DirectionGrid.circle(64)
@@ -307,6 +314,90 @@ def test_remainder_evaluates_gamma_once_per_call():
     row = G.eval_support(np.array([0.6, 0.2]))
     assert calls == [2]
     np.testing.assert_allclose(row, [[0.3, 0.3], [0.1, 0.1]], atol=1e-15)
+
+
+# -- t55: one variational pass for Gamma, {f} and G -----------------------------
+
+def _t55_maps(mf, sel):
+    """Gamma, {f} and G = Gamma - f, and the primitives t55 checks them against."""
+    Sf = singleton_of(sel, mf.grid)
+    G, _ = subtract_selection(mf, sel)
+    finest = corpus.named_schedule(mf.recommended["vh"]["schedule"]).levels[-1]
+    phi = mf.exact_primitive() if mf.exact_primitive else build_primitive(mf, finest)
+    return (mf, Sf, G), (phi, build_primitive(Sf, finest), build_primitive(G, finest))
+
+
+@pytest.mark.parametrize("entry, make_sel, tol", [
+    ("G2", steiner_selection, 1e-4),
+    ("G4", steiner_selection, 1e-3),
+    ("G6", lambda mf: steiner_selection(corpus.corpus_get("G2")), 1e-4),
+    ("G3", steiner_selection, 1e-3),  # no exact primitive: Gamma's is built too
+])
+def test_t55_shared_vh_reports_equal_standalone_runs(entry, make_sel, tol):
+    mf = corpus.corpus_get(entry)
+    sel = make_sel(mf)
+    rep = verify_decomposition(mf, sel, "t55", tol=tol, seed=0)
+    sched = corpus.named_schedule(mf.recommended["vh"]["schedule"])
+    tol_vh = mf.recommended["vh"]["tol"]
+    maps, phis = _t55_maps(mf, sel)
+    for clause, m, phi in zip(("gamma_vh", "selection_vh", "remainder_vh"), maps, phis):
+        alone = vh_check(m, phi, sched, mode="perron", tol=tol_vh, seed=0)
+        assert (rep.reports[clause].to_json_dict(deterministic=True)
+                == alone.to_json_dict(deterministic=True)), clause
+
+
+class _OnesPrimitive:
+    """Every cell's value is (1, 1), so each gap is about 1 and a level's sum
+    about its cell count: 2^(n+3) at level n of the uniform schedule, past
+    the 10^3 bound first at level 7."""
+
+    def query_batch(self, a, b):
+        return np.ones((len(a), 2))
+
+
+@dataclasses.dataclass
+class _LeftEndpointValues:
+    """Cell values |I| Gamma(a) at the left edge: zero gaps at the nominal
+    left tags, so a level's value is set by a later probe."""
+
+    mf: object
+
+    def query_batch(self, a, b):
+        return (b - a)[:, None] * self.mf.eval_support(a)
+
+
+@pytest.mark.parametrize("diverging", [{0}, {1}, {0, 1, 2}])
+def test_t55_diverging_vh_blocks_stop_alone(diverging):
+    g2 = corpus.corpus_get("G2")
+    calls = []
+
+    def counting(ts):
+        calls.append(np.size(ts))
+        return g2.eval_support(ts)
+
+    mf = dataclasses.replace(g2, eval_support=counting)
+    sel = steiner_selection(mf)
+    maps = (mf, singleton_of(sel, LINE), subtract_selection(mf, sel)[0])
+    phis = [_OnesPrimitive() if k in diverging else _LeftEndpointValues(m)
+            for k, m in enumerate(maps)]
+    sched = corpus.named_schedule("uniform")
+
+    def eval_blocks(ts, blocks):  # as in verify_decomposition's t55 pass
+        V = mf.eval_support(ts)
+        S = sel.at(mf, ts, V) @ LINE.dirs.T
+        return V, S, V - S
+
+    calls.clear()
+    reps = _vh_pass(eval_blocks, LINE, [m.name for m in maps], phis, sched, "perron", 1e-4, 0)
+    if len(diverging) == 3:
+        # six full levels of 19 tag sets (nominal and 18 probes), then level 7's
+        # nominal and first probe, after which every block has frozen
+        assert len(calls) == 6 * 19 + 2
+    for k, (m, phi, rep) in enumerate(zip(maps, phis, reps)):
+        alone = vh_check(m, phi, sched, mode="perron", tol=1e-4, seed=0)
+        assert rep.to_json_dict(deterministic=True) == alone.to_json_dict(deterministic=True)
+        assert len(rep.levels) == (7 if k in diverging else 12)
+        assert (rep.verdict == "diverged") == (k in diverging)
 
 
 # -- measurability probe ------------------------------------------------------------

@@ -18,14 +18,13 @@ from gaugeset.integrators import (
     mcshane_integrate,
     measurable_uniform_schedule,
     origin_schedule,
-    riemann_sum,
     scalar_hk,
     uniform_schedule,
     variational_measure_estimate,
     vh_check,
     _tree_sum_columns,
 )
-from gaugeset.partitions import Gauge, free_partition
+from gaugeset.partitions import Gauge
 
 UNIFORM12 = corpus.named_schedule("uniform", levels=12)
 LINE = DirectionGrid.line()
@@ -65,22 +64,27 @@ def test_origin_schedule_two_branches():
     assert s.describe()["levels"] == 3
 
 
-# -- riemann sums ------------------------------------------------------------
+# -- one-level nominal sums ---------------------------------------------------
 
-def test_riemann_sum_constant_set_is_exact():
-    spec = corpus.corpus_get("G6")
-    P = free_partition(7)
-    np.testing.assert_array_equal(riemann_sum(spec, P).values, [0.0, 1.0])
+def one_level(gauge):
+    """A one-level run's estimate is the nominal Riemann sum at the build tags."""
+    return GaugeSchedule((gauge,))
 
 
-def test_riemann_sum_matches_hand_computation():
+def test_one_level_henstock_constant_set_is_exact():
+    # the t^2 branch of the origin gauge gives 39 cells of six widths, 2^-8 to 2^-3
+    gauge = origin_schedule(0.5, 0.5, 0.25, 1.0, levels=1).levels[0]
+    rep = henstock_integrate(corpus.corpus_get("G6"), one_level(gauge), tol=1e-4, seed=0)
+    assert rep.levels[0].n_items == 39
+    assert rep.estimate_values == (0.0, 1.0)
+
+
+def test_one_level_henstock_matches_hand_computation():
     spec = corpus.corpus_get("G2")  # [0, t]
-    P = free_partition(2)  # tags 0.25, 0.75
-    np.testing.assert_allclose(
-        riemann_sum(spec, P).values,
-        [0.0, 0.5 * 0.25 + 0.5 * 0.75],
-        atol=0,
-    )
+    # width 1/2 is the first below 0.6: cells [0, 1/2], [1/2, 1] tagged 0.25, 0.75
+    rep = henstock_integrate(spec, one_level(Gauge.constant(0.6)), tol=1e-4, seed=0)
+    assert rep.levels[0].n_items == 2
+    assert rep.estimate_values == (0.0, 0.5 * 0.25 + 0.5 * 0.75)
 
 
 def test_tree_sum_columns_matches_fsum():

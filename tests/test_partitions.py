@@ -13,13 +13,13 @@ from gaugeset.partitions import (
     TaggedPartition,
     build_measurable_gauge,
     cousin_build,
-    free_partition,
     interior_repair,
     is_delta_fine,
     measurable_partition,
 )
 
 LINE = DirectionGrid.line()
+QUARTERS = np.arange(5) / 4.0  # the edges of four quarter cells
 
 
 def test_constant_gauge_cousin_four_cells():
@@ -83,7 +83,7 @@ def test_is_delta_fine_needs_open_containment():
 
 
 def test_is_delta_fine_perron_flag():
-    P = free_partition(4, tag_rule="supplied", tags=np.array([0.9, 0.9, 0.9, 0.9]))
+    P = TaggedPartition(QUARTERS[:-1], QUARTERS[1:], np.array([0.9, 0.9, 0.9, 0.9]))
     assert is_delta_fine(P, Gauge.constant(2.0))
     assert not is_delta_fine(P, Gauge.constant(2.0), require_perron=True)
 
@@ -94,17 +94,6 @@ def test_partition_validation():
     with pytest.raises(ValueError):
         TaggedPartition(np.array([0.0, 0.4]), np.array([0.5, 1.0]),
                         np.array([0.2, 0.7]))
-
-
-def test_free_partition_tag_rules():
-    P = free_partition(8, tag_rule="left")
-    np.testing.assert_array_equal(P.t, P.a)
-    Q1 = free_partition(8, tag_rule="seeded-random", seed=5)
-    Q2 = free_partition(8, tag_rule="seeded-random", seed=5)
-    np.testing.assert_array_equal(Q1.t, Q2.t)
-    assert not Q1.perron or True  # free tags may land anywhere
-    with pytest.raises(ValueError):
-        free_partition(4, tag_rule="nope")
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -185,7 +174,7 @@ def test_interior_repair_domain_endpoints_exempt():
 
 
 def test_interior_repair_needs_perron_input():
-    P = free_partition(4, tag_rule="supplied", tags=np.array([0.9, 0.9, 0.2, 0.9]))
+    P = TaggedPartition(QUARTERS[:-1], QUARTERS[1:], np.array([0.9, 0.9, 0.2, 0.9]))
     with pytest.raises(ValueError):
         interior_repair(P, lambda t: 1.0)
 
