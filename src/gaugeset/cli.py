@@ -26,6 +26,9 @@ from . import corpus as corpus_mod
 from . import decomposition as dec
 from . import integrators as it
 
+# the RunConfig "settings" keys integrate reads; any other key is a usage error
+_SETTINGS = ("method", "seed", "tol", "levels", "schedule")
+
 # method -> (corpus flag key, verdict a yes flag wants, verdict a no flag wants)
 _METHODS = {
     "henstock": ("henstock", "converged", "diverged"),
@@ -37,10 +40,10 @@ _METHODS = {
 }
 
 
-def _entry(name):
-    """Registry entry ``name``; an unknown name is a usage error."""
+def _entry(name, params=None):
+    """Registry entry ``name`` with ``params``; a failed lookup is a usage error."""
     try:
-        return corpus_mod.corpus_get(name)
+        return corpus_mod.corpus_get(name, params)
     except ValueError as e:
         raise click.ClickException(str(e))
 
@@ -85,8 +88,15 @@ def _load_config(path):
     unknown = set(cfg) - allowed
     if unknown:
         raise click.ClickException(f"unknown config keys: {sorted(unknown)}")
-    if not isinstance(cfg.get("settings", {}), dict):
+    if cfg.get("command", "integrate") != "integrate":
+        raise click.ClickException(f'"command" must be "integrate", got {cfg["command"]!r}')
+    settings = cfg.get("settings", {})
+    if not isinstance(settings, dict):
         raise click.ClickException('"settings" must be an object')
+    unread = [f'"settings.{k}"' for k in sorted(set(settings) - set(_SETTINGS))]
+    if unread:
+        raise click.ClickException(
+            f"unknown settings keys: {', '.join(unread)}; known: {', '.join(_SETTINGS)}")
     output = cfg.get("output", {})
     if not (isinstance(output, dict) and isinstance(output.get("dir", ""), str)):
         raise click.ClickException('"output" must be an object with a string "dir"')
@@ -174,19 +184,14 @@ def integrate(entry, method, tol, levels, seed, out_dir, config_path, determinis
             f'"settings.method" must be one of {sorted(_METHODS)}, got {method!r}')
     seed = _resolve_seed(seed, settings)
     out_dir = cfg.get("output", {}).get("dir", out_dir)
-    spec = _entry(entry)
+    spec = _entry(entry, cfg.get("params"))
     tol = _tol_for(spec, method, tol, settings)
     sched = _schedule_for(spec, method, levels, settings)
 
     if method == "henstock":
         report = it.henstock_integrate(spec, sched, tol, seed=seed)
     elif method == "mcshane":
-        mode = settings.get(
-            "mode", corpus_mod.recommendation(spec, "mcshane").get("mode", "plain"))
-        try:  # the mode is checked before any level runs
-            report = it.mcshane_integrate(spec, sched, tol, seed=seed, mode=mode)
-        except ValueError as e:
-            raise click.ClickException(f'"settings.mode": {e}')
+        report = it.mcshane_integrate(spec, sched, tol, seed=seed)
     elif method == "birkhoff":
         report = it.birkhoff_integrate(spec, sched, tol, seed=seed)
     elif method in ("vh", "vms"):

@@ -117,9 +117,6 @@ class SupportSet:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    def to_json_dict(self):
-        return {"d": self.grid.d, "m": self.grid.m, "values": self.values.tolist()}
-
     def __repr__(self):
         if self.grid.d == 1:
             return f"SupportSet[{-self.values[0]:.6g}, {self.values[1]:.6g}]"

@@ -256,7 +256,7 @@ _register(MultifunctionSpec(
     exact_primitive=_g1_primitive,
     recommended={
         "henstock": {"schedule": "henstock-origin", "tol": 1e-3},
-        "mcshane": {"schedule": "uniform", "tol": 1e-3, "mode": "plain"},
+        "mcshane": {"schedule": "uniform", "tol": 1e-3},
         "birkhoff": {"parts": "dyadic-14", "tol": 1e-3},
         "vh": {"schedule": "vh-origin", "tol": 5e-2},
         "vms": {"schedule": "uniform", "tol": 5e-2},
@@ -283,7 +283,7 @@ _register(MultifunctionSpec(
     exact_primitive=_g2_primitive,
     recommended={
         "henstock": {"schedule": "uniform", "tol": 1e-4},
-        "mcshane": {"schedule": "uniform", "tol": 1e-4, "mode": "plain"},
+        "mcshane": {"schedule": "uniform", "tol": 1e-4},
         "birkhoff": {"parts": "dyadic-14", "tol": 1e-4},
         "vh": {"schedule": "uniform", "tol": 1e-4},
         "vms": {"schedule": "uniform", "tol": 1e-4},
@@ -312,7 +312,7 @@ _register(MultifunctionSpec(
     exact_primitive=None,
     recommended={
         "henstock": {"schedule": "uniform", "tol": 1e-3},
-        "mcshane": {"schedule": "uniform", "tol": 1e-3, "mode": "plain"},
+        "mcshane": {"schedule": "uniform", "tol": 1e-3},
         "birkhoff": {"parts": "dyadic-14", "tol": 1e-3},
         "vh": {"schedule": "uniform", "tol": 5e-2},
         "vms": {"schedule": "uniform", "tol": 5e-2},
@@ -340,7 +340,7 @@ _register(MultifunctionSpec(
     exact_primitive=_g4_primitive,
     recommended={
         "henstock": {"schedule": "uniform", "tol": 1e-3},
-        "mcshane": {"schedule": "uniform", "tol": 1e-3, "mode": "plain"},
+        "mcshane": {"schedule": "uniform", "tol": 1e-3},
         "birkhoff": {"parts": "dyadic-14", "tol": 1e-3},
         "vh": {"schedule": "uniform", "tol": 1e-3},
         "vms": {"schedule": "uniform", "tol": 1e-3},
@@ -369,7 +369,7 @@ _register(MultifunctionSpec(
     exact_primitive=_g5_primitive,
     recommended={
         "henstock": {"schedule": "henstock-origin", "tol": 1e-3},
-        "mcshane": {"schedule": "uniform", "tol": 1e-3, "mode": "plain"},
+        "mcshane": {"schedule": "uniform", "tol": 1e-3},
         "birkhoff": {"parts": "dyadic-14", "tol": 1e-3},
         "vh": {"schedule": "vh-origin", "tol": 5e-2},
         "vms": {"schedule": "uniform", "tol": 5e-2},
@@ -396,7 +396,7 @@ _register(MultifunctionSpec(
     exact_primitive=_g6_primitive,
     recommended={
         "henstock": {"schedule": "uniform", "tol": 1e-4},
-        "mcshane": {"schedule": "uniform", "tol": 1e-4, "mode": "plain"},
+        "mcshane": {"schedule": "uniform", "tol": 1e-4},
         "birkhoff": {"parts": "dyadic-14", "tol": 1e-4},
         "vh": {"schedule": "uniform", "tol": 1e-4},
         "vms": {"schedule": "uniform", "tol": 1e-4},
@@ -416,7 +416,7 @@ def corpus_get(name, params=None):
                          f"known: {', '.join(corpus_names())}")
     spec = _REGISTRY[name]
     if params:
-        raise ValueError(f"{name} takes no parameters")
+        raise ValueError(f"{name} takes no params, got {params!r}")
     return spec
 
 

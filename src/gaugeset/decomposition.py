@@ -37,6 +37,7 @@ from .integrators import (
 )
 
 _MEMBERSHIP_SLACK = 1e-9
+_MAX_INTERVALS = 4096  # interval budget of one Riemann-probe family
 
 
 def _probe_ts():
@@ -301,7 +302,7 @@ def verify_decomposition(mf, sel, theorem, tol, seed=0):
     rep_gamma, rep_f = henstock_with_selection(
         mf, sel, sched_h, tol_h, tol, seed=seed, name=sel.name,
         from_support=sel.support_map(mf))
-    if theorem == "t42":
+    if sched_h.measurable:
         rep_gamma.flags["gauge_mode"] = "measurable"
     add_clause("gamma_henstock", rep_gamma)
 
@@ -362,17 +363,17 @@ def verify_decomposition(mf, sel, theorem, tol, seed=0):
 
 # -- Riemann measurability probe ---------------------------------------------
 
-def riemann_measurability_probe(f, F_set, delta, trials=12, eps=0.05, seed=0,
-                                max_intervals=4096):
+def riemann_measurability_probe(f, F_set, delta, trials=12, eps=0.05, seed=0):
     """Oscillation statistics of f over seeded interval families inside F.
 
     F is read as by normalize_set; only its components of positive length
     are probed, since points hold no intervals.
     Each trial draws pairwise nonoverlapping intervals with widths below
-    delta inside the components of F (a tiling when it fits the interval
-    budget, seeded placement otherwise) and, per interval, an adversarial
-    tag pair: the max/min of f over the endpoints, 16 seeded points, and a
-    geometric ladder toward 0 for intervals near the origin.  It reports
+    delta inside the components of F (a tiling when it fits the budget of
+    4096 intervals, seeded placement otherwise) and, per interval, an
+    adversarial tag pair: the max/min of f over the endpoints, 16 seeded
+    points, and a geometric ladder toward 0 for intervals near the origin.
+    It reports
 
         plain  = |sum (f(t_i) - f(t'_i)) |I_i||      (Riemann measurability)
         strong = sum |f(t_i) - f(t'_i)| |I_i|        (strong form)
@@ -390,7 +391,7 @@ def riemann_measurability_probe(f, F_set, delta, trials=12, eps=0.05, seed=0,
     worst = None
     for k in range(trials):
         rng = np.random.default_rng([seed, 88, k])
-        a_list, b_list = _draw_family(comps, delta, rng, max_intervals)
+        a_list, b_list = _draw_family(comps, delta, rng)
         if a_list.size == 0:
             continue
         t_hi, t_lo = _adversarial_pairs(f, a_list, b_list, rng)
@@ -420,13 +421,13 @@ def riemann_measurability_probe(f, F_set, delta, trials=12, eps=0.05, seed=0,
     }
 
 
-def _draw_family(comps, delta, rng, max_intervals):
+def _draw_family(comps, delta, rng):
     total = math.fsum(hi - lo for lo, hi in comps)
     a_out, b_out = [], []
-    if total / (0.75 * delta) <= max_intervals:
+    if total / (0.75 * delta) <= _MAX_INTERVALS:
         for lo, hi in comps:  # tile each component with sub-delta widths
             x = lo
-            while x < hi - 1e-15 and len(a_out) < max_intervals:
+            while x < hi - 1e-15 and len(a_out) < _MAX_INTERVALS:
                 w = delta * rng.uniform(0.55, 0.95)
                 b = min(x + w, hi)
                 if b - x > 1e-15:
@@ -435,7 +436,7 @@ def _draw_family(comps, delta, rng, max_intervals):
                 x = b
     else:  # budgeted: seeded nonoverlapping placement
         weights = np.array([hi - lo for lo, hi in comps]) / total
-        counts = (weights * max_intervals).astype(int)
+        counts = (weights * _MAX_INTERVALS).astype(int)
         for (lo, hi), cnt in zip(comps, counts):
             if cnt == 0:
                 continue

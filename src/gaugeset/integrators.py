@@ -58,6 +58,7 @@ from .convex_sets import Primitive, SupportSet, canonical_values
 from .partitions import (
     Gauge,
     TaggedPartition,
+    _window_fine,
     cousin_build,
     measurable_partition,
 )
@@ -67,6 +68,9 @@ DEFAULT_LEVELS = 12
 DEFAULT_TOL_D1 = 1e-4
 DEFAULT_TOL_D2 = 1e-3
 _GROWTH_EPS = 1e-9
+_BIRKHOFF_TRIALS = 8  # seeded tag draws per Birkhoff level
+_PACK_RESTARTS = 16  # greedy packings per variational-measure level
+_PACK_MAX_ITEMS = 200_000  # loop guard of one greedy packing component
 CSV_HEADER = "level,residual,max_dir_residual,wall_ms"
 
 
@@ -89,6 +93,11 @@ class GaugeSchedule:
             if prev is not None and np.any(cur > prev + 1e-12):
                 raise ValueError("schedule gauges must be pointwise nonincreasing")
             prev = cur
+
+    @property
+    def measurable(self):
+        """True when every gauge is piecewise constant, hence measurable."""
+        return all(g.kind == "piecewise" for g in self.levels)
 
     def describe(self):
         return {"name": self.name, "levels": len(self.levels)}
@@ -267,9 +276,7 @@ def _free_tags(P, gauge, rng):
     lo = np.maximum(0.0, mid - radius)
     hi = np.minimum(1.0, mid + radius)
     tau = rng.uniform(lo, hi)
-    d = np.atleast_1d(gauge(tau))
-    valid = (P.a > tau - d) & (P.b < tau + d)
-    return np.where(valid, tau, P.t)
+    return np.where(_window_fine(P.a, P.b, tau, gauge), tau, P.t)
 
 
 def _probe_tag_sets(P, gauge, rng, mode):
@@ -283,21 +290,17 @@ def _probe_tag_sets(P, gauge, rng, mode):
     """
     a, b, w, t0 = P.a, P.b, P.widths, P.t
 
-    def henstock_ok(tau):
-        return w < np.atleast_1d(gauge(tau))
+    henstock = mode == "henstock"
 
-    def free_ok(tau):
-        d = np.atleast_1d(gauge(tau))
-        return (a > tau - d) & (b < tau + d)
-
-    ok = henstock_ok if mode == "henstock" else free_ok
+    def ok(tau):
+        return w < np.atleast_1d(gauge(tau)) if henstock else _window_fine(a, b, tau, gauge)
 
     for _ in range(8):  # seeded in-cell / in-window re-tags
-        if mode == "henstock":
+        if henstock:
             u = rng.uniform(a, b)
-        else:
-            u = _free_tags(P, gauge, rng)
-        yield np.where(ok(u), u, t0)
+            yield np.where(ok(u), u, t0)
+        else:  # _free_tags applies the window rule, falling back to P.t, which is t0
+            yield _free_tags(P, gauge, rng)
 
     # deterministic near-edge ladder; geometric approach to the left edge
     for i in (1, 2, 3, 4, 6, 8):
@@ -306,7 +309,7 @@ def _probe_tag_sets(P, gauge, rng, mode):
     for i in (1, 2, 4, 8):
         u = b - w * 4.0 ** (-i)
         yield np.where(ok(u), u, t0)
-    if mode != "henstock":
+    if not henstock:
         for i in (2, 4, 6, 8):  # free tags may leave the cell toward 0
             u = a * 4.0 ** (-i)
             yield np.where(ok(u), u, t0)
@@ -328,7 +331,7 @@ def _record(run, stat, value, fired):
     return fired
 
 
-def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None, bound=DIVERGENCE_BOUND):
+def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None):
     """The level loop of every run over Cousin partitions.
 
     ``eval_blocks(tags, blocks)`` returns one (N, m_b) array per block, with
@@ -343,10 +346,10 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None, bound=DIVERG
       - variational (``phis``, one interval map per block): the level value,
         also the effective residual, is sum_j d_H(Phi(I_j), |I_j| Gamma(t_j)),
         the worst over the level's tag sets (a sup over partitions).  A
-        block whose value passes ``bound`` freezes it, since later probes
-        could only raise it, and the probes end once every live block has
-        frozen.  This kind fixes left-first tags, rng salt 7702, and probes
-        that in free mode fall back to the nominal free tags.
+        block whose value passes DIVERGENCE_BOUND freezes it, since later
+        probes could only raise it, and the probes end once every live
+        block has frozen.  This kind fixes left-first tags, rng salt 7702,
+        and probes that in free mode fall back to the nominal free tags.
 
     Sums are per block, so a block's run is bit-identical to a one-block
     run.  A level's ``wall_ms`` is that of the whole shared level, recorded
@@ -391,7 +394,7 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None, bound=DIVERG
                     np.maximum(worst[k], np.abs(s), out=worst[k])
                     np.maximum(spread_cols[k], np.abs(s - nominal[k]), out=spread_cols[k])
             if variational:
-                active = [k for k in active if not worst[k] > bound]
+                active = [k for k in active if not worst[k] > DIVERGENCE_BOUND]
                 if not active:
                     break
         wall_ms = (time.perf_counter() - t0) * 1e3
@@ -402,7 +405,7 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None, bound=DIVERG
                 stat = LevelStat(level=n, n_items=len(P), residual=None,
                                  probe_spread=s - nominal[k], eff_residual=s, sum_norm=s,
                                  wall_ms=wall_ms)
-                fired = s > bound
+                fired = s > DIVERGENCE_BOUND
             else:
                 spread, value = spread_cols[k], nominal[k]
                 resid_cols = np.abs(value - run["nominals"][-1]) if run["nominals"] else None
@@ -416,7 +419,7 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None, bound=DIVERG
                     wall_ms=wall_ms,
                 )
                 run["eff_cols"].append(eff_cols)
-                run["fired_dirs"] |= worst[k] > bound
+                run["fired_dirs"] |= worst[k] > DIVERGENCE_BOUND
                 fired = run["fired_dirs"].any()
             if _record(run, stat, value, fired):
                 live.remove(k)
@@ -475,18 +478,15 @@ def henstock_integrate(mf, schedule, tol, seed=0):
     return _assemble("henstock", mf.name, mf.grid, tol, seed, schedule.describe(), run)
 
 
-def mcshane_integrate(mf, schedule, tol, seed=0, mode="plain"):
+def mcshane_integrate(mf, schedule, tol, seed=0):
     """McShane integral estimate: free tags over cousin_build cells.
 
-    mode="measurable" requires every schedule gauge to be piecewise (the
-    measurable-gauge variant); mode="plain" accepts any gauge.
+    The label follows the schedule's gauges: "mcshane-measurable" (flags.mode
+    "measurable", the measurable-gauge variant) when every gauge is
+    piecewise (schedule.measurable), "mcshane-plain" otherwise.  The sums
+    are the same either way.
     """
-    if mode not in ("plain", "measurable"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "measurable":
-        bad = [g.kind for g in schedule.levels if g.kind != "piecewise"]
-        if bad:
-            raise ValueError("measurable mode needs piecewise gauges at every level")
+    mode = "measurable" if schedule.measurable else "plain"
     [run] = _run_schedule(_one_block(mf.eval_support), (mf.grid.m,), schedule, seed,
                           "mcshane")
     return _assemble(f"mcshane-{mode}", mf.name, mf.grid, tol, seed, schedule.describe(),
@@ -565,11 +565,11 @@ def directional_profile(mf, schedule, tol, seed=0):
     return report
 
 
-def birkhoff_integrate(mf, part_specs, tol, trials=8, seed=0):
+def birkhoff_integrate(mf, part_specs, tol, seed=0):
     """Birkhoff integral over a refining chain of measurable partitions.
 
     Each level sums Gamma(t_r) lambda(A_r) over the level's pieces for
-    ``trials`` seeded tag draws plus one adversarial draw (per piece, the
+    eight seeded tag draws plus one adversarial draw (per piece, the
     candidate tag maximizing ||Gamma||, hunted on a geometric ladder toward
     the piece infimum); the level value is the trial farthest from the
     previous level's estimate.  The sup over all tag choices is finitely
@@ -593,7 +593,7 @@ def birkhoff_integrate(mf, part_specs, tol, trials=8, seed=0):
         lam = 1.0 / mp.n_pieces  # every piece has the same measure
         los, width = mp.left_edges(), mp.width  # (pieces, cells) left edges
         tag_sets = [los[:, 0] + width / 2.0]  # piece midpoints
-        for k in range(trials):
+        for k in range(_BIRKHOFF_TRIALS):
             tag_sets.append(_piece_random_tags(los, width,
                                                np.random.default_rng([seed, 40, n, k])))
         tag_sets.append(_piece_adversarial_tags(mf, los, width))
@@ -627,7 +627,7 @@ def birkhoff_integrate(mf, part_specs, tol, trials=8, seed=0):
     return _assemble("birkhoff", mf.name, mf.grid, tol, seed,
                      {"name": f"birkhoff-parts(L{len(parts)})", "levels": len(parts)}, run,
                      flags={"sup_approximate": True, "permutation_bit_exact": perm_ok,
-                            "trials": trials})
+                            "trials": _BIRKHOFF_TRIALS})
 
 
 def _piece_random_tags(los, width, rng):
@@ -688,13 +688,13 @@ def vh_check(mf, phi, schedule, mode="perron", tol=5e-2, seed=0):
     return report
 
 
-def variational_measure_estimate(phi, E, schedule, seed=0, restarts=16):
+def variational_measure_estimate(phi, E, schedule, seed=0):
     """Greedy Var(Phi, delta, E) estimates along the schedule.
 
     E is a finite union of intervals or a finite point set (dicts with
     "points" or "intervals", or a bare list of floats / (lo, hi) pairs).
     Per level, delta-fine Perron items tagged in E are packed greedily left
-    to right with seeded extent jitter, ``restarts`` times; the best packing
+    to right with seeded extent jitter, 16 times; the best packing
     is kept.  Estimates are a lower surrogate for the sup in Var and the
     sequence's last value a surrogate for the limit; flagged approximate.
     """
@@ -702,7 +702,7 @@ def variational_measure_estimate(phi, E, schedule, seed=0, restarts=16):
     estimates = []
     for n, gauge in enumerate(schedule.levels, start=1):
         best = 0.0
-        for r in range(restarts):
+        for r in range(_PACK_RESTARTS):
             rng = np.random.default_rng([seed, 55, n, r])
             best = max(best, _greedy_pack_value(phi, comps, gauge, rng))
         estimates.append(best)
@@ -711,7 +711,7 @@ def variational_measure_estimate(phi, E, schedule, seed=0, restarts=16):
         "estimates": estimates,
         "final": estimates[-1] if estimates else 0.0,
         "approximate": True,
-        "restarts": restarts,
+        "restarts": _PACK_RESTARTS,
         "seed": seed,
     }
 
@@ -740,7 +740,7 @@ def normalize_set(E):
     return sorted(comps)
 
 
-def _greedy_pack_value(phi, comps, gauge, rng, max_items=200_000):
+def _greedy_pack_value(phi, comps, gauge, rng):
     items_a, items_b = [], []
     cursor = 0.0
     for lo, hi in comps:
@@ -761,7 +761,7 @@ def _greedy_pack_value(phi, comps, gauge, rng, max_items=200_000):
                 cursor = R
             continue
         guard = 0
-        while t <= hi and guard < max_items:
+        while t <= hi and guard < _PACK_MAX_ITEMS:
             guard += 1
             dt = float(gauge(t))
             f = rng.uniform(0.8, 0.98)

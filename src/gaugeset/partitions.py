@@ -40,8 +40,9 @@ class Gauge:
     """Positive width function on [0, 1]; callable or piecewise-constant.
 
     Callable gauges wrap a vectorized ndarray -> ndarray function.  Piecewise
-    gauges are constant on a finite mesh of cells, each cell belonging to one
-    measurable piece (a finite union of intervals).
+    gauges (``kind == "piecewise"``) are constant on a finite mesh of cells,
+    so they are measurable; a schedule of them is a measurable-gauge
+    schedule (GaugeSchedule.measurable).
     """
 
     __slots__ = ("kind", "_fn", "_breaks", "_values", "name", "meta")
@@ -60,11 +61,8 @@ class Gauge:
             raise GaugeNotPositive(f"gauge {name or kind} is not positive at t={bad!r}")
 
     @staticmethod
-    def from_callable(fn, vectorized=True, name="", meta=None):
-        if not vectorized:
-            raw = fn
-            fn = lambda ts: np.asarray([raw(float(t)) for t in np.atleast_1d(ts)])
-        return Gauge("callable", fn=fn, name=name, meta=meta)
+    def from_callable(fn, name=""):
+        return Gauge("callable", fn=fn, name=name)
 
     @staticmethod
     def constant(c, name=None):
@@ -83,33 +81,6 @@ class Gauge:
             raise ValueError("breaks must increase from 0 to 1")
         return Gauge("piecewise", breaks=breaks, values=values, name=name, meta=meta)
 
-    @staticmethod
-    def piecewise(pieces, name="", meta=None):
-        """Gauge from [(intervals, delta)] with disjoint pieces covering [0,1].
-
-        Each piece is a list of (lo, hi) intervals sharing one constant width.
-        """
-        if not pieces:
-            raise ValueError("piecewise gauge needs at least one piece")
-        cells = []
-        for intervals, val in pieces:
-            for lo, hi in intervals:
-                if hi <= lo:
-                    raise ValueError(f"bad piece interval ({lo}, {hi})")
-                cells.append((float(lo), float(hi), float(val)))
-        cells.sort()
-        breaks = [0.0]
-        values = []
-        for lo, hi, val in cells:
-            if abs(lo - breaks[-1]) > 1e-12:
-                raise ValueError("pieces overlap or leave a gap")
-            breaks.append(hi)
-            values.append(val)
-        if abs(breaks[-1] - 1.0) > 1e-12:
-            raise ValueError("pieces do not cover [0, 1]")
-        breaks[-1] = 1.0
-        return Gauge.step(np.asarray(breaks), np.asarray(values), name=name, meta=meta)
-
     def __call__(self, ts):
         ts = np.asarray(ts, dtype=np.float64)
         scalar = ts.ndim == 0
@@ -121,13 +92,6 @@ class Gauge:
             j = np.clip(j, 0, len(self._values) - 1)
             out = self._values[j]
         return float(out[0]) if scalar else out
-
-    def describe(self):
-        d = {"kind": self.kind, "name": self.name}
-        if self.kind == "piecewise":
-            d["cells"] = len(self._values)
-        d.update(self.meta)
-        return d
 
 
 @dataclass(frozen=True)
@@ -184,10 +148,15 @@ class TaggedPartition:
         return len(self.a)
 
 
+def _window_fine(a, b, t, g):
+    """Cellwise: [a, b] lies inside the open window (t - delta(t), t + delta(t))."""
+    d = np.atleast_1d(g(t))
+    return (a > t - d) & (b < t + d)
+
+
 def is_delta_fine(P, g, require_perron=False):
     """True when every item satisfies I_i inside (t_i - delta, t_i + delta)."""
-    d = g(P.t)
-    fine = bool(np.all((P.a > P.t - d) & (P.b < P.t + d)))
+    fine = bool(np.all(_window_fine(P.a, P.b, P.t, g)))
     if require_perron:
         fine = fine and P.perron
     return fine

@@ -161,8 +161,8 @@ def test_criterion_05_integrator_coincidence(name, agree):
     sched_m = corpus.named_schedule("uniform-measurable", levels=12)
     reps = [
         henstock_integrate(spec, UNIFORM12, tol=tol, seed=0),
-        mcshane_integrate(spec, UNIFORM12, tol=tol, seed=0, mode="plain"),
-        mcshane_integrate(spec, sched_m, tol=tol, seed=0, mode="measurable"),
+        mcshane_integrate(spec, UNIFORM12, tol=tol, seed=0),
+        mcshane_integrate(spec, sched_m, tol=tol, seed=0),
         birkhoff_integrate(spec, PARTS14, tol=tol, seed=0),
     ]
     assert all(r.verdict == "converged" for r in reps)

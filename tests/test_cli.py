@@ -268,6 +268,9 @@ def test_config_levels_out_of_range_is_usage_error(runner, tmp_path, levels):
     ({"settings": {"method": "mcshane", "mode": "banana"}}, "settings.mode"),
     ({"output": "x"}, "output"),
     ({"settings": {"method": "birkhoff", "schedule": "nope"}}, "settings.schedule"),
+    ({"settings": {"tols": 5}}, "settings.tols"),
+    ({"command": "decompose"}, "command"),
+    ({"params": {"a": 3}}, "params"),
 ])
 def test_config_value_is_usage_error(runner, tmp_path, cfg, name):
     path = tmp_path / "cfg.json"

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from gaugeset import corpus
+from gaugeset.cli import main
 from gaugeset.convex_sets import DirectionGrid, hausdorff, make_interval
 from gaugeset.corpus import SIN_1
 from gaugeset.decomposition import Selection, singleton_of
@@ -119,20 +121,34 @@ def test_mcshane_g2_converges_free_tags():
     assert rep.method == "mcshane-plain"
 
 
-def test_mcshane_measurable_mode_needs_piecewise():
-    with pytest.raises(ValueError):
-        mcshane_integrate(corpus.corpus_get("G2"), UNIFORM12, tol=1e-4,
-                          mode="measurable")
+def test_mcshane_mode_follows_schedule(tmp_path):
+    g2 = corpus.corpus_get("G2")
+    rep = mcshane_integrate(g2, UNIFORM12, tol=1e-4, seed=0)
+    assert (rep.method, rep.flags["mode"]) == ("mcshane-plain", "plain")
+
     sched = corpus.named_schedule("uniform-measurable", levels=10)
-    rep = mcshane_integrate(corpus.corpus_get("G2"), sched, tol=1e-3,
-                            seed=0, mode="measurable")
+    assert sched.measurable
+    rep = mcshane_integrate(g2, sched, tol=1e-3, seed=0)
+    assert (rep.method, rep.flags["mode"]) == ("mcshane-measurable", "measurable")
     assert rep.verdict == "converged"
 
+    # a callable last level makes the whole schedule plain
+    steps = tuple(Gauge.step([0.0, 1.0], [0.25 / 2.0 ** n]) for n in (1, 2))
+    mixed = GaugeSchedule(steps + (Gauge.constant(0.25 / 8.0),))
+    assert not mixed.measurable
+    rep = mcshane_integrate(corpus.corpus_get("G6"), mixed, tol=1e-4, seed=0)
+    assert (rep.method, rep.flags["mode"]) == ("mcshane-plain", "plain")
 
-def test_mcshane_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        mcshane_integrate(corpus.corpus_get("G2"), UNIFORM12, tol=1e-4,
-                          mode="weird")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "settings": {
+        "method": "mcshane", "schedule": "uniform-measurable", "levels": 4}}))
+    res = CliRunner().invoke(main, ["integrate", "G6", "--config", str(cfg),
+                                    "--out", str(tmp_path), "--deterministic"])
+    assert res.exit_code == 0, res.output
+    with open(tmp_path / "integrate-G6-mcshane-s0.json") as fh:
+        out = json.load(fh)
+    assert (out["method"], out["flags"]["mode"]) == ("mcshane-measurable", "measurable")
+    assert out["schedule"] == {"name": "measurable-uniform(0.25,L4)", "levels": 4}
 
 
 @pytest.fixture(scope="module")
