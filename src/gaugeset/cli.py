@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import corpus as corpus_mod
 from . import decomposition as dec
@@ -48,8 +49,13 @@ def _entry(name, params=None):
         raise click.ClickException(str(e))
 
 
+def _given(name):
+    """True when option ``name`` was set on the command line, where it beats a RunConfig."""
+    return click.get_current_context().get_parameter_source(name) is ParameterSource.COMMANDLINE
+
+
 def _resolve_seed(seed, settings=None):
-    """GAUGESET_SEED, else ``settings.seed``, else ``--seed``: an integer >= 0."""
+    """GAUGESET_SEED, else ``settings.seed``, else ``seed``: an integer >= 0."""
     env = os.environ.get("GAUGESET_SEED")
     if env is not None:
         source, value = "GAUGESET_SEED", env
@@ -174,16 +180,24 @@ def main():
 @click.option("--config", "config_path", default=None, help="RunConfig JSON (schema 1).")
 @click.option("--deterministic", is_flag=True, help="Zero wall times for byte-identical reruns.")
 def integrate(entry, method, tol, levels, seed, out_dir, config_path, deterministic):
-    """Integrate ENTRY with one notion and match the verdict to its flag."""
+    """Integrate ENTRY with one notion and match the verdict to its flag.
+
+    Precedence: GAUGESET_SEED, then flags given on the command line, then
+    the RunConfig, then the entry's recommendations and the defaults.
+    """
     cfg = _load_config(config_path) if config_path else {}
     settings = cfg.get("settings", {})
-    entry = cfg.get("entry", entry)
-    method = settings.get("method", method)
-    if not (isinstance(method, str) and method in _METHODS):
+    if cfg.get("entry", entry) != entry:
         raise click.ClickException(
-            f'"settings.method" must be one of {sorted(_METHODS)}, got {method!r}')
-    seed = _resolve_seed(seed, settings)
-    out_dir = cfg.get("output", {}).get("dir", out_dir)
+            f'config "entry" {cfg["entry"]!r} differs from ENTRY {entry!r}')
+    if not _given("method"):
+        method = settings.get("method", method)
+        if not (isinstance(method, str) and method in _METHODS):
+            raise click.ClickException(
+                f'"settings.method" must be one of {sorted(_METHODS)}, got {method!r}')
+    seed = _resolve_seed(seed, {} if _given("seed") else settings)
+    if not _given("out_dir"):
+        out_dir = cfg.get("output", {}).get("dir", out_dir)
     spec = _entry(entry, cfg.get("params"))
     tol = _tol_for(spec, method, tol, settings)
     sched = _schedule_for(spec, method, levels, settings)

@@ -40,25 +40,38 @@ SIN_1 = math.sin(1.0)
 _CLAMP = 1e-8
 
 
+def _clamped(fn, ts):
+    """fn at the tags above 1e-8 and 0 at the rest.
+
+    fn runs on a contiguous array either way: on ts itself when every tag is
+    above the clamp, else on the gathered tags that are.
+    """
+    ts = np.asarray(ts, dtype=np.float64)
+    mask = ts > _CLAMP
+    if ts.flags.c_contiguous and mask.all():
+        return np.asarray(fn(ts))
+    out = np.zeros_like(ts)
+    out[mask] = fn(ts[mask])
+    return out
+
+
+def _f(t):
+    return t * t * np.sin(t ** -2.0)
+
+
+def _f_prime(t):
+    inv2 = t ** -2.0
+    return 2.0 * t * np.sin(inv2) - (2.0 / t) * np.cos(inv2)
+
+
 def F(ts):
     """t^2 sin(t^-2), clamped to 0 for t <= 1e-8."""
-    ts = np.asarray(ts, dtype=np.float64)
-    out = np.zeros_like(ts)
-    mask = ts > _CLAMP
-    t = ts[mask]
-    out[mask] = t * t * np.sin(t ** -2.0)
-    return out
+    return _clamped(_f, ts)
 
 
 def F_prime(ts):
     """2t sin(t^-2) - (2/t) cos(t^-2), with F'(0) = 0 and the same clamp."""
-    ts = np.asarray(ts, dtype=np.float64)
-    out = np.zeros_like(ts)
-    mask = ts > _CLAMP
-    t = ts[mask]
-    inv2 = t ** -2.0
-    out[mask] = 2.0 * t * np.sin(inv2) - (2.0 / t) * np.cos(inv2)
-    return out
+    return _clamped(_f_prime, ts)
 
 
 def abs_F_prime(ts):
@@ -111,7 +124,10 @@ _CIRCLE = DirectionGrid.circle(64)
 
 def _g1_eval(ts):
     fp = F_prime(ts)
-    return np.column_stack([-fp, fp + 1.0])
+    out = np.empty((fp.shape[0], 2))
+    np.negative(fp, out=out[:, 0])
+    np.add(fp, 1.0, out=out[:, 1])
+    return out
 
 
 def _g2_eval(ts):
@@ -121,7 +137,10 @@ def _g2_eval(ts):
 
 def _g3_eval(ts):
     fp = F_prime(ts)
-    return np.column_stack([np.maximum(0.0, -fp), np.maximum(0.0, fp)])
+    out = np.empty((fp.shape[0], 2))
+    out[:, 0] = np.maximum(0.0, -fp)
+    out[:, 1] = np.maximum(0.0, fp)
+    return out
 
 
 def _g4_eval(ts):
@@ -131,7 +150,10 @@ def _g4_eval(ts):
 
 def _g5_eval(ts):
     fp = F_prime(ts)
-    return np.column_stack([-fp, fp])
+    out = np.empty((fp.shape[0], 2))
+    np.negative(fp, out=out[:, 0])
+    out[:, 1] = fp
+    return out
 
 
 def _g6_eval(ts):

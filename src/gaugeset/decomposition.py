@@ -29,6 +29,7 @@ from .errors import NotASelection
 from .corpus import named_parts, named_schedule, recommendation, recommended_schedule
 from .integrators import (
     _built_primitives,
+    _fsum,
     _vh_pass,
     birkhoff_integrate,
     henstock_with_selection,
@@ -398,8 +399,8 @@ def riemann_measurability_probe(f, F_set, delta, trials=12, eps=0.05, seed=0):
         widths = b_list - a_list
         diffs = (f(t_hi) - f(t_lo)).astype(np.float64)
         terms = diffs * widths
-        plain = abs(math.fsum(terms.tolist()))
-        strong = math.fsum(np.abs(terms).tolist())
+        plain = abs(_fsum(terms))
+        strong = _fsum(np.abs(terms))
         if strong > strong_max:
             j = int(np.argmax(np.abs(terms)))
             worst = {"interval": (float(a_list[j]), float(b_list[j])),

@@ -25,10 +25,11 @@ A run converges when the last effective residual is below tol and the last
 three never bounce back above tol; it diverges when the bound fires or the
 growth rule holds; otherwise it is inconclusive.
 
-Nominal sums are accumulated with math.fsum (exactly rounded, hence
-permutation invariant - constants integrate to themselves bit-exactly and
-Birkhoff sums are order-independent by construction); probe sums use a
-deterministic pairwise tree reduction.
+Nominal sums, Birkhoff sums and variational gap sums are exactly rounded
+(_fsum_columns: math.fsum's value bit for bit, by error-free extraction
+over whole arrays), hence permutation invariant - constants integrate to
+themselves bit-exactly and Birkhoff sums are order-independent by
+construction; probe sums use a deterministic pairwise tree reduction.
 
 Two level loops exist.  _run_schedule runs every method over Cousin
 partitions: Henstock, McShane, scalar, directional and variational.  It
@@ -142,21 +143,98 @@ def origin_schedule(h0, h_factor, c0, c_factor, levels=DEFAULT_LEVELS, name="ori
 
 # -- exact summation helpers -------------------------------------------------
 
+_SUM_BLOCK = 1 << 16  # elements per extraction block, so its passes stay in cache
+_SUM_LIMIT_EXP = 1000  # columns reaching 2^(1000 - k), inf or nan keep math.fsum
+_NARROW_ROW = 8  # rows of fewer float64s than a 64-byte cache line are reduced column-major
+
+
 def _fsum_columns(terms):
-    """Exactly rounded per-column sums (permutation invariant)."""
-    t = np.ascontiguousarray(terms, dtype=np.float64)
-    return np.array([math.fsum(t[:, k].tolist()) for k in range(t.shape[1])])
+    """math.fsum of each column of an (N, m) array, bit for bit.
+
+    Error-free extraction (Rump, Ogita and Oishi 2008).  In a block of at
+    most n rows with |x| < 2^e and 2^k >= 2n, q = (x + s) - s with
+    s = 2^(e+k) is a multiple of 2^(e+k-53) with |q| <= 2^e, so every
+    partial sum of q is exact and the block's column sums of q may be taken
+    in any order (here one matrix-vector product).  x - q is exact too and
+    below 2^(e+k-53), so repeating on it until nothing is left splits each
+    column into a few exact pass totals, and math.fsum of those is the
+    correctly rounded column sum: math.fsum's value, independent of the row
+    order.  A column holding inf, nan or |x| >= 2^(1000-k) is summed by
+    math.fsum itself, so it gives the same value or raises the same error.
+    """
+    x = np.ascontiguousarray(terms, dtype=np.float64)
+    n, m = x.shape
+    out = np.zeros(m)
+    if n == 0 or m == 0:
+        return out
+    rows = min(n, max(1, _SUM_BLOCK // m))
+    k = (2 * rows - 1).bit_length()
+    limit = math.ldexp(1.0, _SUM_LIMIT_EXP - k)
+    ok = slice(None)
+    if not (x.max() < limit and -x.min() < limit):  # nan compares False
+        ok = np.abs(x).max(axis=0) < limit
+        for j in np.flatnonzero(~ok):
+            out[j] = math.fsum(x[:, j].tolist())
+        if not ok.any():
+            return out
+        x = x[:, ok]
+    ones = np.ones(rows)
+    q_buf, r_buf = np.empty((rows, x.shape[1])), np.empty((rows, x.shape[1]))
+    totals = []
+    for lo in range(0, n, rows):
+        src = x[lo:lo + rows]
+        b = len(src)
+        q, r = q_buf[:b], r_buf[:b]
+        big = max(src.max(), -src.min())
+        while big:
+            s = math.ldexp(1.0, math.frexp(big)[1] + k)
+            np.add(src, s, out=q)
+            q -= s
+            totals.append(ones[:b] @ q)
+            src = np.subtract(src, q, out=r)
+            big = max(r.max(), -r.min())
+    if totals:
+        out[ok] = [math.fsum(col) for col in np.array(totals).T.tolist()]
+    return out
+
+
+def _fsum(values):
+    """math.fsum of a 1-D array, bit for bit (see _fsum_columns)."""
+    return float(_fsum_columns(np.reshape(values, (-1, 1)))[0])
 
 
 def _tree_sum_columns(terms):
-    """Deterministic pairwise reduction; order error below 1e-15 per value."""
-    x = np.ascontiguousarray(terms, dtype=np.float64)
-    while x.shape[0] > 1:
-        if x.shape[0] % 2:
-            x = np.vstack([x[:-1:2] + x[1::2], x[-1:]])
-        else:
-            x = x[::2] + x[1::2]
-    return x[0]
+    """Deterministic pairwise reduction; order error below 1e-15 per value.
+
+    Each step adds rows 2i and 2i + 1 into row i and carries an odd last
+    row, through two reused buffers.  Rows narrower than a cache line are
+    reduced column-major, where each add runs along a column.
+    """
+    order = "F" if terms.shape[1] < _NARROW_ROW else "C"
+    x = np.asarray(terms, dtype=np.float64, order=order)
+    n, m = x.shape
+    half = (n + 1) // 2
+    bufs = np.empty((half, m), order=order), np.empty(((half + 1) // 2, m), order=order)
+    i = 0
+    while n > 1:
+        h = n // 2
+        dst = bufs[i][:n - h]
+        np.add(x[0:2 * h:2], x[1:2 * h:2], out=dst[:h])
+        if n % 2:
+            dst[h] = x[n - 1]
+        x, n, i = dst, n - h, 1 - i
+    return x[0].copy()
+
+
+def _row_max(a):
+    """np.max(a, axis=1) of a nonnegative (or nan) array, by pairwise column halves."""
+    while a.shape[1] > 1:
+        h = a.shape[1] // 2
+        b = np.maximum(a[:, :h], a[:, h:2 * h])
+        if a.shape[1] % 2:
+            np.maximum(b[:, :1], a[:, 2 * h:], out=b[:, :1])
+        a = b
+    return a[:, 0]
 
 
 # -- reports -----------------------------------------------------------------
@@ -378,8 +456,11 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None):
             terms = {k: vals[k] * w for k in blocks}
             del vals
             if variational:
-                return {k: math.fsum(np.max(np.abs(cells[k] - terms.pop(k)), axis=1).tolist())
-                        for k in blocks}
+                gaps = {}
+                for k in blocks:
+                    d = cells[k] - terms.pop(k)
+                    gaps[k] = _fsum(_row_max(np.abs(d, out=d)))
+                return gaps
             return {k: sum_columns(terms.pop(k)) for k in blocks}
 
         nominal = block_sums(tags, live, _fsum_columns)
@@ -612,7 +693,7 @@ def birkhoff_integrate(mf, part_specs, tol, seed=0):
             eff_residual=spread if residual is None else max(residual, spread),
             sum_norm=float(np.max(np.abs(nominal))),
             wall_ms=(time.perf_counter() - t0) * 1e3)
-        # unconditionality: exact because fsum is exactly rounded
+        # unconditionality: exact because _fsum_columns rounds each exact column sum once
         n_perms = 8 if terms.size <= (1 << 18) else 2
         for k in range(n_perms):
             perm = np.random.default_rng([seed, 41, n, k]).permutation(len(terms))
@@ -785,8 +866,7 @@ def _greedy_pack_value(phi, comps, gauge, rng):
     if not items_a:
         return 0.0
     V = phi.query_batch(np.asarray(items_a), np.asarray(items_b))
-    norms = np.max(np.abs(V), axis=1)
-    return float(math.fsum(norms.tolist()))
+    return _fsum(_row_max(np.abs(V)))
 
 
 def _built_primitives(eval_blocks, grid, gauge, blocks):

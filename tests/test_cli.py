@@ -104,9 +104,44 @@ def test_config_overrides_entry_and_settings(runner, tmp_path):
         "settings": {"method": "henstock", "levels": 6, "seed": 4},
         "output": {"dir": str(tmp_path / "sub")},
     }))
-    res = runner.invoke(main, ["integrate", "G2", "--config", str(cfg)])
+    res = runner.invoke(main, ["integrate", "G6", "--config", str(cfg)])
     assert res.exit_code == 0, res.output
     assert (tmp_path / "sub" / "integrate-G6-henstock-s4.json").exists()
+
+
+def _flags_and_config(tmp_path, entry):
+    """integrate G2 with four flags against a config that sets each of them too."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema": 1, "entry": entry,
+        "settings": {"method": "henstock", "levels": 2, "seed": 4},
+        "output": {"dir": str(tmp_path / "cfg-out")},
+    }))
+    return ["integrate", "G2", "--method", "mcshane", "--levels", "3", "--seed", "1",
+            "--config", str(cfg), "--out", str(tmp_path / "flag-out"), "--deterministic"]
+
+
+def test_config_entry_differing_from_entry_is_usage_error(runner, tmp_path):
+    res = runner.invoke(main, _flags_and_config(tmp_path, "G6"))
+    assert res.exit_code == 1, res.output
+    assert "'G6'" in res.output and "'G2'" in res.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_command_line_flags_beat_config(runner, tmp_path):
+    res = runner.invoke(main, _flags_and_config(tmp_path, "G2"))
+    assert res.exit_code == 3, res.output  # three uniform levels do not settle G2 to 1e-3
+    assert not (tmp_path / "cfg-out").exists()
+    report = json.loads((tmp_path / "flag-out" / "integrate-G2-mcshane-s1.json").read_text())
+    assert (report["method"], report["seed"]) == ("mcshane-plain", 1)
+    assert report["schedule"]["levels"] == 3
+
+
+def test_env_seed_beats_flag_and_config(runner, tmp_path, monkeypatch):
+    monkeypatch.setenv("GAUGESET_SEED", "7")
+    res = runner.invoke(main, _flags_and_config(tmp_path, "G2"))
+    assert res.exit_code == 3, res.output  # three uniform levels do not settle G2 to 1e-3
+    assert (tmp_path / "flag-out" / "integrate-G2-mcshane-s7.json").exists()
 
 
 def test_env_seed_override(runner, tmp_path, monkeypatch):
