@@ -100,7 +100,7 @@ def test_tree_sum_columns_matches_first_pairing(n, m):
         _tree_oracle(x).view(np.int64).tolist()
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 5, 64])
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 31, 32, 64])
 def test_row_max_matches_np_max(m):
     a = np.abs(np.random.default_rng(m).normal(size=(999, m)))
     a[::7, m // 2] = np.nan
