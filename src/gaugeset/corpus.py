@@ -145,7 +145,7 @@ def _g3_eval(ts):
 
 def _g4_eval(ts):
     ts = np.asarray(ts, dtype=np.float64)
-    return np.broadcast_to(ts[:, None], (ts.shape[0], _CIRCLE.m)).copy()
+    return np.broadcast_to(ts[:, None], (ts.shape[0], _CIRCLE.m))  # read-only view
 
 
 def _g5_eval(ts):

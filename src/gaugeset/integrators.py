@@ -72,6 +72,8 @@ _GROWTH_EPS = 1e-9
 _BIRKHOFF_TRIALS = 8  # seeded tag draws per Birkhoff level
 _PACK_RESTARTS = 16  # greedy packings per variational-measure level
 _PACK_MAX_ITEMS = 200_000  # loop guard of one greedy packing component
+_PACK_DRAW_BLOCK = 512  # uniform doubles a packing draws ahead at a time
+_PACK_STEP_CHUNK = 1024  # packing steps whose kept items are joined into one array
 CSV_HEADER = "level,residual,max_dir_residual,wall_ms"
 
 
@@ -783,18 +785,19 @@ def variational_measure_estimate(phi, E, schedule, seed=0):
     E is a finite union of intervals or a finite point set (dicts with
     "points" or "intervals", or a bare list of floats / (lo, hi) pairs).
     Per level, delta-fine Perron items tagged in E are packed greedily left
-    to right with seeded extent jitter, 16 times; the best packing
-    is kept.  Estimates are a lower surrogate for the sup in Var and the
-    sequence's last value a surrogate for the limit; flagged approximate.
+    to right with seeded extent jitter, 16 times; the best packing is kept.
+    The 16 restarts run in lockstep (_pack_values), and restart r reads
+    default_rng([seed, 55, n, r]) in the order of its own scalar walk, so
+    each packing, and the level's estimate, is the one the restarts give
+    run one after another.  Estimates are a lower surrogate for the sup in
+    Var and the sequence's last value a surrogate for the limit; flagged
+    approximate.
     """
     comps = normalize_set(E)
     estimates = []
     for n, gauge in enumerate(schedule.levels, start=1):
-        best = 0.0
-        for r in range(_PACK_RESTARTS):
-            rng = np.random.default_rng([seed, 55, n, r])
-            best = max(best, _greedy_pack_value(phi, comps, gauge, rng))
-        estimates.append(best)
+        rngs = [np.random.default_rng([seed, 55, n, r]) for r in range(_PACK_RESTARTS)]
+        estimates.append(max(0.0, *_pack_values(phi, comps, gauge, rngs)))
     return {
         "set": [(float(lo), float(hi)) for lo, hi in comps],
         "estimates": estimates,
@@ -829,52 +832,106 @@ def normalize_set(E):
     return sorted(comps)
 
 
-def _greedy_pack_value(phi, comps, gauge, rng):
-    items_a, items_b = [], []
-    cursor = 0.0
-    for lo, hi in comps:
-        t = max(lo, cursor)
-        if t > hi and lo < hi:
-            continue
-        if lo == hi:  # single admissible tag
-            if lo < cursor:
-                continue
-            t = lo
-            dt = float(gauge(t))
-            f = rng.uniform(0.8, 0.98)
-            L = max(cursor, t - f * dt)
-            R = min(1.0, t + f * dt)
-            if R > L:
-                items_a.append(L)
-                items_b.append(R)
-                cursor = R
-            continue
-        guard = 0
-        while t <= hi and guard < _PACK_MAX_ITEMS:
-            guard += 1
-            dt = float(gauge(t))
-            f = rng.uniform(0.8, 0.98)
-            L = max(cursor, t - f * dt)
-            R = min(1.0, t + f * dt)
-            if R <= L:
-                t = min(hi, t + max(dt, 1e-12))
-                if t >= hi:
+class _Draws:
+    """Uniform draws of several packings, each from its own rng, read ahead.
+
+    lo + (hi - lo) * u with u from rng.random is rng.uniform(lo, hi) bit for
+    bit, and each rng serves one packing, so drawing a block ahead changes
+    no value a packing reads.
+    """
+
+    def __init__(self, rngs):
+        self._rngs = rngs
+        self._buf = np.stack([rng.random(_PACK_DRAW_BLOCK) for rng in rngs])
+        self._pos = np.zeros(len(rngs), dtype=np.intp)
+
+    def uniform(self, lanes, lo, hi):
+        """The next draw of each packing in ``lanes``, mapped to [lo, hi)."""
+        pos = self._pos[lanes]
+        u = self._buf[lanes, pos]
+        pos += 1
+        self._pos[lanes] = pos
+        for r in lanes[pos == _PACK_DRAW_BLOCK]:
+            self._buf[r] = self._rngs[r].random(_PACK_DRAW_BLOCK)
+            self._pos[r] = 0
+        return lo + (hi - lo) * u
+
+
+def _pack_values(phi, comps, gauge, rngs):
+    """Values of the greedy packings of comps, one per rng ("lane").
+
+    A lane walks the components left to right with a cursor from 0.  It
+    enters [lo, hi] at t = max(lo, cursor), or skips it when t > hi.  Each
+    step draws f ~ U(0.8, 0.98) and proposes the item [max(cursor,
+    t - f dt), min(1, t + f dt)] with dt = gauge(t).  An empty item moves t
+    on by max(dt, 1e-12); a kept one moves the cursor to its right end and
+    t to cursor + gauge(cursor) * U(0.5, 0.9), both capped at hi.  The lane
+    leaves the component when t reaches hi, an item reaches hi, t does not
+    advance, or after _PACK_MAX_ITEMS steps.  All live lanes take each step
+    together: one gauge call on their tags and one on their new cursors.
+    A lane's value is the sum of d_H(Phi(I), 0) over its items.
+    """
+    n_lanes = len(rngs)
+    # a sentinel component past the last one: no cursor skips it, and a
+    # lane that enters it is finished
+    los = np.array([lo for lo, _ in comps] + [0.0])
+    his = np.array([hi for _, hi in comps] + [np.inf])
+    draws = _Draws(rngs)
+    lane = np.arange(n_lanes)
+    comp = np.full(n_lanes, -1)
+    cursor, t, hi = np.zeros(n_lanes), np.zeros(n_lanes), np.zeros(n_lanes)
+    guard = np.zeros(n_lanes, dtype=np.intp)
+    leave = np.ones(n_lanes, dtype=bool)
+    chunks, items = [], []  # (lanes, L, R) of each step's kept items
+    while True:
+        idx = leave.nonzero()[0]
+        if len(idx):
+            c = comp[idx] + 1
+            while True:
+                skip = cursor[idx] > his[c]
+                if not np.count_nonzero(skip):
                     break
-                continue
-            items_a.append(L)
-            items_b.append(R)
-            cursor = R
-            if R >= hi:
-                break
-            step = float(gauge(cursor)) * rng.uniform(0.5, 0.9)
-            t_next = min(hi, cursor + step)
-            if t_next <= t:
-                break
-            t = t_next
-    if not items_a:
-        return 0.0
-    V = phi.query_batch(np.asarray(items_a), np.asarray(items_b))
-    return _fsum(_row_max(np.abs(V)))
+                c += skip
+            comp[idx], hi[idx], guard[idx] = c, his[c], 0
+            t[idx] = np.maximum(los[c], cursor[idx])
+            live = comp < len(comps)
+            if np.count_nonzero(live) < len(lane):
+                lane, comp, cursor, t, hi, guard = (
+                    x[live] for x in (lane, comp, cursor, t, hi, guard))
+                if not len(lane):
+                    break
+        dt = gauge(t)
+        fdt = draws.uniform(lane, 0.8, 0.98) * dt
+        guard += 1
+        L = np.maximum(cursor, t - fdt)
+        R = np.minimum(1.0, t + fdt)
+        kept = R > L
+        items.append((lane[kept], L[kept], R[kept]))
+        if len(items) == _PACK_STEP_CHUNK:
+            chunks.append(tuple(map(np.concatenate, zip(*items))))
+            items = []
+        np.copyto(cursor, R, where=kept)
+        t_new = np.minimum(hi, t + np.maximum(dt, 1e-12))
+        leave = np.where(kept, R >= hi, t_new >= hi)
+        step = (kept & ~leave).nonzero()[0]
+        if len(step):
+            gap = gauge(cursor[step]) * draws.uniform(lane[step], 0.5, 0.9)
+            t_new[step] = np.minimum(hi[step], cursor[step] + gap)
+            leave[step] = t_new[step] <= t[step]
+        t = t_new
+        leave |= guard >= _PACK_MAX_ITEMS
+    if not chunks and not items:
+        return [0.0] * n_lanes
+    owner, a, b = map(np.concatenate, zip(*chunks, *items))
+    order = np.argsort(owner, kind="stable")  # a lane's items in walk order
+    ends = np.cumsum(np.bincount(owner, minlength=n_lanes))
+    values, start = [], 0
+    for end in ends:
+        sel = order[start:end]
+        values.append(_fsum(_row_max(np.abs(phi.query_batch(a[sel], b[sel]))))
+                      if len(sel) else 0.0)
+        start = end
+    return values
 
 
 def _built_primitives(eval_blocks, grid, gauge, blocks):

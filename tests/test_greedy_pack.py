@@ -1,0 +1,163 @@
+"""variational_measure_estimate against the scalar greedy packing, bit for bit.
+
+The oracle below is the restart loop that packed one item per Python step:
+each of the 16 restarts of a level walks the set alone, with its own
+default_rng([seed, 55, n, r]) and one gauge call per tag.  The library runs
+the restarts in lockstep, so every estimate must equal the oracle's exactly.
+"""
+
+import numpy as np
+import pytest
+
+from gaugeset import corpus
+from gaugeset import integrators as it
+from gaugeset.integrators import GaugeSchedule, normalize_set, variational_measure_estimate
+from gaugeset.partitions import Gauge
+
+
+def _greedy_pack_value(phi, comps, gauge, rng):
+    items_a, items_b = [], []
+    cursor = 0.0
+    for lo, hi in comps:
+        t = max(lo, cursor)
+        if t > hi and lo < hi:
+            continue
+        if lo == hi:  # single admissible tag
+            if lo < cursor:
+                continue
+            t = lo
+            dt = float(gauge(t))
+            f = rng.uniform(0.8, 0.98)
+            L = max(cursor, t - f * dt)
+            R = min(1.0, t + f * dt)
+            if R > L:
+                items_a.append(L)
+                items_b.append(R)
+                cursor = R
+            continue
+        guard = 0
+        while t <= hi and guard < it._PACK_MAX_ITEMS:
+            guard += 1
+            dt = float(gauge(t))
+            f = rng.uniform(0.8, 0.98)
+            L = max(cursor, t - f * dt)
+            R = min(1.0, t + f * dt)
+            if R <= L:
+                t = min(hi, t + max(dt, 1e-12))
+                if t >= hi:
+                    break
+                continue
+            items_a.append(L)
+            items_b.append(R)
+            cursor = R
+            if R >= hi:
+                break
+            step = float(gauge(cursor)) * rng.uniform(0.5, 0.9)
+            t_next = min(hi, cursor + step)
+            if t_next <= t:
+                break
+            t = t_next
+    if not items_a:
+        return 0.0
+    V = phi.query_batch(np.asarray(items_a), np.asarray(items_b))
+    return it._fsum(it._row_max(np.abs(V)))
+
+
+def oracle_estimates(phi, E, schedule, seed):
+    comps = normalize_set(E)
+    estimates = []
+    for n, gauge in enumerate(schedule.levels, start=1):
+        best = 0.0
+        for r in range(it._PACK_RESTARTS):
+            rng = np.random.default_rng([seed, 55, n, r])
+            best = max(best, _greedy_pack_value(phi, comps, gauge, rng))
+        estimates.append(best)
+    return estimates
+
+
+def _phi(entry):
+    return corpus.corpus_get(entry).exact_primitive()
+
+
+SETS = {
+    "points": {"points": [0.0, 0.25, 0.5, 0.75, 1.0]},
+    "close-points": [0.3, 0.3 + 1e-3, 0.3 + 2e-3, 0.9],
+    "interval": (0.25, 0.75),
+    "whole": (0.0, 1.0),
+    "mixed": [0.1, (0.2, 0.4), 0.45, (0.6, 0.65), 1.0],
+    # after clipping these touch, overlap or nest, and a point sits inside
+    "overlapping": {"intervals": [(-0.5, 0.2), (0.1, 0.3), (0.3, 0.5), (0.35, 0.4),
+                                  (0.9, 1.7)],
+                    "points": [0.05, 0.3, 1.0]},
+    "outside": [1.5, (-0.5, -0.2), (1.1, 2.0)],
+}
+
+
+@pytest.mark.parametrize("set_name", sorted(SETS))
+@pytest.mark.parametrize("entry, sched_id, levels, seed", [
+    ("G6", "uniform", 5, 0), ("G2", "uniform", 5, 3),
+    ("G1", "vh-origin", 2, 0), ("G4", "vh-origin", 2, 5),
+])
+def test_estimates_equal_scalar_oracle(entry, sched_id, levels, seed, set_name):
+    phi, E = _phi(entry), SETS[set_name]
+    sched = corpus.named_schedule(sched_id, levels=levels)
+    got = variational_measure_estimate(phi, E, sched, seed=seed)["estimates"]
+    assert got == oracle_estimates(phi, E, sched, seed)
+
+
+def test_tiny_gauge_takes_the_empty_item_path(monkeypatch):
+    # at 1e-17, t +- f dt rounds to t away from 0: items come out empty and t
+    # moves on by 1e-12, so the guard ends the interval components
+    monkeypatch.setattr(it, "_PACK_MAX_ITEMS", 50)
+    sched = GaugeSchedule((Gauge.constant(1e-17),))
+    phi = _phi("G2")
+    for E in ([0.5, (0.6, 0.6 + 1e-10), (0.0, 0.3)], (0.25, 0.75), [0.0, 0.5]):
+        got = variational_measure_estimate(phi, E, sched, seed=1)["estimates"]
+        assert got == oracle_estimates(phi, E, sched, 1)
+
+
+@pytest.mark.parametrize("E", [
+    # empty items move t by 1e-12: the guard ends the first component, or t
+    # reaches its end after 20 steps; either way the draws it took shift
+    # every item of the next one
+    [(0.45, 0.45 + 1e-10), (0.7, 0.9)],
+    [(0.45, 0.45 + 2e-11), (0.7, 0.9)],
+    # at t = 0.5, t + f dt rounds to t but t - f dt does not: the item
+    # [0.5 - ulp/2, 0.5] is kept, the next tag rounds back to 0.5, and the
+    # component ends because t did not advance
+    [(0.5, 0.55), (0.7, 0.9)],
+])
+def test_rounding_paths_alike(monkeypatch, E):
+    monkeypatch.setattr(it, "_PACK_MAX_ITEMS", 50)
+    # f dt is below half an ulp of t on [0.4, 0.48) and between half an ulp
+    # and one ulp below 0.5 on [0.48, 0.6)
+    tiny = Gauge.step([0.0, 0.4, 0.48, 0.6, 1.0], [0.01, 1e-17, 5e-17, 0.01])
+    sched = GaugeSchedule((tiny,))
+    phi = _phi("G2")
+    got = variational_measure_estimate(phi, E, sched, seed=6)["estimates"]
+    assert got == oracle_estimates(phi, E, sched, 6)
+
+
+@pytest.mark.parametrize("max_items", [1, 3, 40])
+def test_guard_fires_alike(monkeypatch, max_items):
+    monkeypatch.setattr(it, "_PACK_MAX_ITEMS", max_items)
+    phi, E = _phi("G2"), SETS["mixed"]
+    sched = corpus.named_schedule("uniform", levels=6)
+    got = variational_measure_estimate(phi, E, sched, seed=2)["estimates"]
+    assert got == oracle_estimates(phi, E, sched, 2)
+
+
+def test_draw_blocks_refill_alike(monkeypatch):
+    # blocks far shorter than a packing's draws refill many times per level
+    monkeypatch.setattr(it, "_PACK_DRAW_BLOCK", 3)
+    monkeypatch.setattr(it, "_PACK_STEP_CHUNK", 2)
+    phi, E = _phi("G4"), SETS["mixed"]
+    sched = corpus.named_schedule("uniform", levels=5)
+    got = variational_measure_estimate(phi, E, sched, seed=4)["estimates"]
+    assert got == oracle_estimates(phi, E, sched, 4)
+
+
+def test_empty_set_gives_zero_estimates():
+    sched = corpus.named_schedule("uniform", levels=2)
+    vm = variational_measure_estimate(_phi("G6"), SETS["outside"], sched, seed=0)
+    assert vm["set"] == [] and vm["estimates"] == [0.0, 0.0]
