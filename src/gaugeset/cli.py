@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -26,6 +27,7 @@ from click.core import ParameterSource
 from . import corpus as corpus_mod
 from . import decomposition as dec
 from . import integrators as it
+from .errors import DepthExceeded, GaugeNotPositive
 
 # the RunConfig "settings" keys integrate reads; any other key is a usage error
 _SETTINGS = ("method", "seed", "tol", "levels", "schedule")
@@ -132,10 +134,31 @@ def _schedule_for(entry, method, levels, config_settings):
         parts = corpus_mod.named_parts(
             corpus_mod.recommendation(entry, method).get("parts", "dyadic-14"))
         return parts[:L] if L else parts
+    schedule_id = config_settings.get("schedule")
+    with _representable(L):
+        try:
+            return corpus_mod.recommended_schedule(entry, method, schedule_id, L)
+        except (TypeError, ValueError) as e:
+            raise click.ClickException(f'"settings.schedule": {e}')
+
+
+@contextmanager
+def _representable(levels):
+    """A schedule whose gauge widths leave the float range is a usage error."""
     try:
-        return corpus_mod.recommended_schedule(entry, method, config_settings.get("schedule"), L)
-    except (TypeError, ValueError) as e:
-        raise click.ClickException(f'"settings.schedule": {e}')
+        yield
+    except (OverflowError, GaugeNotPositive):
+        raise click.ClickException(
+            f"{levels} levels are too fine: the gauge widths leave the floating-point range")
+
+
+@contextmanager
+def _bisectable():
+    """A gauge too fine for the bisection budget is a usage error, not a traceback."""
+    try:
+        yield
+    except DepthExceeded as e:
+        raise click.ClickException(f"the schedule is too fine for bisection: {e}")
 
 
 def _tol_for(entry, method, tol, config_settings):
@@ -202,21 +225,22 @@ def integrate(entry, method, tol, levels, seed, out_dir, config_path, determinis
     tol = _tol_for(spec, method, tol, settings)
     sched = _schedule_for(spec, method, levels, settings)
 
-    if method == "henstock":
-        report = it.henstock_integrate(spec, sched, tol, seed=seed)
-    elif method == "mcshane":
-        report = it.mcshane_integrate(spec, sched, tol, seed=seed)
-    elif method == "birkhoff":
-        report = it.birkhoff_integrate(spec, sched, tol, seed=seed)
-    elif method in ("vh", "vms"):
-        phi = (spec.exact_primitive() if spec.exact_primitive
-               else it.build_primitive(spec, sched.levels[-1]))
-        report = it.vh_check(spec, phi, sched,
-                             mode="perron" if method == "vh" else "free",
-                             tol=tol, seed=seed)
-        report.flags["primitive"] = "exact" if spec.exact_primitive else "built"
-    else:
-        report = it.directional_profile(spec, sched, tol, seed=seed)
+    with _bisectable():
+        if method == "henstock":
+            report = it.henstock_integrate(spec, sched, tol, seed=seed)
+        elif method == "mcshane":
+            report = it.mcshane_integrate(spec, sched, tol, seed=seed)
+        elif method == "birkhoff":
+            report = it.birkhoff_integrate(spec, sched, tol, seed=seed)
+        elif method in ("vh", "vms"):
+            phi = (spec.exact_primitive() if spec.exact_primitive
+                   else it.build_primitive(spec, sched.levels[-1]))
+            report = it.vh_check(spec, phi, sched,
+                                 mode="perron" if method == "vh" else "free",
+                                 tol=tol, seed=seed)
+            report.flags["primitive"] = "exact" if spec.exact_primitive else "built"
+        else:
+            report = it.directional_profile(spec, sched, tol, seed=seed)
 
     stem = f"integrate-{spec.name}-{method}-s{seed}"
     jp, cp = _write_reports(out_dir, stem, report.to_json_dict(deterministic),
@@ -310,10 +334,12 @@ def varmeasure(entry, set_token, seed, levels, out_dir, deterministic):
     spec = _entry(entry)
     seed = _resolve_seed(seed)
     E = _parse_set(set_token)
-    sched = corpus_mod.named_schedule("uniform", levels=levels or 12)
-    phi = (spec.exact_primitive() if spec.exact_primitive
-           else it.build_primitive(spec, sched.levels[-1]))
-    result = it.variational_measure_estimate(phi, E, sched, seed=seed)
+    with _representable(levels):
+        sched = corpus_mod.named_schedule("uniform", levels=levels or 12)
+    with _bisectable():
+        phi = (spec.exact_primitive() if spec.exact_primitive
+               else it.build_primitive(spec, sched.levels[-1]))
+        result = it.variational_measure_estimate(phi, E, sched, seed=seed)
     result["entry"] = spec.name
     rows = [it.CSV_HEADER]
     rows += [f"{i + 1},{est!r},{est!r},0.000"

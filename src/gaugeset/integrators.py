@@ -41,7 +41,12 @@ level's partition, probe tags and set evaluation.  Its blocks are of one of
 two kinds.  Column-sum blocks take Riemann sums per column.  Variational
 blocks take the summed primitive-vs-term gaps, worst over the level's tag
 sets, on left-first tags, with rng salt 7702, and in free mode their probes
-fall back to the nominal free tags rather than the build tags.
+fall back to the nominal free tags rather than the build tags.  On a
+nested schedule (GaugeSchedule.nested) each level's Cousin build starts
+from the previous level's cells.  Each probe tag set is made, evaluated,
+weighted and reduced in row blocks of _ROW_BLOCK rows (_streamed_sums),
+with the bits of the whole-array computation; only the exact nominal
+column sums take the whole level at once.
 birkhoff_integrate keeps its own loop over measurable partitions.  Both
 loops share the level bookkeeping (_record), and _assemble builds every
 report, so the verdict, divergence record and report id follow one rule.
@@ -74,6 +79,7 @@ _PACK_RESTARTS = 16  # greedy packings per variational-measure level
 _PACK_MAX_ITEMS = 200_000  # loop guard of one greedy packing component
 _PACK_DRAW_BLOCK = 512  # uniform doubles a packing draws ahead at a time
 _PACK_STEP_CHUNK = 1024  # packing steps whose kept items are joined into one array
+_ROW_BLOCK = 1 << 15  # rows of a probe tag set made, evaluated and reduced at a time
 CSV_HEADER = "level,residual,max_dir_residual,wall_ms"
 
 
@@ -81,10 +87,18 @@ CSV_HEADER = "level,residual,max_dir_residual,wall_ms"
 
 @dataclass(frozen=True)
 class GaugeSchedule:
-    """Pointwise nonincreasing sequence of gauges delta_1 >= delta_2 >= ..."""
+    """Pointwise nonincreasing sequence of gauges delta_1 >= delta_2 >= ...
+
+    The check below samples 1001 points.  The constructors whose gauges are
+    nonincreasing in floating point at every t by construction (uniform,
+    measurable-uniform, origin with nonincreasing coefficients) mark their
+    schedules ``nested``, and only those warm-start each level's Cousin
+    build from the previous level's cells.
+    """
 
     levels: tuple
     name: str = "custom"
+    _nested: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         if not self.levels:
@@ -98,6 +112,11 @@ class GaugeSchedule:
             prev = cur
 
     @property
+    def nested(self):
+        """True when delta_{n+1}(t) <= delta_n(t) holds at every t, not only at the samples."""
+        return self._nested
+
+    @property
     def measurable(self):
         """True when every gauge is piecewise constant, hence measurable."""
         return all(g.kind == "piecewise" for g in self.levels)
@@ -109,7 +128,7 @@ class GaugeSchedule:
 def uniform_schedule(base=0.25, levels=DEFAULT_LEVELS):
     """Constant gauges base/2^n, n = 1..levels."""
     gs = tuple(Gauge.constant(base / 2.0 ** n) for n in range(1, levels + 1))
-    return GaugeSchedule(gs, name=f"uniform({base:g},L{levels})")
+    return GaugeSchedule(gs, name=f"uniform({base:g},L{levels})", _nested=True)
 
 
 def measurable_uniform_schedule(base=0.25, levels=DEFAULT_LEVELS):
@@ -118,7 +137,7 @@ def measurable_uniform_schedule(base=0.25, levels=DEFAULT_LEVELS):
         Gauge.step(np.array([0.0, 1.0]), np.array([base / 2.0 ** n]), name="measurable-const")
         for n in range(1, levels + 1)
     )
-    return GaugeSchedule(gs, name=f"measurable-uniform({base:g},L{levels})")
+    return GaugeSchedule(gs, name=f"measurable-uniform({base:g},L{levels})", _nested=True)
 
 
 def origin_schedule(h0, h_factor, c0, c_factor, levels=DEFAULT_LEVELS, name="origin"):
@@ -129,18 +148,20 @@ def origin_schedule(h0, h_factor, c0, c_factor, levels=DEFAULT_LEVELS, name="ori
     forces every other cell to be resolved at scale t^2.  This is the
     witness-gauge family for derivatives of t^2 sin(t^-2)-type primitives.
     """
-    def make(n):
-        hn = h0 * h_factor ** n
-        cn = c0 * c_factor ** n
-
+    def make(n, hn, cn):
         def fn(ts):
             ts = np.asarray(ts, dtype=np.float64)
             return np.where(ts <= 0.0, hn, cn * ts * ts)
 
         return Gauge("callable", fn=fn, name=f"{name}[{n}]")
 
-    return GaugeSchedule(tuple(make(n) for n in range(1, levels + 1)),
-                         name=f"{name}(L{levels})")
+    hs = [h0 * h_factor ** n for n in range(1, levels + 1)]
+    cs = [c0 * c_factor ** n for n in range(1, levels + 1)]
+    # (cn * t) * t is monotone in cn, so nonincreasing coefficients (factors
+    # <= 1) give nonincreasing gauges at every t
+    nested = all(x2 <= x1 for xs in (hs, cs) for x1, x2 in zip(xs, xs[1:]))
+    gs = tuple(make(n, hn, cn) for n, (hn, cn) in enumerate(zip(hs, cs), start=1))
+    return GaugeSchedule(gs, name=f"{name}(L{levels})", _nested=nested)
 
 
 # -- exact summation helpers -------------------------------------------------
@@ -357,14 +378,22 @@ def _verdict(effs, tol, fired):
 
 # -- shared Riemann-sum engine -----------------------------------------------
 
-def _free_tags(P, gauge, rng):
-    """Seeded free tags, one per cell, each validity-checked for fineness."""
-    mid = (P.a + P.b) / 2.0
+def _uniform(rng, lo, hi):
+    """rng.uniform(lo, hi) bit for bit: numpy computes it as lo + (hi - lo) * u."""
+    return lo + (hi - lo) * rng.random(len(lo))
+
+
+def _free_tags(a, b, t, gauge, rng):
+    """Seeded free tags of cells [a, b], each validity-checked for fineness.
+
+    A candidate that is not fine falls back to the cell's tag in ``t``.
+    """
+    mid = (a + b) / 2.0
     radius = np.atleast_1d(gauge(mid))
     lo = np.maximum(0.0, mid - radius)
     hi = np.minimum(1.0, mid + radius)
-    tau = rng.uniform(lo, hi)
-    return np.where(_window_fine(P.a, P.b, tau, gauge), tau, P.t)
+    tau = _uniform(rng, lo, hi)
+    return np.where(_window_fine(a, b, tau, gauge), tau, t)
 
 
 def _probe_tag_sets(P, gauge, rng, mode):
@@ -372,35 +401,75 @@ def _probe_tag_sets(P, gauge, rng, mode):
 
     Every variant keeps the cells and replaces tags cellwise, falling back
     to the build tag where a candidate violates fineness, so each variant is
-    itself a valid delta-fine partition of the right kind.  Variants are
-    yielded one at a time (the rng draws keep their order), so only one
-    probe tag array is alive at once.
+    itself a valid delta-fine partition of the right kind.  A variant is
+    yielded as a block-maker: ``make(rows)`` gives its tags on the cells of
+    the slice ``rows``.  The makers share ``rng``, so each must be called on
+    the row blocks in order before the next one is taken; the seeded draws
+    then come in the order whole-array draws would.
     """
     a, b, w, t0 = P.a, P.b, P.widths, P.t
-
     henstock = mode == "henstock"
 
-    def ok(tau):
-        return w < np.atleast_1d(gauge(tau)) if henstock else _window_fine(a, b, tau, gauge)
+    def fine_or_build_tag(candidates):
+        def make(rows):
+            u = candidates(rows)
+            if henstock:
+                ok = w[rows] < np.atleast_1d(gauge(u))
+            else:
+                ok = _window_fine(a[rows], b[rows], u, gauge)
+            return np.where(ok, u, t0[rows])
+        return make
 
     for _ in range(8):  # seeded in-cell / in-window re-tags
         if henstock:
-            u = rng.uniform(a, b)
-            yield np.where(ok(u), u, t0)
-        else:  # _free_tags applies the window rule, falling back to P.t, which is t0
-            yield _free_tags(P, gauge, rng)
+            yield fine_or_build_tag(lambda rows: _uniform(rng, a[rows], b[rows]))
+        else:  # _free_tags applies the window rule and falls back to t0
+            yield lambda rows: _free_tags(a[rows], b[rows], t0[rows], gauge, rng)
 
     # deterministic near-edge ladder; geometric approach to the left edge
     for i in (1, 2, 3, 4, 6, 8):
-        u = a + w * 4.0 ** (-i)
-        yield np.where(ok(u), u, t0)
+        yield fine_or_build_tag(lambda rows, s=4.0 ** (-i): a[rows] + w[rows] * s)
     for i in (1, 2, 4, 8):
-        u = b - w * 4.0 ** (-i)
-        yield np.where(ok(u), u, t0)
+        yield fine_or_build_tag(lambda rows, s=4.0 ** (-i): b[rows] - w[rows] * s)
     if not henstock:
         for i in (2, 4, 6, 8):  # free tags may leave the cell toward 0
-            u = a * 4.0 ** (-i)
-            yield np.where(ok(u), u, t0)
+            yield fine_or_build_tag(lambda rows, s=4.0 ** (-i): a[rows] * s)
+
+
+def _streamed_sums(make, w, eval_blocks, blocks, cells=None):
+    """The sums of one tag set, made _ROW_BLOCK rows at a time.
+
+    Each row block's tags are made, evaluated, weighted by the widths ``w``
+    (N, 1) and reduced before the next block is made, so no temporary spans
+    the level.  Column sums (``cells`` None) are _tree_sum_columns of
+    the whole (N, m) term array, bit for bit: _tree_sum_columns pairs rows
+    2i and 2i + 1 and carries an odd last row, so after k steps row j holds
+    the tree sum of rows [j 2^k, (j + 1) 2^k) of the input, clipped at N.
+    A full block starts at an even row of every step before the k-th, so
+    its rows pair up as in the block alone; the short last block ends the
+    array, so it pairs from its even start and carries its odd last row as
+    it would alone, and once reduced to one row it is carried unchanged.
+    After k = log2(_ROW_BLOCK) steps the array is therefore the block
+    partials, and the remaining steps are _tree_sum_columns of those.
+    Variational sums (``cells`` {block: (N, m) primitive values}) write each
+    row block's max gap into one length-N vector and _fsum it at the end.
+    """
+    n = len(w)
+    parts = {k: [] if cells is None else np.empty(n) for k in blocks}
+    for lo in range(0, n, _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        vals = eval_blocks(make(rows), blocks)
+        for k in blocks:
+            terms = vals[k] * w[rows]
+            if cells is None:
+                parts[k].append(_tree_sum_columns(terms))
+            else:
+                d = np.subtract(cells[k][rows], terms, out=terms)
+                parts[k][rows] = _row_max(np.abs(d, out=d))
+        del vals
+    if cells is None:
+        return {k: _tree_sum_columns(np.array(p)) for k, p in parts.items()}
+    return {k: _fsum(p) for k, p in parts.items()}
 
 
 def _new_run(m):
@@ -441,44 +510,41 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None):
 
     Sums are per block, so a block's run is bit-identical to a one-block
     run.  A level's ``wall_ms`` is that of the whole shared level, recorded
-    on every block that ran it.  Returns one run dict per block.
+    on every block that ran it.  On a nested schedule a level's partition is
+    bisected on from the previous level's (cousin_build's ``start``), which
+    gives the partition a build from [0, 1] gives.  Returns one run dict
+    per block.
     """
     variational = phis is not None
     runs = [_new_run(m) for m in ms]
     live = list(range(len(ms)))
+    built = None
     for n, gauge in enumerate(schedule.levels, start=1):
         if not live:
             break
         t0 = time.perf_counter()
-        P = cousin_build(gauge, tag_order="left" if variational else "mid")
+        built = cousin_build(gauge, tag_order="left" if variational else "mid",
+                             start=built if schedule.nested else None)
+        P = built
         rng = np.random.default_rng([seed, 7702 if variational else 7701, n])
-        tags = P.t if mode == "henstock" else _free_tags(P, gauge, rng)
+        tags = P.t if mode == "henstock" else _free_tags(P.a, P.b, P.t, gauge, rng)
         if variational and mode != "henstock":
             P = TaggedPartition(P.a, P.b, tags)
         w = P.widths[:, None]
         # the primitive side of a variational sum depends only on the cells
         cells = {k: phis[k].query_batch(P.a, P.b) for k in live} if variational else None
 
-        def block_sums(ts, blocks, sum_columns):
-            # free each array once used, so a one-block run allocates as a
-            # plain loop would: evaluations before the sums, terms per block
-            vals = eval_blocks(ts, blocks)
-            terms = {k: vals[k] * w for k in blocks}
+        if variational:
+            nominal = _streamed_sums(lambda rows: tags[rows], w, eval_blocks, live, cells)
+        else:  # exact, over the whole array
+            vals = eval_blocks(tags, live)
+            nominal = {k: _fsum_columns(vals[k] * w) for k in live}
             del vals
-            if variational:
-                gaps = {}
-                for k in blocks:
-                    d = cells[k] - terms.pop(k)
-                    gaps[k] = _fsum(_row_max(np.abs(d, out=d)))
-                return gaps
-            return {k: sum_columns(terms.pop(k)) for k in blocks}
-
-        nominal = block_sums(tags, live, _fsum_columns)
         worst = {k: abs(v) for k, v in nominal.items()}  # largest |sum| over the tag sets
         spread_cols = {} if variational else {k: np.zeros(ms[k]) for k in live}
         active = list(live)
-        for vt in _probe_tag_sets(P, gauge, rng, mode):
-            for k, s in block_sums(vt, active, _tree_sum_columns).items():
+        for make in _probe_tag_sets(P, gauge, rng, mode):
+            for k, s in _streamed_sums(make, w, eval_blocks, active, cells).items():
                 if variational:
                     worst[k] = max(worst[k], s)
                 else:

@@ -162,7 +162,25 @@ def is_delta_fine(P, g, require_perron=False):
     return fine
 
 
-def cousin_build(g, max_depth=40, tag_order="mid", cell_budget=1 << 22):
+def _dyadic_cells(P):
+    """{depth: cell indices} of a partition of [0, 1] into dyadic cells.
+
+    A cell [i 2^-k, (i + 1) 2^-k] has width exactly 2^-k (both endpoints
+    are dyadic with at most k bits), so k and i are read off exactly.
+    """
+    w = P.b - P.a
+    mant, exp = np.frexp(w)
+    depth = (1 - exp).astype(np.int16)
+    idx = np.ldexp(P.a, depth)
+    if not (P.full and np.all(mant == 0.5) and np.all(idx == np.floor(idx))):
+        raise ValueError("start must be a partition of [0, 1] into dyadic cells")
+    order = np.argsort(depth, kind="stable")
+    counts = np.bincount(depth)
+    groups = np.split(idx[order].astype(np.int64), np.cumsum(counts)[:-1])
+    return {k: cells for k, cells in enumerate(groups) if len(cells)}
+
+
+def cousin_build(g, max_depth=40, tag_order="mid", cell_budget=1 << 22, start=None):
     """Full delta-fine Perron partition of [0, 1] by bisection.
 
     A dyadic cell of width w is accepted at the first candidate tag t (in
@@ -171,45 +189,62 @@ def cousin_build(g, max_depth=40, tag_order="mid", cell_budget=1 << 22):
     with w < delta(t); otherwise the cell is bisected.  Raises DepthExceeded
     past ``max_depth`` or when the active cell count would exceed the
     budget, signalling a gauge too irregular for the probe set.
+
+    ``start`` warm-starts the bisection from the cells of a partition that
+    cousin_build gave for a gauge delta' >= g at every point (the previous
+    level of a nested schedule).  Every strict ancestor of such a cell
+    failed all candidates under delta', so it fails under g too, and a
+    build from [0, 1] would reach every start cell: bisecting from the
+    start cells gives the same cells and tags.  The skipped ancestors still
+    count as active cells at their depths, so both builds raise the same
+    DepthExceeded.  Whether delta' >= g holds is the caller's promise.
     """
     if tag_order not in ("mid", "left"):
         raise ValueError(f"unknown tag_order {tag_order!r}")
+    # a + w * c is a + w / 2, a and a + w exactly at c = 0.5, 0 and 1
+    offsets = ((0.5, 0.0, 1.0) if tag_order == "mid" else (0.0, 0.5, 1.0)) + _WEYL8
+    seeds = {0: np.zeros(1, dtype=np.int64)} if start is None else _dyadic_cells(start)
+    last = max(seeds)
     starts, widths, tags = [], [], []
-    idx = np.zeros(1, dtype=np.int64)
+    idx = np.zeros(0, dtype=np.int64)
+    covered = 0  # cells at this depth inside start cells of this depth or coarser
     depth = 0
-    while len(idx) > 0:
+    while len(idx) or depth <= last:
+        fresh = seeds.get(depth, idx[:0])
+        idx = np.concatenate([fresh, idx])
+        covered = 2 * covered + len(fresh)
+        active = len(idx) + (1 << depth) - covered  # plus skipped ancestors
         if depth > max_depth:
             raise DepthExceeded(
-                f"no acceptance after depth {max_depth} ({len(idx)} cells active)",
-                depth=max_depth, active_cells=len(idx))
-        if len(idx) > cell_budget:
+                f"no acceptance after depth {max_depth} ({active} cells active)",
+                depth=max_depth, active_cells=active)
+        if active > cell_budget:
             raise DepthExceeded(
-                f"active cell count {len(idx)} exceeds budget at depth {depth}",
-                depth=depth, active_cells=len(idx))
+                f"active cell count {active} exceeds budget at depth {depth}",
+                depth=depth, active_cells=active)
         w = 2.0 ** (-depth)
         a = idx * w
-        base = [a + w / 2.0, a, a + w] if tag_order == "mid" else [a, a + w / 2.0, a + w]
-        cands = base + [a + w * c for c in _WEYL8]
         chosen = np.empty(len(idx))
-        have = np.zeros(len(idx), dtype=bool)
-        for cand in cands:
-            need = ~have
-            if not need.any():
+        todo = np.arange(len(idx))  # cells with no accepted candidate yet
+        for c in offsets:
+            if not len(todo):
                 break
-            d = np.atleast_1d(g(cand[need]))
+            cand = a[todo] + w * c
+            d = np.atleast_1d(g(cand))
             if np.min(d) <= 0.0:
-                bad = cand[need][int(np.argmin(d))]
+                bad = cand[int(np.argmin(d))]
                 raise GaugeNotPositive(f"gauge evaluated to {np.min(d)} at t={bad}")
             ok = w < d
-            sel = np.flatnonzero(need)[ok]
-            chosen[sel] = cand[sel]
-            have[sel] = True
-        if have.any():
+            chosen[todo[ok]] = cand[ok]
+            todo = todo[~ok]
+        have = np.ones(len(idx), dtype=bool)
+        have[todo] = False
+        if len(todo) < len(idx):
             starts.append(a[have])
-            widths.append(np.full(int(have.sum()), w))
+            widths.append(np.full(len(idx) - len(todo), w))
             tags.append(chosen[have])
-        rest = idx[~have]
-        idx = np.concatenate([rest * 2, rest * 2 + 1]) if len(rest) else rest
+        rest = idx[todo]
+        idx = np.concatenate([rest * 2, rest * 2 + 1])
         depth += 1
     a = np.concatenate(starts)
     w = np.concatenate(widths)

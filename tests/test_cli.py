@@ -281,6 +281,28 @@ def test_out_of_range_option_is_usage_error(runner, tmp_path, args, option):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("args, message", [
+    # too fine for the bisection budget at level 20 (a built primitive: at once)
+    (["integrate", "G2", "--method", "henstock", "--levels", "60"],
+     "too fine for bisection: active cell count 8388608 exceeds budget at depth 23"),
+    (["integrate", "G3", "--method", "vh", "--levels", "60"], "too fine for bisection"),
+    (["varmeasure", "G3", "--set", "0", "--levels", "60"], "too fine for bisection"),
+    # widths base / 2^n past the float range
+    (["integrate", "G2", "--method", "henstock", "--levels", "1100"],
+     "1100 levels are too fine"),
+    (["integrate", "G1", "--method", "henstock", "--levels", "2000"],
+     "2000 levels are too fine"),
+    (["varmeasure", "G2", "--set", "0", "--levels", "1100"], "1100 levels are too fine"),
+])
+def test_levels_too_fine_is_usage_error(runner, tmp_path, args, message):
+    res = runner.invoke(main, args + ["--out", str(tmp_path)])
+    assert res.exit_code == 1, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.output.startswith("Error: ") and res.output.count("\n") == 1
+    assert message in res.output
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("levels", [0, -3, 2.5, "4"])
 def test_config_levels_out_of_range_is_usage_error(runner, tmp_path, levels):
     cfg = tmp_path / "cfg.json"

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugeset.convex_sets import DirectionGrid, ExactIntervalMap, hausdorff
+from gaugeset.corpus import named_schedule
 from gaugeset.errors import DepthExceeded, GaugeNotPositive, RepairFailed
+from gaugeset.integrators import GaugeSchedule, origin_schedule
 from gaugeset.partitions import (
     Gauge,
     MeasurablePartition,
@@ -73,6 +75,55 @@ def test_depth_exceeded_on_tiny_gauge():
 def test_cell_budget_guard():
     with pytest.raises(DepthExceeded):
         cousin_build(Gauge.constant(1e-6), cell_budget=1000)
+
+
+@pytest.mark.parametrize("schedule_id", ["uniform", "uniform-measurable", "henstock-origin",
+                                         "vh-origin"])
+@pytest.mark.parametrize("tag_order", ["mid", "left"])
+def test_warm_build_equals_cold_build(schedule_id, tag_order):
+    sched = named_schedule(schedule_id, levels=10)
+    assert sched.nested
+    prev = None
+    for g in sched.levels:
+        cold = cousin_build(g, tag_order=tag_order)
+        warm = cousin_build(g, tag_order=tag_order, start=prev)
+        for x, y in ((cold.a, warm.a), (cold.b, warm.b), (cold.t, warm.t)):
+            assert x.tobytes() == y.tobytes()
+        prev = warm
+
+
+def test_hand_built_schedule_is_not_nested():
+    g = Gauge.constant(0.1)
+    assert not GaugeSchedule((g, g)).nested
+    # a growth below the sampled check's 1e-12 slack passes it, but is not nested
+    assert not origin_schedule(1.0, 1.0, 0.1, 1.0 + 2.0 ** -50, levels=3).nested
+    assert origin_schedule(1.0, 1.0, 0.1, 0.5, levels=3).nested
+
+
+def _raised(build):
+    with pytest.raises(DepthExceeded) as ei:
+        build()
+    e = ei.value
+    return str(e), e.depth, e.active_cells
+
+
+@pytest.mark.parametrize("limits", [{"cell_budget": 20}, {"cell_budget": 200},
+                                    {"cell_budget": 2000}, {"max_depth": 3},
+                                    {"max_depth": 9}, {"max_depth": 15}])
+def test_warm_build_raises_as_cold_build(limits):
+    # the start cells lie at depths 5 and 9..19, and each limit trips at a
+    # depth some start cells lie below, so the skipped ancestors must count
+    levels = named_schedule("henstock-origin", levels=8).levels
+    prev = cousin_build(levels[6])
+    assert -np.log2(prev.widths.max()) == 5 and -np.log2(prev.widths.min()) == 19
+    cold = _raised(lambda: cousin_build(levels[7], **limits))
+    assert cold == _raised(lambda: cousin_build(levels[7], start=prev, **limits))
+
+
+def test_warm_build_rejects_non_dyadic_start():
+    P = TaggedPartition(np.array([0.0, 0.3]), np.array([0.3, 1.0]), np.array([0.1, 0.5]))
+    with pytest.raises(ValueError):
+        cousin_build(Gauge.constant(0.1), start=P)
 
 
 def test_is_delta_fine_needs_open_containment():
