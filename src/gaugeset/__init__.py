@@ -62,7 +62,6 @@ from .errors import (
     GaugesetError,
     GridMismatch,
     NotASelection,
-    RepairFailed,
 )
 from .integrators import (
     DIVERGENCE_BOUND,
@@ -84,9 +83,7 @@ from .partitions import (
     Gauge,
     MeasurablePartition,
     TaggedPartition,
-    build_measurable_gauge,
     cousin_build,
-    interior_repair,
     is_delta_fine,
     measurable_partition,
 )

@@ -77,8 +77,8 @@ def _resolve_seed(seed, settings=None):
 def _positive_tol(value, source):
     """A tolerance is a finite number > 0; anything else is a usage error."""
     try:
-        tol = float(value)
-    except (TypeError, ValueError):
+        tol = math.nan if isinstance(value, (bool, str)) else float(value)
+    except (TypeError, ValueError, OverflowError):
         tol = math.nan
     if not (math.isfinite(tol) and tol > 0):
         raise click.ClickException(f"{source} must be a finite number > 0, got {value!r}")
@@ -126,13 +126,17 @@ def _write_reports(out_dir, stem, json_dict, csv_rows, deterministic):
 
 def _schedule_for(entry, method, levels, config_settings):
     L = levels or config_settings.get("levels")
-    if L is not None and not (isinstance(L, int) and L >= 1):
+    if L is not None and not (type(L) is int and L >= 1):
         raise click.ClickException(f'"settings.levels" must be an integer >= 1, got {L!r}')
     if method == "birkhoff":
         if "schedule" in config_settings:  # birkhoff runs on partition chains
             raise click.ClickException('"settings.schedule" does not apply to birkhoff')
-        parts = corpus_mod.named_parts(
-            corpus_mod.recommendation(entry, method).get("parts", "dyadic-14"))
+        parts_id = corpus_mod.recommendation(entry, method).get("parts", "dyadic-14")
+        parts = corpus_mod.named_parts(parts_id)
+        if L and L > len(parts):
+            source = "--levels" if levels else '"settings.levels"'
+            raise click.ClickException(
+                f"{source} {L} is past the {len(parts)} levels of partition chain {parts_id}")
         return parts[:L] if L else parts
     schedule_id = config_settings.get("schedule")
     with _representable(L):

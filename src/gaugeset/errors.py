@@ -29,10 +29,6 @@ class DepthExceeded(GaugesetError):
         self.active_cells = active_cells
 
 
-class RepairFailed(GaugesetError):
-    """Interior repair could not place a boundary shift within budget."""
-
-
 class NotASelection(GaugesetError):
     """A candidate selection left its multifunction at some probe point."""
 

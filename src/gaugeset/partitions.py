@@ -20,13 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convex_sets import norm as set_norm
-from .errors import DepthExceeded, GaugeNotPositive, RepairFailed
+from .errors import DepthExceeded, GaugeNotPositive
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _WEYL8 = tuple((j * _GOLDEN) % 1.0 for j in range(1, 9))
 _POSITIVITY_PROBES = 10_000
-_MESH_DEPTH = 12  # refinement mesh 2^-12 for measurable gauges
+_MESH_DEPTH = 12  # positivity probes include the dyadic mesh 2^-12
 
 
 def _probe_points():
@@ -45,15 +44,14 @@ class Gauge:
     schedule (GaugeSchedule.measurable).
     """
 
-    __slots__ = ("kind", "_fn", "_breaks", "_values", "name", "meta")
+    __slots__ = ("kind", "_fn", "_breaks", "_values", "name")
 
-    def __init__(self, kind, fn=None, breaks=None, values=None, name="", meta=None):
+    def __init__(self, kind, fn=None, breaks=None, values=None, name=""):
         self.kind = kind
         self._fn = fn
         self._breaks = breaks
         self._values = values
         self.name = name
-        self.meta = dict(meta or {})
         probes = _probe_points()
         sampled = self(probes)
         if not np.all(np.isfinite(sampled)) or np.min(sampled) <= 0.0:
@@ -71,7 +69,7 @@ class Gauge:
                      name=name or f"const({c:g})")
 
     @staticmethod
-    def step(breaks, values, name="", meta=None):
+    def step(breaks, values, name=""):
         """Piecewise-constant gauge on contiguous cells [b_k, b_{k+1})."""
         breaks = np.asarray(breaks, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
@@ -79,7 +77,7 @@ class Gauge:
             raise ValueError("need len(breaks) == len(values) + 1")
         if breaks[0] != 0.0 or breaks[-1] != 1.0 or np.any(np.diff(breaks) <= 0):
             raise ValueError("breaks must increase from 0 to 1")
-        return Gauge("piecewise", breaks=breaks, values=values, name=name, meta=meta)
+        return Gauge("piecewise", breaks=breaks, values=values, name=name)
 
     def __call__(self, ts):
         ts = np.asarray(ts, dtype=np.float64)
@@ -99,15 +97,14 @@ class TaggedPartition:
     """Finite list of (interval, tag) pairs, sorted by left endpoint.
 
     Flags are recomputed from the data, never trusted from the caller:
-    perron (tags inside their own intervals), interior (tags strictly inside
-    except at domain endpoints 0 and 1), full (intervals tile [0, 1]).
+    perron (tags inside their own intervals), full (intervals tile [0, 1]).
+    Endpoints and tags must be finite, and every width positive.
     """
 
     a: np.ndarray
     b: np.ndarray
     t: np.ndarray
     perron: bool = field(init=False)
-    interior: bool = field(init=False)
     full: bool = field(init=False)
 
     def __post_init__(self):
@@ -118,8 +115,10 @@ class TaggedPartition:
             raise ValueError("need matching nonempty 1-d arrays a, b, t")
         order = np.argsort(a, kind="stable")
         a, b, t = a[order].copy(), b[order].copy(), t[order].copy()
-        if np.any(b <= a):
+        if not np.all(b > a):  # also false at a NaN endpoint
             raise ValueError("intervals must have positive width")
+        if not np.all(np.isfinite(a) & np.isfinite(b) & np.isfinite(t)):
+            raise ValueError("endpoints and tags must be finite")
         if np.any(b[:-1] > a[1:] + 1e-12):
             raise ValueError("interval interiors overlap")
         for arr in (a, b, t):
@@ -128,10 +127,6 @@ class TaggedPartition:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "perron", bool(np.all((a <= t) & (t <= b))))
-        inner = (a < t) & (t < b)
-        at_zero = (a == 0.0) & (t == 0.0)
-        at_one = (b == 1.0) & (t == 1.0)
-        object.__setattr__(self, "interior", bool(np.all(inner | at_zero | at_one)))
         covers = (
             abs(a[0]) <= 1e-12
             and abs(b[-1] - 1.0) <= 1e-12
@@ -252,112 +247,6 @@ def cousin_build(g, max_depth=40, tag_order="mid", cell_budget=1 << 22, start=No
     return TaggedPartition(a, a + w, t)
 
 
-def _merge_duplicate_tags(a, b, t):
-    """Merge adjacent cells sharing one tag at their common endpoint.
-
-    The merged cell [a_i, b_{i+1}] keeps the tag and stays fine for any gauge
-    both halves were fine for: each half was inside the tag's window, so the
-    union is.  Sums against the merged cell double nothing: f(t) (w1 + w2).
-    """
-    keep_a, keep_b, keep_t = [a[0]], [b[0]], [t[0]]
-    for i in range(1, len(a)):
-        if t[i] == keep_t[-1]:
-            if abs(keep_b[-1] - a[i]) > 1e-12:
-                raise ValueError("duplicate tags in non-adjacent cells")
-            keep_b[-1] = b[i]
-        else:
-            keep_a.append(a[i])
-            keep_b.append(b[i])
-            keep_t.append(t[i])
-    return np.asarray(keep_a), np.asarray(keep_b), np.asarray(keep_t)
-
-
-def interior_repair(P, f, phi=None, eps=1e-6, gauge=None):
-    """Move tag-carrying boundaries so every non-domain-endpoint tag is interior.
-
-    Tags are preserved.  A tag sitting on a shared cell endpoint has its cell
-    extended into the neighbor by a shift eta small enough that
-
-        sum_k ||f(t_k)|| * | |I_k| - |I'_k| |  <  eps,
-
-    and, when an additive interval map ``phi`` is given, the summed value-gap
-    of phi over changed cells stays below eps (the shift is halved until the
-    probed modulus allows it).  Duplicate tags are merged first; the merged
-    cell is dominated by twice either half, so no bound degrades.  When
-    ``gauge`` is given, shifts are also capped by the tag's gauge slack and
-    the output is verified delta-fine.
-    """
-    if not P.perron:
-        raise ValueError("interior_repair needs a Perron partition")
-    a, b, t = _merge_duplicate_tags(P.a.copy(), P.b.copy(), P.t.copy())
-    a0, b0 = a.copy(), b.copy()
-    K = len(a)
-    fnorm = lambda x: float(np.linalg.norm(np.atleast_1d(np.asarray(f(x), dtype=float))))
-    budget = eps / (2.0 * K)
-
-    for i in range(K):
-        if a[i] < t[i] < b[i]:
-            continue
-        if t[i] == a[i] and a[i] == 0.0:
-            continue
-        if t[i] == b[i] and b[i] == 1.0:
-            continue
-        # the tag sits on a shared endpoint; only one side can claim it
-        # (equal tags on both sides were merged above)
-        if t[i] == b[i]:
-            j = i + 1
-            room = min((t[j] - b[i]) / 2.0, (b[j] - a[j]) / 4.0)
-        elif t[i] == a[i]:
-            j = i - 1
-            room = min((a[i] - t[j]) / 2.0, (b[j] - a[j]) / 4.0)
-        else:
-            raise ValueError("tag outside its interval in a Perron partition")
-        eta = min(room, budget / (fnorm(t[i]) + 1.0), budget / (fnorm(t[j]) + 1.0))
-        if gauge is not None:
-            eta = min(eta, 0.5 * float(gauge(t[i])))
-        if eta <= 0.0:
-            raise RepairFailed(f"no slack at shared endpoint t={t[i]}")
-        if phi is not None:
-            bd = t[i]
-            for _ in range(60):
-                lo, hi = (bd, bd + eta) if j > i else (bd - eta, bd)
-                if set_norm(phi.query(lo, hi)) <= eps / (4.0 * K):
-                    break
-                eta /= 2.0
-            else:
-                raise RepairFailed("interval-map modulus never admitted a shift")
-        if j > i:
-            b[i] += eta
-            a[j] += eta
-        else:
-            a[i] -= eta
-            b[j] -= eta
-
-    out = TaggedPartition(a, b, t)
-    if not out.interior:
-        raise RepairFailed("repair left a non-interior tag")
-    # recompute the advertised bounds directly rather than trusting the caps
-    drift = sum(
-        fnorm(t[k]) * abs((b[k] - a[k]) - (b0[k] - a0[k]))
-        for k in range(K)
-        if (a[k], b[k]) != (a0[k], b0[k])
-    )
-    if drift >= eps:
-        raise RepairFailed(f"length drift bound violated: {drift} >= {eps}")
-    if phi is not None:
-        from .convex_sets import hausdorff
-        gap = sum(
-            hausdorff(phi.query(a0[k], b0[k]), phi.query(a[k], b[k]))
-            for k in range(K)
-            if (a[k], b[k]) != (a0[k], b0[k])
-        )
-        if gap > eps:
-            raise RepairFailed(f"interval-map gap bound violated: {gap} > {eps}")
-    if gauge is not None and not is_delta_fine(out, gauge, require_perron=True):
-        raise RepairFailed("repair broke delta-fineness")
-    return out
-
-
 @dataclass(frozen=True)
 class MeasurablePartition:
     """Partition of [0, 1] into n_pieces residue classes of dyadic cells.
@@ -407,49 +296,3 @@ def measurable_partition(n_pieces, interleave_depth=0):
     """
     depth = max(n_pieces.bit_length() - 1, int(interleave_depth)) if n_pieces > 1 else 0
     return MeasurablePartition(n_pieces, depth)
-
-
-def build_measurable_gauge(delta0, filtration):
-    """Piecewise gauge from a base gauge and a filtration [(F_n, delta_n)].
-
-    On F_n the width is min(delta_n, max(delta0(t), local sup of delta0 over
-    F_n near t) / 2); off every F_n it is delta0(t).  The local sup stands in
-    for a limsup and is sampled at 32 points of F_n within 1/256 of t; the
-    surrogate is recorded in the gauge metadata, not claimed exact.  The
-    output is piecewise-constant on the 2^-12 mesh.
-    """
-    if not filtration:
-        raise ValueError("filtration must be nonempty")
-    deltas = [float(dn) for _, dn in filtration]
-    if any(d <= 0 for d in deltas):
-        raise GaugeNotPositive("filtration widths must be positive")
-    if any(d2 > d1 for d1, d2 in zip(deltas, deltas[1:])):
-        raise ValueError("filtration widths must be nonincreasing")
-    spans = [iv for piece, _ in filtration for iv in piece]
-    spans.sort()
-    for (l1, h1), (l2, h2) in zip(spans, spans[1:]):
-        if h1 > l2 + 1e-12:
-            raise ValueError("filtration pieces must be pairwise disjoint")
-
-    mesh = 1 << _MESH_DEPTH
-    centers = (np.arange(mesh) + 0.5) / mesh
-    values = np.asarray(delta0(centers), dtype=np.float64).copy()
-    for piece, dn in filtration:
-        member = np.zeros(mesh, dtype=bool)
-        for lo, hi in piece:
-            member |= (centers >= lo) & (centers <= hi)
-        if not member.any():
-            continue
-        idxs = np.flatnonzero(member)
-        for i in idxs:
-            tc = centers[i]
-            span = np.linspace(tc - 1.0 / 256.0, tc + 1.0 / 256.0, 32)
-            inside = np.zeros(32, dtype=bool)
-            for lo, hi in piece:
-                inside |= (span >= lo) & (span <= hi)
-            pts = span[inside]
-            local = float(np.max(delta0(pts))) if pts.size else float(delta0(tc))
-            values[i] = min(dn, 0.5 * max(float(delta0(tc)), local))
-    breaks = np.arange(mesh + 1) / mesh
-    return Gauge.step(breaks, values, name="measurable",
-                      meta={"limsup_surrogate": True, "mesh_depth": _MESH_DEPTH})

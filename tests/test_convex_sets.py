@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugeset.convex_sets import (
-    CANON_TOL,
     DirectionGrid,
     ExactIntervalMap,
     Primitive,

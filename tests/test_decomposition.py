@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from gaugeset import corpus
-from gaugeset.convex_sets import DirectionGrid, contains_point
-from gaugeset.corpus import F_prime, SIN_1
+from gaugeset.convex_sets import DirectionGrid
+from gaugeset.corpus import F_prime
 from gaugeset.decomposition import (
     Selection,
     argmax_selection,

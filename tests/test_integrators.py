@@ -18,7 +18,6 @@ from gaugeset.integrators import (
     directional_profile,
     henstock_integrate,
     mcshane_integrate,
-    measurable_uniform_schedule,
     origin_schedule,
     scalar_hk,
     uniform_schedule,

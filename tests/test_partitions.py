@@ -5,22 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaugeset.convex_sets import DirectionGrid, ExactIntervalMap, hausdorff
 from gaugeset.corpus import named_schedule
-from gaugeset.errors import DepthExceeded, GaugeNotPositive, RepairFailed
+from gaugeset.errors import DepthExceeded, GaugeNotPositive
 from gaugeset.integrators import GaugeSchedule, origin_schedule
 from gaugeset.partitions import (
     Gauge,
     MeasurablePartition,
     TaggedPartition,
-    build_measurable_gauge,
     cousin_build,
-    interior_repair,
     is_delta_fine,
     measurable_partition,
 )
 
-LINE = DirectionGrid.line()
 QUARTERS = np.arange(5) / 4.0  # the edges of four quarter cells
 
 
@@ -28,7 +24,7 @@ def test_constant_gauge_cousin_four_cells():
     P = cousin_build(Gauge.constant(0.3))
     assert len(P) == 4
     np.testing.assert_allclose(P.t, [0.125, 0.375, 0.625, 0.875])
-    assert P.full and P.perron and P.interior
+    assert P.full and P.perron
 
 
 def test_cousin_acceptance_is_strict():
@@ -147,6 +143,16 @@ def test_partition_validation():
                         np.array([0.2, 0.7]))
 
 
+@pytest.mark.parametrize("a, b, t", [
+    ([0.0, np.nan], [np.nan, 1.0], [0.1, 0.9]),  # NaN endpoints
+    ([0.0, 0.5], [0.5, 1.0], [0.25, np.nan]),  # NaN tag
+    ([0.0, 0.5], [0.5, np.inf], [0.25, 0.75]),
+])
+def test_partition_rejects_non_finite(a, b, t):
+    with pytest.raises(ValueError):
+        TaggedPartition(np.array(a), np.array(b), np.array(t))
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=100, deadline=None)
 def test_cousin_fine_for_random_gauges(seed):
@@ -159,102 +165,6 @@ def test_cousin_fine_for_random_gauges(seed):
     P = cousin_build(g)
     assert P.full
     assert is_delta_fine(P, g, require_perron=True)
-
-
-# -- interior repair -----------------------------------------------------------
-
-def growth_map():
-    return ExactIntervalMap(
-        LINE, lambda a, b: np.column_stack([np.zeros_like(a), (b * b - a * a) / 2.0])
-    )
-
-
-def test_interior_repair_moves_shared_endpoint_tag():
-    P = TaggedPartition(np.array([0.0, 0.5]), np.array([0.5, 1.0]),
-                        np.array([0.5, 0.75]))
-    assert not P.interior
-    f = lambda t: t
-    R = interior_repair(P, f, eps=1e-6)
-    assert R.interior and R.perron
-    np.testing.assert_array_equal(R.t, P.t)  # tags never move
-    # length drift bound: sum |f(t)| |w - w'| < eps
-    drift = sum(
-        abs(float(R.t[i])) * abs((R.b[i] - R.a[i]) - (P.b[i] - P.a[i]))
-        for i in range(len(R))
-    )
-    assert drift < 1e-6
-
-
-def test_interior_repair_merges_duplicate_tags():
-    P = TaggedPartition(np.array([0.0, 0.5]), np.array([0.5, 1.0]),
-                        np.array([0.5, 0.5]))
-    R = interior_repair(P, lambda t: 1.0, eps=1e-6)
-    assert len(R) == 1
-    assert R.a[0] == 0.0 and R.b[0] == 1.0 and R.t[0] == 0.5
-    assert R.interior
-
-
-def test_interior_repair_respects_interval_map_modulus():
-    P = TaggedPartition(np.array([0.0, 0.25]), np.array([0.25, 1.0]),
-                        np.array([0.25, 0.6]))
-    phi = growth_map()
-    R = interior_repair(P, lambda t: t, phi=phi, eps=1e-8)
-    assert R.interior
-    gap = sum(
-        hausdorff(phi.query(P.a[i], P.b[i]), phi.query(R.a[i], R.b[i]))
-        for i in range(len(R))
-    )
-    assert gap <= 1e-8
-
-
-def test_interior_repair_preserves_delta_fineness():
-    g = Gauge.constant(0.3)
-    P = cousin_build(g, tag_order="left")  # tags at left endpoints
-    assert not P.interior
-    R = interior_repair(P, lambda t: 1.0 + t, eps=1e-6, gauge=g)
-    assert R.interior
-    assert is_delta_fine(R, g, require_perron=True)
-
-
-def test_interior_repair_domain_endpoints_exempt():
-    P = TaggedPartition(np.array([0.0, 0.5]), np.array([0.5, 1.0]),
-                        np.array([0.0, 1.0]))
-    R = interior_repair(P, lambda t: 1.0, eps=1e-6)
-    assert R.interior  # 0 and 1 may keep endpoint tags
-    np.testing.assert_array_equal(R.a, P.a)
-
-
-def test_interior_repair_needs_perron_input():
-    P = TaggedPartition(QUARTERS[:-1], QUARTERS[1:], np.array([0.9, 0.9, 0.2, 0.9]))
-    with pytest.raises(ValueError):
-        interior_repair(P, lambda t: 1.0)
-
-
-@given(st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=100, deadline=None)
-def test_interior_repair_randomized_bounds(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 12))
-    cuts = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, n - 1)), [1.0]])
-    a, b = cuts[:-1], cuts[1:]
-    # every tag on a shared endpoint (worst case), plus domain endpoints
-    t = np.where(rng.uniform(size=n) < 0.5, a, b)
-    t[0], t[-1] = a[0], b[-1]
-    P = TaggedPartition(a, b, t)
-    f = lambda x: np.cos(3.0 * x) + 2.0
-    eps = 1e-7
-    R = interior_repair(P, f, eps=eps)
-    assert R.interior and R.perron
-    # drift is measured against the duplicate-merged baseline: adjacent cells
-    # sharing one tag sum identically, so merging them is not a perturbation
-    base_w = {}
-    for i in range(len(P)):
-        base_w[float(P.t[i])] = base_w.get(float(P.t[i]), 0.0) + float(P.b[i] - P.a[i])
-    drift = sum(
-        abs(float(f(R.t[i]))) * abs((R.b[i] - R.a[i]) - base_w[float(R.t[i])])
-        for i in range(len(R))
-    )
-    assert drift < eps
 
 
 # -- measurable partitions -----------------------------------------------------
@@ -327,34 +237,3 @@ def test_measurable_refines_matches_exact_containment():
         for cs in specs:
             got = measurable_partition(*fs).refines(measurable_partition(*cs))
             assert got == _refines_oracle(exact[fs], exact[cs]), (fs, cs)
-
-
-def test_build_measurable_gauge_piecewise_and_capped():
-    base = Gauge.constant(0.1)
-    F1 = [(0.0, 0.5)]
-    g = build_measurable_gauge(base, [(F1, 0.5)])
-    assert g.kind == "piecewise"
-    assert g.meta.get("limsup_surrogate") is True
-    # on F: min(0.5, max(0.1, local sup 0.1)/2) = 0.05; off F: 0.1
-    assert g(0.25) == pytest.approx(0.05)
-    assert g(0.75) == pytest.approx(0.1)
-
-
-def test_build_measurable_gauge_nested_filtration():
-    base = Gauge.constant(0.2)
-    filtration = [([(0.0, 0.75)], 0.4), ([(0.8, 1.0)], 0.01)]
-    g = build_measurable_gauge(base, filtration)
-    assert g(0.9) == pytest.approx(0.01)  # capped by the finer width
-    assert g(0.5) == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        # widths must be nonincreasing along the filtration
-        build_measurable_gauge(base, [([(0.0, 0.5)], 0.01), ([(0.6, 1.0)], 0.4)])
-
-
-def test_build_measurable_gauge_cross_checks_base():
-    """Cousin partitions under the derived gauge are finer than the base asks."""
-    base = Gauge.constant(0.11)
-    g = build_measurable_gauge(base, [([(0.0, 1.0)], 0.3)])
-    P = cousin_build(g)
-    assert is_delta_fine(P, base)  # derived widths never exceed the base
-    assert is_delta_fine(P, g, require_perron=True)

@@ -1,4 +1,4 @@
-"""Every name a gaugeset module imports is used in that module.
+"""Every name a gaugeset module or test file imports is used in that file.
 
 Deletions tend to leave imports behind; this stdlib-only check catches
 them.  ``__init__.py`` re-exports names on purpose and is skipped.
@@ -13,6 +13,7 @@ import gaugeset
 
 MODULES = sorted(p for p in Path(gaugeset.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source):
@@ -34,6 +35,6 @@ def test_checker_flags_an_unused_import():
     assert unused_imports(src) == [(2, "pi")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
