@@ -28,6 +28,7 @@ from . import corpus as corpus_mod
 from . import decomposition as dec
 from . import integrators as it
 from .errors import DepthExceeded, GaugeNotPositive
+from .partitions import check_budget
 
 # the RunConfig "settings" keys integrate reads; any other key is a usage error
 _SETTINGS = ("method", "seed", "tol", "levels", "schedule")
@@ -141,9 +142,10 @@ def _schedule_for(entry, method, levels, config_settings):
     schedule_id = config_settings.get("schedule")
     with _representable(L):
         try:
-            return corpus_mod.recommended_schedule(entry, method, schedule_id, L)
+            sched = corpus_mod.recommended_schedule(entry, method, schedule_id, L)
         except (TypeError, ValueError) as e:
             raise click.ClickException(f'"settings.schedule": {e}')
+    return _budgeted(sched)
 
 
 @contextmanager
@@ -154,6 +156,14 @@ def _representable(levels):
     except (OverflowError, GaugeNotPositive):
         raise click.ClickException(
             f"{levels} levels are too fine: the gauge widths leave the floating-point range")
+
+
+def _budgeted(schedule):
+    """A constant gauge too fine for the bisection budget fails before level 1."""
+    with _bisectable():
+        for g in schedule.levels:
+            check_budget(g)
+    return schedule
 
 
 @contextmanager
@@ -340,6 +350,8 @@ def varmeasure(entry, set_token, seed, levels, out_dir, deterministic):
     E = _parse_set(set_token)
     with _representable(levels):
         sched = corpus_mod.named_schedule("uniform", levels=levels or 12)
+    if not spec.exact_primitive:  # only a built primitive bisects
+        _budgeted(sched)
     with _bisectable():
         phi = (spec.exact_primitive() if spec.exact_primitive
                else it.build_primitive(spec, sched.levels[-1]))

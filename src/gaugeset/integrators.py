@@ -46,7 +46,11 @@ nested schedule (GaugeSchedule.nested) each level's Cousin build starts
 from the previous level's cells.  Each probe tag set is made, evaluated,
 weighted and reduced in row blocks of _ROW_BLOCK rows (_streamed_sums),
 with the bits of the whole-array computation; only the exact nominal
-column sums take the whole level at once.
+column sums take the whole level at once.  A Perron probe tag lies in its
+cell [a, b], so where b - a is below the gauge's cell bound
+(Gauge.lower(a)) the fineness check w < delta(t) holds without a gauge
+call; only the other rows are checked.  The bound settles no free-mode
+window check, and a gauge built without one settles nothing.
 birkhoff_integrate keeps its own loop over measurable partitions.  Both
 loops share the level bookkeeping (_record), and _assemble builds every
 report, so the verdict, divergence record and report id follow one rule.
@@ -89,11 +93,11 @@ CSV_HEADER = "level,residual,max_dir_residual,wall_ms"
 class GaugeSchedule:
     """Pointwise nonincreasing sequence of gauges delta_1 >= delta_2 >= ...
 
-    The check below samples 1001 points.  The constructors whose gauges are
-    nonincreasing in floating point at every t by construction (uniform,
-    measurable-uniform, origin with nonincreasing coefficients) mark their
-    schedules ``nested``, and only those warm-start each level's Cousin
-    build from the previous level's cells.
+    The check below compares 1001 sampled points exactly.  The constructors
+    whose gauges are nonincreasing in floating point at every t by
+    construction (uniform, measurable-uniform, origin) mark their schedules
+    ``nested``, and only those warm-start each level's Cousin build from
+    the previous level's cells.
     """
 
     levels: tuple
@@ -107,7 +111,7 @@ class GaugeSchedule:
         prev = None
         for g in self.levels:
             cur = np.atleast_1d(g(pts))
-            if prev is not None and np.any(cur > prev + 1e-12):
+            if prev is not None and np.any(cur > prev):
                 raise ValueError("schedule gauges must be pointwise nonincreasing")
             prev = cur
 
@@ -147,21 +151,26 @@ def origin_schedule(h0, h_factor, c0, c_factor, levels=DEFAULT_LEVELS, name="ori
     where a singular integrand is defined to vanish; the quadratic branch
     forces every other cell to be resolved at scale t^2.  This is the
     witness-gauge family for derivatives of t^2 sin(t^-2)-type primitives.
+
+    A gauge's bounds on a cell [a, b] with a > 0 are cn * a * a below
+    (Gauge.lower) and cn * b * b above (Gauge.upper): (cn * u) * u is
+    monotone in u under correct rounding.  At a = 0 they are 0 and inf.
     """
     def make(n, hn, cn):
         def fn(ts):
             ts = np.asarray(ts, dtype=np.float64)
             return np.where(ts <= 0.0, hn, cn * ts * ts)
 
-        return Gauge("callable", fn=fn, name=f"{name}[{n}]")
+        return Gauge("callable", fn=fn, name=f"{name}[{n}]", lower=lambda a: cn * a * a,
+                     upper=lambda a, b: np.where(a > 0.0, cn * b * b, np.inf))
 
     hs = [h0 * h_factor ** n for n in range(1, levels + 1)]
     cs = [c0 * c_factor ** n for n in range(1, levels + 1)]
-    # (cn * t) * t is monotone in cn, so nonincreasing coefficients (factors
-    # <= 1) give nonincreasing gauges at every t
-    nested = all(x2 <= x1 for xs in (hs, cs) for x1, x2 in zip(xs, xs[1:]))
     gs = tuple(make(n, hn, cn) for n, (hn, cn) in enumerate(zip(hs, cs), start=1))
-    return GaugeSchedule(gs, name=f"{name}(L{levels})", _nested=nested)
+    # GaugeSchedule's exact check reads hn at t = 0 and cn at t = 1, so a
+    # schedule that passes it has nonincreasing coefficients; (cn * t) * t is
+    # monotone in cn, so its gauges are nonincreasing at every t
+    return GaugeSchedule(gs, name=f"{name}(L{levels})", _nested=True)
 
 
 # -- exact summation helpers -------------------------------------------------
@@ -232,20 +241,26 @@ def _tree_sum_columns(terms):
 
     Each step adds rows 2i and 2i + 1 into row i and carries an odd last
     row, through two reused buffers.  Rows narrower than a cache line are
-    reduced column-major, where each add runs along a column.
+    reduced column-major, where each add runs along a column; while the
+    row count is even, rows 2i and 2i + 1 of every column are neighbours in
+    the column-major array, so one 1-D add does the step.
     """
     order = "F" if terms.shape[1] < _NARROW_ROW else "C"
     x = np.asarray(terms, dtype=np.float64, order=order)
     n, m = x.shape
     half = (n + 1) // 2
-    bufs = np.empty((half, m), order=order), np.empty(((half + 1) // 2, m), order=order)
+    bufs = np.empty(half * m), np.empty((half + 1) // 2 * m)
     i = 0
     while n > 1:
         h = n // 2
-        dst = bufs[i][:n - h]
-        np.add(x[0:2 * h:2], x[1:2 * h:2], out=dst[:h])
-        if n % 2:
-            dst[h] = x[n - 1]
+        dst = bufs[i][:(n - h) * m].reshape(n - h, m, order=order)
+        if order == "F" and not n % 2:
+            flat = x.reshape(-1, order="F")
+            np.add(flat[0::2], flat[1::2], out=bufs[i][:h * m])
+        else:
+            np.add(x[0:2 * h:2], x[1:2 * h:2], out=dst[:h])
+            if n % 2:
+                dst[h] = x[n - 1]
         x, n, i = dst, n - h, 1 - i
     return x[0].copy()
 
@@ -406,18 +421,26 @@ def _probe_tag_sets(P, gauge, rng, mode):
     the slice ``rows``.  The makers share ``rng``, so each must be called on
     the row blocks in order before the next one is taken; the seeded draws
     then come in the order whole-array draws would.
+
+    Every henstock candidate lies in its cell [a, b], so a row with
+    w < gauge.lower(a) keeps it with no gauge call; only the other (open)
+    rows are checked.  The free-mode window rule checks every row.
     """
     a, b, w, t0 = P.a, P.b, P.widths, P.t
     henstock = mode == "henstock"
+    open_rows = np.flatnonzero(~(w < gauge.lower(a))) if henstock else None
 
     def fine_or_build_tag(candidates):
         def make(rows):
             u = candidates(rows)
-            if henstock:
-                ok = w[rows] < np.atleast_1d(gauge(u))
-            else:
-                ok = _window_fine(a[rows], b[rows], u, gauge)
-            return np.where(ok, u, t0[rows])
+            if not henstock:
+                return np.where(_window_fine(a[rows], b[rows], u, gauge), u, t0[rows])
+            lo, hi, _ = rows.indices(len(a))
+            i = open_rows[np.searchsorted(open_rows, lo):np.searchsorted(open_rows, hi)]
+            if len(i):
+                bad = i[~(w[i] < np.atleast_1d(gauge(u[i - lo])))]
+                u[bad - lo] = t0[bad]
+            return u
         return make
 
     for _ in range(8):  # seeded in-cell / in-window re-tags
@@ -434,6 +457,42 @@ def _probe_tag_sets(P, gauge, rng, mode):
     if not henstock:
         for i in (2, 4, 6, 8):  # free tags may leave the cell toward 0
             yield fine_or_build_tag(lambda rows, s=4.0 ** (-i): a[rows] * s)
+
+
+def _weighted(v, w):
+    """v * w[:, None], laid out as _tree_sum_columns reduces it.
+
+    Rows narrower than _NARROW_ROW are multiplied column by column into a
+    column-major array: a broadcast multiply along such short rows is slow,
+    and a row-major product would be copied to column-major again.
+    """
+    if v.shape[1] >= _NARROW_ROW:
+        return v * w[:, None]
+    out = np.empty(v.shape, order="F")
+    for j in range(v.shape[1]):
+        np.multiply(v[:, j], w, out=out[:, j])
+    return out
+
+
+def _gaps(cells, v, w, out):
+    """Each row's max_j |cells[:, j] - v[:, j] * w|, written to ``out``.
+
+    Rows narrower than _NARROW_ROW are taken column by column, with a
+    running max; max is exact, so the bits are those of _row_max.
+    """
+    if v.shape[1] >= _NARROW_ROW:
+        terms = v * w[:, None]
+        d = np.subtract(cells, terms, out=terms)
+        out[:] = _row_max(np.abs(d, out=d))
+        return
+    d = np.empty(len(w))
+    for j in range(v.shape[1]):
+        dst = d if j else out
+        np.multiply(v[:, j], w, out=dst)
+        np.subtract(cells[:, j], dst, out=dst)
+        np.abs(dst, out=dst)
+        if j:
+            np.maximum(out, d, out=out)
 
 
 def _streamed_sums(make, w, eval_blocks, blocks, cells=None):
@@ -460,12 +519,10 @@ def _streamed_sums(make, w, eval_blocks, blocks, cells=None):
         rows = slice(lo, lo + _ROW_BLOCK)
         vals = eval_blocks(make(rows), blocks)
         for k in blocks:
-            terms = vals[k] * w[rows]
             if cells is None:
-                parts[k].append(_tree_sum_columns(terms))
+                parts[k].append(_tree_sum_columns(_weighted(vals[k], w[rows, 0])))
             else:
-                d = np.subtract(cells[k][rows], terms, out=terms)
-                parts[k][rows] = _row_max(np.abs(d, out=d))
+                _gaps(cells[k][rows], vals[k], w[rows, 0], out=parts[k][rows])
         del vals
     if cells is None:
         return {k: _tree_sum_columns(np.array(p)) for k, p in parts.items()}

@@ -42,16 +42,26 @@ class Gauge:
     gauges (``kind == "piecewise"``) are constant on a finite mesh of cells,
     so they are measurable; a schedule of them is a measurable-gauge
     schedule (GaugeSchedule.measurable).
+
+    ``const`` is the value of a gauge built constant (Gauge.constant, a
+    one-piece Gauge.step), else None.  ``lower(a)`` and ``upper(a, b)``, if
+    given, are vectorized bounds of delta on cells (see Gauge.lower and
+    Gauge.upper).  All three are the constructor's promise and are not
+    checked.
     """
 
-    __slots__ = ("kind", "_fn", "_breaks", "_values", "name")
+    __slots__ = ("kind", "_fn", "_breaks", "_values", "name", "const", "_lower", "_upper")
 
-    def __init__(self, kind, fn=None, breaks=None, values=None, name=""):
+    def __init__(self, kind, fn=None, breaks=None, values=None, name="", const=None,
+                 lower=None, upper=None):
         self.kind = kind
         self._fn = fn
         self._breaks = breaks
         self._values = values
         self.name = name
+        self.const = const
+        self._lower = lower
+        self._upper = upper
         probes = _probe_points()
         sampled = self(probes)
         if not np.all(np.isfinite(sampled)) or np.min(sampled) <= 0.0:
@@ -66,7 +76,7 @@ class Gauge:
     def constant(c, name=None):
         c = float(c)
         return Gauge("callable", fn=lambda ts: np.full_like(np.asarray(ts, dtype=float), c),
-                     name=name or f"const({c:g})")
+                     name=name or f"const({c:g})", const=c)
 
     @staticmethod
     def step(breaks, values, name=""):
@@ -77,7 +87,8 @@ class Gauge:
             raise ValueError("need len(breaks) == len(values) + 1")
         if breaks[0] != 0.0 or breaks[-1] != 1.0 or np.any(np.diff(breaks) <= 0):
             raise ValueError("breaks must increase from 0 to 1")
-        return Gauge("piecewise", breaks=breaks, values=values, name=name)
+        return Gauge("piecewise", breaks=breaks, values=values, name=name,
+                     const=float(values[0]) if len(values) == 1 else None)
 
     def __call__(self, ts):
         ts = np.asarray(ts, dtype=np.float64)
@@ -90,6 +101,33 @@ class Gauge:
             j = np.clip(j, 0, len(self._values) - 1)
             out = self._values[j]
         return float(out[0]) if scalar else out
+
+    def lower(self, a):
+        """A bound below delta(u) at every u in [a, 1], for each left end a.
+
+        A cell [a, b] with b - a < lower(a) is fine at any tag in the cell
+        under the in-cell rule w < delta(t), with no call to the gauge.  The
+        bound is the value of a constant gauge, the constructor's ``lower``
+        otherwise, and 0 (no cell settles) for any other gauge, such as
+        every Gauge.from_callable.
+        """
+        return self._bound(self._lower, 0.0, a)
+
+    def upper(self, a, b):
+        """A bound above delta(u) at every u in [a, b], for each cell [a, b].
+
+        A cell with b - a >= upper(a, b) is fine at no tag in the cell under
+        the in-cell rule, with no call to the gauge.  The bound is the value
+        of a constant gauge, the constructor's ``upper`` otherwise, and inf
+        (no cell settles) for any other gauge.
+        """
+        return self._bound(self._upper, np.inf, a, b)
+
+    def _bound(self, fn, default, a, *rest):
+        a = np.asarray(a, dtype=np.float64)
+        if self.const is not None:
+            return np.full(a.shape, self.const)
+        return np.full(a.shape, default) if fn is None else fn(a, *rest)
 
 
 @dataclass(frozen=True)
@@ -113,13 +151,16 @@ class TaggedPartition:
         t = np.asarray(self.t, dtype=np.float64)
         if not (a.shape == b.shape == t.shape) or a.ndim != 1 or len(a) == 0:
             raise ValueError("need matching nonempty 1-d arrays a, b, t")
-        order = np.argsort(a, kind="stable")
-        a, b, t = a[order].copy(), b[order].copy(), t[order].copy()
+        if np.all(a[1:] >= a[:-1]):  # already in order (false at a NaN)
+            a, b, t = np.array(a), np.array(b), np.array(t)
+        else:  # timsort: runs already in order are merged, not re-sorted
+            order = np.argsort(a, kind="stable")
+            a, b, t = a[order], b[order], t[order]
         if not np.all(b > a):  # also false at a NaN endpoint
             raise ValueError("intervals must have positive width")
         if not np.all(np.isfinite(a) & np.isfinite(b) & np.isfinite(t)):
             raise ValueError("endpoints and tags must be finite")
-        if np.any(b[:-1] > a[1:] + 1e-12):
+        if np.any(b[:-1] > a[1:]):
             raise ValueError("interval interiors overlap")
         for arr in (a, b, t):
             arr.flags.writeable = False
@@ -127,12 +168,8 @@ class TaggedPartition:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "perron", bool(np.all((a <= t) & (t <= b))))
-        covers = (
-            abs(a[0]) <= 1e-12
-            and abs(b[-1] - 1.0) <= 1e-12
-            and np.all(np.abs(a[1:] - b[:-1]) <= 1e-12)
-            and abs(float(np.sum(b - a)) - 1.0) <= 1e-12
-        )
+        # exact abutment from 0 to 1, so the cells tile [0, 1]
+        covers = a[0] == 0.0 and b[-1] == 1.0 and np.all(a[1:] == b[:-1])
         object.__setattr__(self, "full", bool(covers))
 
     @property
@@ -175,7 +212,42 @@ def _dyadic_cells(P):
     return {k: cells for k, cells in enumerate(groups) if len(cells)}
 
 
-def cousin_build(g, max_depth=40, tag_order="mid", cell_budget=1 << 22, start=None):
+_MAX_DEPTH = 40
+_CELL_BUDGET = 1 << 22
+
+
+def _check_limits(depth, active, max_depth, cell_budget):
+    """cousin_build's limits on the cells active at one depth."""
+    if depth > max_depth:
+        raise DepthExceeded(
+            f"no acceptance after depth {max_depth} ({active} cells active)",
+            depth=max_depth, active_cells=active)
+    if active > cell_budget:
+        raise DepthExceeded(
+            f"active cell count {active} exceeds budget at depth {depth}",
+            depth=depth, active_cells=active)
+
+
+def check_budget(g, max_depth=_MAX_DEPTH, cell_budget=_CELL_BUDGET):
+    """Raise the DepthExceeded that cousin_build(g) would raise, without a build.
+
+    Only a constant gauge c (``g.const``) is decided here: all 2^k cells of
+    depth k stay active until the first depth with 2^-k < c, where every
+    cell is accepted at its first candidate.  Any other gauge passes, and
+    cousin_build checks it as it goes.
+    """
+    if g.const is None:
+        return
+    depth = 0
+    while True:
+        _check_limits(depth, 1 << depth, max_depth, cell_budget)
+        if 2.0 ** -depth < g.const:
+            return
+        depth += 1
+
+
+def cousin_build(g, max_depth=_MAX_DEPTH, tag_order="mid", cell_budget=_CELL_BUDGET,
+                 start=None):
     """Full delta-fine Perron partition of [0, 1] by bisection.
 
     A dyadic cell of width w is accepted at the first candidate tag t (in
@@ -193,6 +265,12 @@ def cousin_build(g, max_depth=40, tag_order="mid", cell_budget=1 << 22, start=No
     start cells gives the same cells and tags.  The skipped ancestors still
     count as active cells at their depths, so both builds raise the same
     DepthExceeded.  Whether delta' >= g holds is the caller's promise.
+
+    A cell whose width the gauge's bounds decide (Gauge.lower, Gauge.upper)
+    is accepted at its first candidate, or bisected, with no gauge call.
+    Each depth's active cells are kept in increasing order (children are
+    interleaved, start cells merged in), so the cells come out as one
+    increasing run per depth, which TaggedPartition merges.
     """
     if tag_order not in ("mid", "left"):
         raise ValueError(f"unknown tag_order {tag_order!r}")
@@ -206,21 +284,19 @@ def cousin_build(g, max_depth=40, tag_order="mid", cell_budget=1 << 22, start=No
     depth = 0
     while len(idx) or depth <= last:
         fresh = seeds.get(depth, idx[:0])
-        idx = np.concatenate([fresh, idx])
+        if len(fresh):  # two increasing runs: the stable sort (timsort) merges them
+            idx = np.sort(np.concatenate([fresh, idx]), kind="stable")
         covered = 2 * covered + len(fresh)
-        active = len(idx) + (1 << depth) - covered  # plus skipped ancestors
-        if depth > max_depth:
-            raise DepthExceeded(
-                f"no acceptance after depth {max_depth} ({active} cells active)",
-                depth=max_depth, active_cells=active)
-        if active > cell_budget:
-            raise DepthExceeded(
-                f"active cell count {active} exceeds budget at depth {depth}",
-                depth=depth, active_cells=active)
+        # plus skipped ancestors
+        _check_limits(depth, len(idx) + (1 << depth) - covered, max_depth, cell_budget)
         w = 2.0 ** (-depth)
         a = idx * w
-        chosen = np.empty(len(idx))
-        todo = np.arange(len(idx))  # cells with no accepted candidate yet
+        chosen = a + w * offsets[0]  # every cell's first candidate
+        # the gauge's bounds settle, with no call, the cells that accept their
+        # first candidate (have) and those that accept none; the rest are live
+        have = w < g.lower(a)
+        live = np.flatnonzero(~have & (w < g.upper(a, a + w)))
+        todo = live  # live cells with no accepted candidate yet
         for c in offsets:
             if not len(todo):
                 break
@@ -232,14 +308,17 @@ def cousin_build(g, max_depth=40, tag_order="mid", cell_budget=1 << 22, start=No
             ok = w < d
             chosen[todo[ok]] = cand[ok]
             todo = todo[~ok]
-        have = np.ones(len(idx), dtype=bool)
+        have[live] = True
         have[todo] = False
-        if len(todo) < len(idx):
+        n_have = np.count_nonzero(have)
+        if n_have:
             starts.append(a[have])
-            widths.append(np.full(len(idx) - len(todo), w))
+            widths.append(np.full(n_have, w))
             tags.append(chosen[have])
-        rest = idx[todo]
-        idx = np.concatenate([rest * 2, rest * 2 + 1])
+        rest = idx[~have]
+        idx = np.empty(2 * len(rest), dtype=np.int64)
+        idx[0::2] = rest * 2
+        idx[1::2] = idx[0::2] + 1
         depth += 1
     a = np.concatenate(starts)
     w = np.concatenate(widths)

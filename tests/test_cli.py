@@ -296,6 +296,14 @@ def test_out_of_range_option_is_usage_error(runner, tmp_path, args, option):
     # birkhoff runs on a partition chain of fixed length
     (["integrate", "G2", "--method", "birkhoff", "--levels", "20"],
      "--levels 20 is past the 14 levels of partition chain dyadic-14"),
+    # a constant gauge past the budget fails before level 1, also where the
+    # run would have diverged at an earlier level
+    (["integrate", "G3", "--method", "henstock", "--levels", "60"],
+     "too fine for bisection: active cell count 8388608 exceeds budget at depth 23"),
+    (["integrate", "G1", "--method", "mcshane", "--levels", "60"],
+     "too fine for bisection: active cell count 8388608 exceeds budget at depth 23"),
+    (["integrate", "G5", "--method", "vms", "--levels", "60"],
+     "too fine for bisection: active cell count 8388608 exceeds budget at depth 23"),
 ])
 def test_levels_too_fine_is_usage_error(runner, tmp_path, args, message):
     res = runner.invoke(main, args + ["--out", str(tmp_path)])
@@ -304,6 +312,15 @@ def test_levels_too_fine_is_usage_error(runner, tmp_path, args, message):
     assert res.output.startswith("Error: ") and res.output.count("\n") == 1
     assert message in res.output
     assert not list(tmp_path.iterdir())
+
+
+def test_varmeasure_exact_primitive_is_not_budget_checked(runner, tmp_path):
+    # G2's primitive is exact, so no level bisects: 60 levels pack as usual
+    res = runner.invoke(main, ["varmeasure", "G2", "--set", "0", "--levels", "60",
+                               "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    est = json.loads((tmp_path / "varmeasure-G2-s0.json").read_text())["estimates"]
+    assert len(est) == 60
 
 
 @pytest.mark.parametrize("levels", [0, -3, 2.5, "4", True, False, 15])

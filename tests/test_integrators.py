@@ -46,6 +46,13 @@ def test_schedule_rejects_nonmonotone():
         GaugeSchedule((Gauge.constant(0.1), Gauge.constant(0.2)))
 
 
+def test_schedule_check_is_exact():
+    # an increase far below the old 1e-12 slack
+    with pytest.raises(ValueError):
+        GaugeSchedule((Gauge.constant(1e-13), Gauge.constant(5e-13)))
+    GaugeSchedule((Gauge.constant(5e-13), Gauge.constant(5e-13)))
+
+
 def test_schedule_rejects_empty():
     with pytest.raises(ValueError):
         GaugeSchedule(())

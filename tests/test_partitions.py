@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaugeset import partitions
 from gaugeset.corpus import named_schedule
 from gaugeset.errors import DepthExceeded, GaugeNotPositive
 from gaugeset.integrators import GaugeSchedule, origin_schedule
@@ -12,6 +13,7 @@ from gaugeset.partitions import (
     Gauge,
     MeasurablePartition,
     TaggedPartition,
+    check_budget,
     cousin_build,
     is_delta_fine,
     measurable_partition,
@@ -91,8 +93,9 @@ def test_warm_build_equals_cold_build(schedule_id, tag_order):
 def test_hand_built_schedule_is_not_nested():
     g = Gauge.constant(0.1)
     assert not GaugeSchedule((g, g)).nested
-    # a growth below the sampled check's 1e-12 slack passes it, but is not nested
-    assert not origin_schedule(1.0, 1.0, 0.1, 1.0 + 2.0 ** -50, levels=3).nested
+    # the sampled check is exact: a growth of one part in 2^50 is rejected
+    with pytest.raises(ValueError):
+        origin_schedule(1.0, 1.0, 0.1, 1.0 + 2.0 ** -50, levels=3)
     assert origin_schedule(1.0, 1.0, 0.1, 0.5, levels=3).nested
 
 
@@ -116,6 +119,44 @@ def test_warm_build_raises_as_cold_build(limits):
     assert cold == _raised(lambda: cousin_build(levels[7], start=prev, **limits))
 
 
+def _raw_builds(monkeypatch, build):
+    """The (a, b, t) arrays each cousin_build in ``build()`` hands TaggedPartition."""
+    raw = []
+
+    def record(a, b, t):
+        raw.append((a.copy(), b.copy(), t.copy()))
+        return TaggedPartition(a, b, t)
+
+    monkeypatch.setattr(partitions, "TaggedPartition", record)
+    build()
+    monkeypatch.undo()
+    return raw
+
+
+@pytest.mark.parametrize("schedule_id", ["uniform", "henstock-origin", "vh-origin"])
+@pytest.mark.parametrize("tag_order", ["mid", "left"])
+def test_cousin_build_emits_each_depth_in_order(monkeypatch, schedule_id, tag_order):
+    levels = named_schedule(schedule_id, levels=9).levels
+    cold = _raw_builds(monkeypatch, lambda: [cousin_build(g, tag_order=tag_order)
+                                             for g in levels])
+    warm = []
+
+    def warm_builds():
+        prev = None
+        for g in levels:
+            prev = cousin_build(g, tag_order=tag_order, start=prev)
+
+    warm = _raw_builds(monkeypatch, warm_builds)
+    assert len(cold) == len(warm) == len(levels)
+    for (a, b, t), got in zip(cold, warm):
+        # the same arrays, row for row, from [0, 1] and from the previous level
+        for x, y in zip((a, b, t), got):
+            assert x.tobytes() == y.tobytes()
+        # one run per depth, coarsest first, each increasing
+        dw, da = np.diff(b - a), np.diff(a)
+        assert np.all(dw <= 0) and np.all(da[dw == 0] > 0)
+
+
 def test_warm_build_rejects_non_dyadic_start():
     P = TaggedPartition(np.array([0.0, 0.3]), np.array([0.3, 1.0]), np.array([0.1, 0.5]))
     with pytest.raises(ValueError):
@@ -133,6 +174,31 @@ def test_is_delta_fine_perron_flag():
     P = TaggedPartition(QUARTERS[:-1], QUARTERS[1:], np.array([0.9, 0.9, 0.9, 0.9]))
     assert is_delta_fine(P, Gauge.constant(2.0))
     assert not is_delta_fine(P, Gauge.constant(2.0), require_perron=True)
+
+
+def test_partition_abutment_is_exact():
+    # an overlap or a gap of 5e-13, below a depth-40 cell's width 2^-40
+    with pytest.raises(ValueError):
+        TaggedPartition(np.array([0.0, 0.5 - 5e-13]), np.array([0.5, 1.0]),
+                        np.array([0.25, 0.75]))
+    P = TaggedPartition(np.array([0.0, 0.5 + 5e-13]), np.array([0.5, 1.0]),
+                        np.array([0.25, 0.75]))
+    assert not P.full
+    w = 2.0 ** -40
+    P = TaggedPartition(np.array([0.0, 0.5, 0.5 + w]), np.array([0.5, 0.5 + w, 1.0]),
+                        np.array([0.25, 0.5, 0.75]))
+    assert P.full
+
+
+def test_partition_sorts_only_out_of_order_input():
+    a, b, t = QUARTERS[:-1], QUARTERS[1:], QUARTERS[:-1] + 0.125
+    P = TaggedPartition(a, b, t)
+    order = np.array([2, 0, 3, 1])
+    Q = TaggedPartition(a[order], b[order], t[order])
+    for x, y, z in ((P.a, Q.a, a), (P.b, Q.b, b), (P.t, Q.t, t)):
+        assert np.array_equal(x, z) and np.array_equal(y, z)
+        assert x is not z and not x.flags.writeable  # an own, frozen copy
+    assert P.full and Q.full
 
 
 def test_partition_validation():
@@ -165,6 +231,83 @@ def test_cousin_fine_for_random_gauges(seed):
     P = cousin_build(g)
     assert P.full
     assert is_delta_fine(P, g, require_perron=True)
+
+
+# -- gauge bounds ----------------------------------------------------------------
+
+_BOUNDED_GAUGES = st.one_of(
+    st.floats(2.0 ** -500, 2.0 ** 500).map(
+        lambda c: origin_schedule(1.0, 1.0, c, 1.0, levels=1).levels[0]),
+    st.floats(1e-300, 1e300).map(Gauge.constant),
+    st.floats(1e-300, 1e300).map(lambda c: Gauge.step([0.0, 1.0], [c])),
+)
+
+
+@given(_BOUNDED_GAUGES, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@settings(max_examples=300, deadline=None)
+def test_gauge_bounds_delta_on_the_cell(g, x, y):
+    a, b = min(x, y), max(x, y)  # a spans subnormals to 1
+    lo, hi = g.lower(np.array([a])), g.upper(np.array([a]), np.array([b]))
+    assert lo.shape == hi.shape == (1,) and lo[0] >= 0.0
+    for u in (a, min(np.nextafter(a, 2.0), b), (a + b) / 2.0, b):
+        assert lo[0] <= g(u) <= hi[0]
+
+
+def test_gauge_without_bound_settles_nothing():
+    cells = np.array([0.25, 0.5]), np.array([0.5, 1.0])
+    for g in (Gauge.from_callable(lambda ts: ts + 1.0),
+              Gauge.step([0.0, 0.5, 1.0], [0.2, 0.1])):
+        assert g.const is None
+        assert np.array_equal(g.lower(cells[0]), [0.0, 0.0])
+        assert np.array_equal(g.upper(*cells), [np.inf, np.inf])
+    # the wide window of an origin gauge at 0 bounds nothing
+    g = origin_schedule(1.0, 1.0, 0.5, 1.0, levels=1).levels[0]
+    assert g.lower(np.array([0.0])) == 0.0 and g.upper(np.array([0.0]), cells[1][:1]) == np.inf
+
+
+@pytest.mark.parametrize("schedule_id", ["uniform", "uniform-measurable", "henstock-origin",
+                                         "vh-origin"])
+@pytest.mark.parametrize("tag_order", ["mid", "left"])
+def test_gauge_bounds_keep_every_cousin_cell(schedule_id, tag_order):
+    # the bounds settle cells without gauge calls; a bound-less copy calls on every one
+    prev = bare = None
+    for n, g in enumerate(named_schedule(schedule_id, levels=10).levels, start=1):
+        prev = cousin_build(g, tag_order=tag_order, start=prev)
+        bare = cousin_build(Gauge.from_callable(g), tag_order=tag_order, start=bare)
+        for x, y in ((prev.a, bare.a), (prev.b, bare.b), (prev.t, bare.t)):
+            assert x.tobytes() == y.tobytes()
+
+
+# -- the bisection budget before a build ------------------------------------------
+
+_CONSTANT_GAUGES = [Gauge.constant, lambda c: Gauge.step([0.0, 1.0], [c])]
+
+
+@pytest.mark.parametrize("make", _CONSTANT_GAUGES)
+@pytest.mark.parametrize("c", [0.3, 2.0 ** -4, 1e-3, 2.0 ** -10, 1e-6])
+@pytest.mark.parametrize("limits", [{"cell_budget": 16}, {"cell_budget": 1000},
+                                    {"max_depth": 5}, {"max_depth": 12}])
+def test_check_budget_raises_as_cousin_build(make, c, limits):
+    g = make(c)
+    try:
+        cousin_build(g, **limits)
+    except DepthExceeded:
+        assert _raised(lambda: check_budget(g, **limits)) == _raised(
+            lambda: cousin_build(g, **limits))
+    else:
+        check_budget(g, **limits)
+
+
+@pytest.mark.parametrize("make", _CONSTANT_GAUGES)
+def test_check_budget_default_limits(make):
+    with pytest.raises(DepthExceeded,
+                       match="^active cell count 8388608 exceeds budget at depth 23$"):
+        check_budget(make(1e-9))
+    check_budget(make(2.0 ** -21))  # 2^22 cells, the budget itself
+    with pytest.raises(DepthExceeded, match="at depth 23$"):
+        check_budget(make(2.0 ** -22))
+    # a hand-built gauge is left to the in-build check
+    check_budget(Gauge.from_callable(lambda ts: np.full_like(ts, 1e-9)))
 
 
 # -- measurable partitions -----------------------------------------------------

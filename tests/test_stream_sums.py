@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from gaugeset import corpus
 from gaugeset import integrators as it
-from gaugeset.integrators import _fsum, _row_max, _tree_sum_columns
-from gaugeset.partitions import Gauge, TaggedPartition, _window_fine
+from gaugeset.integrators import _fsum, _row_max, _tree_sum_columns, origin_schedule
+from gaugeset.partitions import Gauge, TaggedPartition, _window_fine, cousin_build
 
 B = it._ROW_BLOCK
 
@@ -112,6 +112,70 @@ def test_streamed_level_sums_equal_whole_array_sums(n, m, mode):
     for (want_cols, want_gap), got_cols, got_gap in zip(want, cols, gaps):
         assert got_cols.tobytes() == want_cols.tobytes()
         assert got_gap == want_gap
+
+
+def _made_tags(P, gauge, seed):
+    """Each henstock probe variant's tags, made row block by row block."""
+    rng = np.random.default_rng(seed)
+    return [np.concatenate([make(slice(lo, lo + B)) for lo in range(0, len(P), B)])
+            for make in it._probe_tag_sets(P, gauge, rng, "henstock")]
+
+
+def _open_fallbacks(P, g, seed):
+    """Check g's probe tags against a copy of g with no bound, bit for bit.
+
+    Returns how many tags of the rows the bound leaves open fell back to
+    the build tag.
+    """
+    want = _made_tags(P, Gauge.from_callable(g), seed)
+    got = _made_tags(P, g, seed)
+    assert len(want) == len(got) == 18
+    for x, y in zip(want, got):
+        assert x.tobytes() == y.tobytes()
+    settled = P.widths < g.lower(P.a)
+    assert not any(np.any(settled & (x == P.t)) for x in got)
+    return sum(int(np.count_nonzero(~settled & (x == P.t))) for x in got)
+
+
+@pytest.mark.parametrize("schedule_id", ["uniform", "uniform-measurable", "henstock-origin",
+                                         "vh-origin"])
+@pytest.mark.parametrize("tag_order", ["mid", "left"])
+def test_gauge_bound_keeps_every_probe_tag(schedule_id, tag_order):
+    # levels 1, 6 and 12 have 16 to about 10^6 cells, across _ROW_BLOCK
+    P = None
+    for n, g in enumerate(corpus.named_schedule(schedule_id, levels=12).levels, start=1):
+        P = cousin_build(g, tag_order=tag_order, start=P)
+        if n in (1, 6, 12):
+            _open_fallbacks(P, g, [n, 7701])
+
+
+@pytest.mark.parametrize("tag_order", ["mid", "left"])
+def test_gauge_bound_open_rows_fall_back(tag_order):
+    # a steep origin gauge: cells near 0 are wide against c t^2 at their left end
+    g = origin_schedule(2.0 ** -15, 1.0, 1.0, 1.0, levels=1).levels[0]
+    P = cousin_build(g, tag_order=tag_order)
+    assert len(P) > 2 * B
+    assert _open_fallbacks(P, g, [1, 7701]) > 0
+
+
+def _tree_sum_oracle(x):
+    """Pairwise tree sum of each column: rows 2i and 2i + 1 add, an odd last row carries."""
+    x = np.array(x, dtype=np.float64)
+    while len(x) > 1:
+        h = len(x) // 2
+        x = np.concatenate([x[0:2 * h:2] + x[1:2 * h:2], x[2 * h:]])
+    return x[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 10), st.sampled_from(["C", "F", "view"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_tree_sum_columns_equals_pairwise_oracle(n, m, layout, seed):
+    # both row layouts (fewer than 8 columns, and more), from any input layout
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 2 * m)) * 10.0 ** rng.integers(-12, 12, size=(n, 2 * m))
+    x = x[:, ::2] if layout == "view" else np.asarray(x[:, :m], order=layout)
+    assert _tree_sum_columns(x).tobytes() == _tree_sum_oracle(x).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
