@@ -62,6 +62,7 @@ from .errors import (
     GaugesetError,
     GridMismatch,
     NotASelection,
+    PackingTruncated,
 )
 from .integrators import (
     DIVERGENCE_BOUND,

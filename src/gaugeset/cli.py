@@ -27,7 +27,7 @@ from click.core import ParameterSource
 from . import corpus as corpus_mod
 from . import decomposition as dec
 from . import integrators as it
-from .errors import DepthExceeded, GaugeNotPositive
+from .errors import DepthExceeded, GaugeNotPositive, PackingTruncated
 from .partitions import check_budget
 
 # the RunConfig "settings" keys integrate reads; any other key is a usage error
@@ -173,6 +173,15 @@ def _bisectable():
         yield
     except DepthExceeded as e:
         raise click.ClickException(f"the schedule is too fine for bisection: {e}")
+
+
+@contextmanager
+def _packable():
+    """A packing cut short by its loop guard is a usage error, not a wrong estimate."""
+    try:
+        yield
+    except PackingTruncated as e:
+        raise click.ClickException(f"the schedule is too fine for greedy packing: {e}")
 
 
 def _tol_for(entry, method, tol, config_settings):
@@ -352,7 +361,8 @@ def varmeasure(entry, set_token, seed, levels, out_dir, deterministic):
         sched = corpus_mod.named_schedule("uniform", levels=levels or 12)
     if not spec.exact_primitive:  # only a built primitive bisects
         _budgeted(sched)
-    with _bisectable():
+    with _bisectable(), _packable():
+        it.check_packing(E, sched)  # before the primitive is built
         phi = (spec.exact_primitive() if spec.exact_primitive
                else it.build_primitive(spec, sched.levels[-1]))
         result = it.variational_measure_estimate(phi, E, sched, seed=seed)

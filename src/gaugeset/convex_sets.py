@@ -371,8 +371,18 @@ class ExactIntervalMap:
         return SupportSet(self.grid, self.query_batch([a], [b])[0])
 
     def query_batch(self, a, b):
+        """fn(a, b) with the rows where b <= a set to 0.
+
+        fn's output is written only when it is writeable; a read-only one
+        (such as a broadcast view) is copied first, and only when some row
+        is empty.
+        """
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
         out = self.fn(a, b)
-        out[b <= a] = 0.0
+        empty = b <= a
+        if empty.any():
+            if not out.flags.writeable:
+                out = out.copy()
+            out[empty] = 0.0
         return out

@@ -86,7 +86,9 @@ class MultifunctionSpec:
     d: int
     description: str
     grid: DirectionGrid
-    eval_support: object  # ts (N,) -> (N, m) support values, effect-free
+    # ts (N,) -> (N, m) support values, effect-free; may be a read-only view,
+    # and one broadcast along its directions (strides[1] == 0) is reduced once
+    eval_support: object
     flags: dict
     truth: SupportSet | None
     params: dict = field(default_factory=dict)
@@ -179,8 +181,8 @@ def _g2_primitive():
 
 def _g4_primitive():
     def fn(a, b):
-        r = (b * b - a * a) / 2.0
-        return np.broadcast_to(r[:, None], (r.shape[0], _CIRCLE.m)).copy()
+        r = np.where(b <= a, 0.0, (b * b - a * a) / 2.0)
+        return np.broadcast_to(r[:, None], (r.shape[0], _CIRCLE.m))  # read-only view
     return ExactIntervalMap(_CIRCLE, fn, name="G4-primitive")
 
 

@@ -29,6 +29,18 @@ class DepthExceeded(GaugesetError):
         self.active_cells = active_cells
 
 
+class PackingTruncated(GaugesetError):
+    """The loop guard stopped a greedy packing before the end of a component.
+
+    The packing's value then misses the rest of the component, so no
+    estimate is reported for the level.
+    """
+
+    def __init__(self, message, level=None):
+        super().__init__(message)
+        self.level = level
+
+
 class NotASelection(GaugesetError):
     """A candidate selection left its multifunction at some probe point."""
 

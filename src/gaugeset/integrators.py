@@ -46,11 +46,14 @@ nested schedule (GaugeSchedule.nested) each level's Cousin build starts
 from the previous level's cells.  Each probe tag set is made, evaluated,
 weighted and reduced in row blocks of _ROW_BLOCK rows (_streamed_sums),
 with the bits of the whole-array computation; only the exact nominal
-column sums take the whole level at once.  A Perron probe tag lies in its
-cell [a, b], so where b - a is below the gauge's cell bound
-(Gauge.lower(a)) the fineness check w < delta(t) holds without a gauge
-call; only the other rows are checked.  The bound settles no free-mode
-window check, and a gauge built without one settles nothing.
+column sums take the whole level at once.  A support array broadcast along
+its directions (strides[1] == 0, as G4's) holds one column in memory;
+every sum, gap and norm reduces that column once and widens the result
+(_folded, _widened), with the bits of reducing every column.  A Perron
+probe tag lies in its cell [a, b], so where b - a is below the gauge's
+cell bound (Gauge.lower(a)) the fineness check w < delta(t) holds without
+a gauge call; only the other rows are checked.  The bound settles no
+free-mode window check, and a gauge built without one settles nothing.
 birkhoff_integrate keeps its own loop over measurable partitions.  Both
 loops share the level bookkeeping (_record), and _assemble builds every
 report, so the verdict, divergence record and report id follow one rule.
@@ -65,6 +68,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .convex_sets import Primitive, SupportSet, canonical_values
+from .errors import PackingTruncated
 from .partitions import (
     Gauge,
     TaggedPartition,
@@ -263,6 +267,26 @@ def _tree_sum_columns(terms):
                 dst[h] = x[n - 1]
         x, n, i = dst, n - h, 1 - i
     return x[0].copy()
+
+
+def _folded(x):
+    """The (N, 1) first column of an (N, m) array whose m > 1 columns are one.
+
+    A support array broadcast along its directions (strides[1] == 0, as
+    np.broadcast_to gives for a set that is the same in every direction)
+    holds one column in memory, and every reduction here is per column or
+    a row max, so it is reduced once and its result widened (_widened).
+    This is decided from the strides alone, never by comparing values; any
+    other array is returned as it is.
+    """
+    if x.ndim == 2 and x.shape[1] > 1 and x.strides[1] == 0:
+        return x[:, :1]
+    return x
+
+
+def _widened(s, m):
+    """Column results ``s`` of a folded array, one per column of the m-wide original."""
+    return s if len(s) == m else np.repeat(s, m)
 
 
 def _row_max(a):
@@ -478,8 +502,12 @@ def _gaps(cells, v, w, out):
     """Each row's max_j |cells[:, j] - v[:, j] * w|, written to ``out``.
 
     Rows narrower than _NARROW_ROW are taken column by column, with a
-    running max; max is exact, so the bits are those of _row_max.
+    running max; max is exact, so the bits are those of _row_max.  When
+    ``cells`` and ``v`` are both broadcast along their rows (_folded), every
+    row holds one gap, and its first column is that row's max.
     """
+    if _folded(cells).shape[1] == _folded(v).shape[1] == 1:
+        cells, v = cells[:, :1], v[:, :1]
     if v.shape[1] >= _NARROW_ROW:
         terms = v * w[:, None]
         d = np.subtract(cells, terms, out=terms)
@@ -512,6 +540,8 @@ def _streamed_sums(make, w, eval_blocks, blocks, cells=None):
     partials, and the remaining steps are _tree_sum_columns of those.
     Variational sums (``cells`` {block: (N, m) primitive values}) write each
     row block's max gap into one length-N vector and _fsum it at the end.
+    A broadcast block (_folded) is weighted and reduced as its one column,
+    whose tree sum is the same whatever the row width.
     """
     n = len(w)
     parts = {k: [] if cells is None else np.empty(n) for k in blocks}
@@ -520,7 +550,9 @@ def _streamed_sums(make, w, eval_blocks, blocks, cells=None):
         vals = eval_blocks(make(rows), blocks)
         for k in blocks:
             if cells is None:
-                parts[k].append(_tree_sum_columns(_weighted(vals[k], w[rows, 0])))
+                v = vals[k]
+                s = _tree_sum_columns(_weighted(_folded(v), w[rows, 0]))
+                parts[k].append(_widened(s, v.shape[1]))
             else:
                 _gaps(cells[k][rows], vals[k], w[rows, 0], out=parts[k][rows])
         del vals
@@ -595,7 +627,7 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None):
             nominal = _streamed_sums(lambda rows: tags[rows], w, eval_blocks, live, cells)
         else:  # exact, over the whole array
             vals = eval_blocks(tags, live)
-            nominal = {k: _fsum_columns(vals[k] * w) for k in live}
+            nominal = {k: _widened(_fsum_columns(_folded(vals[k]) * w), ms[k]) for k in live}
             del vals
         worst = {k: abs(v) for k, v in nominal.items()}  # largest |sum| over the tag sets
         spread_cols = {} if variational else {k: np.zeros(ms[k]) for k in live}
@@ -813,8 +845,8 @@ def birkhoff_integrate(mf, part_specs, tol, seed=0):
         tag_sets.append(_piece_adversarial_tags(mf, los, width))
         sums = []
         for ts in tag_sets:  # the adversarial draw's terms stay for the check below
-            terms = mf.eval_support(ts) * lam
-            sums.append(_fsum_columns(terms))
+            terms = _folded(mf.eval_support(ts)) * lam
+            sums.append(_widened(_fsum_columns(terms), mf.grid.m))
         nominal = sums[0]
         ref = prev if prev is not None else nominal
         dists = [float(np.max(np.abs(s - ref))) for s in sums]
@@ -827,10 +859,10 @@ def birkhoff_integrate(mf, part_specs, tol, seed=0):
             sum_norm=float(np.max(np.abs(nominal))),
             wall_ms=(time.perf_counter() - t0) * 1e3)
         # unconditionality: exact because _fsum_columns rounds each exact column sum once
-        n_perms = 8 if terms.size <= (1 << 18) else 2
+        n_perms = 8 if len(terms) * mf.grid.m <= (1 << 18) else 2
         for k in range(n_perms):
             perm = np.random.default_rng([seed, 41, n, k]).permutation(len(terms))
-            if not np.array_equal(_fsum_columns(terms[perm]), sums[-1]):
+            if not np.array_equal(_widened(_fsum_columns(terms[perm]), mf.grid.m), sums[-1]):
                 perm_ok = False
         worst = max(sums, key=lambda s: float(np.max(np.abs(s))))
         run["fired_dirs"] |= np.abs(worst) > DIVERGENCE_BOUND
@@ -865,7 +897,7 @@ def _piece_adversarial_tags(mf, los, width, floor=1e-8):
     cands[:, :10] = np.clip(cands[:, :10], np.maximum(lo0, floor)[:, None],
                             (lo0 + width)[:, None])
     vals = mf.eval_support(cands.ravel())
-    norms = np.max(np.abs(vals), axis=1).reshape(cands.shape)
+    norms = np.max(np.abs(_folded(vals)), axis=1).reshape(cands.shape)
     return cands[np.arange(cands.shape[0]), np.argmax(norms, axis=1)]
 
 
@@ -914,13 +946,22 @@ def variational_measure_estimate(phi, E, schedule, seed=0):
     each packing, and the level's estimate, is the one the restarts give
     run one after another.  Estimates are a lower surrogate for the sup in
     Var and the sequence's last value a surrogate for the limit; flagged
-    approximate.
+    approximate.  A level whose packings the loop guard cuts short has no
+    estimate: PackingTruncated is raised, before level 1 where
+    check_packing can tell.
     """
     comps = normalize_set(E)
+    check_packing(comps, schedule)
     estimates = []
     for n, gauge in enumerate(schedule.levels, start=1):
         rngs = [np.random.default_rng([seed, 55, n, r]) for r in range(_PACK_RESTARTS)]
-        estimates.append(max(0.0, *_pack_values(phi, comps, gauge, rngs)))
+        values, cut = _pack_values(phi, comps, gauge, rngs)
+        if cut:
+            lo, hi = comps[cut[0]]
+            raise PackingTruncated(
+                f"level {n}: a greedy packing of [{lo:g}, {hi:g}] took "
+                f"{_PACK_MAX_ITEMS} steps without reaching its end", level=n)
+        estimates.append(max(0.0, *values))
     return {
         "set": [(float(lo), float(hi)) for lo, hi in comps],
         "estimates": estimates,
@@ -929,6 +970,31 @@ def variational_measure_estimate(phi, E, schedule, seed=0):
         "restarts": _PACK_RESTARTS,
         "seed": seed,
     }
+
+
+def check_packing(E, schedule):
+    """Raise the PackingTruncated that the guard is certain to cause, before level 1.
+
+    Only a constant gauge delta >= 1e-12 is decided here.  Every step then
+    moves a packing's t forward, by at most 0.98 delta + 0.9 delta, or by
+    delta on an empty item; 2 delta also covers rounding.  A lane enters a
+    component [lo, hi] at t <= max(lo, H + delta), where H is the largest
+    end of the components before it (its cursor passes no end by more than
+    0.98 delta), so if hi - t exceeds 2 delta _PACK_MAX_ITEMS, every lane is
+    cut by the guard.  Any other gauge passes, and _pack_values reports the
+    cut when it happens.
+    """
+    comps = normalize_set(E)
+    for n, gauge in enumerate(schedule.levels, start=1):
+        if gauge.const is None or not gauge.const >= 1e-12:
+            continue
+        reach = -np.inf
+        for lo, hi in comps:
+            if hi - max(lo, reach + gauge.const) > 2.0 * gauge.const * _PACK_MAX_ITEMS:
+                raise PackingTruncated(
+                    f"level {n}: a greedy packing of [{lo:g}, {hi:g}] cannot reach its "
+                    f"end in {_PACK_MAX_ITEMS} steps of gauge {gauge.const:g}", level=n)
+            reach = max(reach, hi)
 
 
 def normalize_set(E):
@@ -992,7 +1058,9 @@ def _pack_values(phi, comps, gauge, rngs):
     leaves the component when t reaches hi, an item reaches hi, t does not
     advance, or after _PACK_MAX_ITEMS steps.  All live lanes take each step
     together: one gauge call on their tags and one on their new cursors.
-    A lane's value is the sum of d_H(Phi(I), 0) over its items.
+    A lane's value is the sum of d_H(Phi(I), 0) over its items.  Returns
+    the values and the sorted indices of the components that the guard
+    stopped some lane in before their end.
     """
     n_lanes = len(rngs)
     # a sentinel component past the last one: no cursor skips it, and a
@@ -1006,6 +1074,7 @@ def _pack_values(phi, comps, gauge, rngs):
     guard = np.zeros(n_lanes, dtype=np.intp)
     leave = np.ones(n_lanes, dtype=bool)
     chunks, items = [], []  # (lanes, L, R) of each step's kept items
+    cut = set()
     while True:
         idx = leave.nonzero()[0]
         if len(idx):
@@ -1042,19 +1111,24 @@ def _pack_values(phi, comps, gauge, rngs):
             t_new[step] = np.minimum(hi[step], cursor[step] + gap)
             leave[step] = t_new[step] <= t[step]
         t = t_new
-        leave |= guard >= _PACK_MAX_ITEMS
+        stop = guard >= _PACK_MAX_ITEMS
+        if stop.any():
+            stop &= ~leave  # the lanes the guard stops before hi
+            cut.update(comp[stop].tolist())
+            leave |= stop
+    cut = sorted(cut)
     if not chunks and not items:
-        return [0.0] * n_lanes
+        return [0.0] * n_lanes, cut
     owner, a, b = map(np.concatenate, zip(*chunks, *items))
     order = np.argsort(owner, kind="stable")  # a lane's items in walk order
     ends = np.cumsum(np.bincount(owner, minlength=n_lanes))
     values, start = [], 0
     for end in ends:
         sel = order[start:end]
-        values.append(_fsum(_row_max(np.abs(phi.query_batch(a[sel], b[sel]))))
+        values.append(_fsum(_row_max(np.abs(_folded(phi.query_batch(a[sel], b[sel])))))
                       if len(sel) else 0.0)
         start = end
-    return values
+    return values, cut
 
 
 def _built_primitives(eval_blocks, grid, gauge, blocks):

@@ -158,9 +158,15 @@ class TaggedPartition:
             a, b, t = a[order], b[order], t[order]
         if not np.all(b > a):  # also false at a NaN endpoint
             raise ValueError("intervals must have positive width")
-        if not np.all(np.isfinite(a) & np.isfinite(b) & np.isfinite(t)):
+        overlap = np.any(b[:-1] > a[1:])
+        # sorted cells of positive width that do not overlap keep every
+        # endpoint in [a[0], b[-1]]; overlapping input is rejected anyway,
+        # and is checked in full so that it fails with the same message
+        ends = (a, b) if overlap else (a[0], b[-1])
+        if not (np.all(np.isfinite(ends[0]) & np.isfinite(ends[1]))
+                and np.all(np.isfinite(t))):
             raise ValueError("endpoints and tags must be finite")
-        if np.any(b[:-1] > a[1:]):
+        if overlap:
             raise ValueError("interval interiors overlap")
         for arr in (a, b, t):
             arr.flags.writeable = False

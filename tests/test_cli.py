@@ -304,6 +304,9 @@ def test_out_of_range_option_is_usage_error(runner, tmp_path, args, option):
      "too fine for bisection: active cell count 8388608 exceeds budget at depth 23"),
     (["integrate", "G5", "--method", "vms", "--levels", "60"],
      "too fine for bisection: active cell count 8388608 exceeds budget at depth 23"),
+    # the packing guard would cut every packing of the interval at level 18
+    (["varmeasure", "G2", "--set", "0.25:0.75", "--levels", "18"],
+     "too fine for greedy packing: level 18: a greedy packing of [0.25, 0.75] cannot reach"),
 ])
 def test_levels_too_fine_is_usage_error(runner, tmp_path, args, message):
     res = runner.invoke(main, args + ["--out", str(tmp_path)])

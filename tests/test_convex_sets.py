@@ -429,6 +429,22 @@ def test_exact_interval_map_zeroes_degenerate_rows():
     np.testing.assert_array_equal(out[1], [0.0, 0.0])
 
 
+def test_exact_interval_map_leaves_a_read_only_output_unwritten():
+    base = np.arange(8.0).reshape(4, 2)
+
+    def fn(a, b):
+        view = base.view()
+        view.flags.writeable = False
+        return view
+
+    phi = ExactIntervalMap(LINE, fn)
+    out = phi.query_batch(np.array([0.1, 0.5, 0.3, 0.7]), np.array([0.2, 0.5, 0.4, 0.6]))
+    np.testing.assert_array_equal(out, [[0.0, 1.0], [0.0, 0.0], [4.0, 5.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(base, np.arange(8.0).reshape(4, 2))
+    # with no empty row the output is returned as it is
+    assert np.shares_memory(phi.query_batch(np.zeros(4), np.ones(4)), base)
+
+
 def test_support_set_rejects_nonfinite():
     with pytest.raises(ValueError):
         SupportSet(LINE, np.array([np.nan, 1.0]))

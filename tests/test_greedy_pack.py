@@ -3,7 +3,9 @@
 The oracle below is the restart loop that packed one item per Python step:
 each of the 16 restarts of a level walks the set alone, with its own
 default_rng([seed, 55, n, r]) and one gauge call per tag.  The library runs
-the restarts in lockstep, so every estimate must equal the oracle's exactly.
+the restarts in lockstep, so every estimate must equal the oracle's exactly,
+and the guard must stop the same components short.  A level the guard cuts
+short has no estimate: variational_measure_estimate raises PackingTruncated.
 """
 
 import numpy as np
@@ -11,14 +13,21 @@ import pytest
 
 from gaugeset import corpus
 from gaugeset import integrators as it
-from gaugeset.integrators import GaugeSchedule, normalize_set, variational_measure_estimate
+from gaugeset.errors import PackingTruncated
+from gaugeset.integrators import (
+    GaugeSchedule,
+    check_packing,
+    normalize_set,
+    variational_measure_estimate,
+)
 from gaugeset.partitions import Gauge
 
 
 def _greedy_pack_value(phi, comps, gauge, rng):
-    items_a, items_b = [], []
+    """One packing's value and the components its guard stopped it in before their end."""
+    items_a, items_b, cut = [], [], []
     cursor = 0.0
-    for lo, hi in comps:
+    for i, (lo, hi) in enumerate(comps):
         t = max(lo, cursor)
         if t > hi and lo < hi:
             continue
@@ -57,22 +66,57 @@ def _greedy_pack_value(phi, comps, gauge, rng):
             if t_next <= t:
                 break
             t = t_next
+        else:  # t <= hi throughout, so the guard ended the walk
+            cut.append(i)
     if not items_a:
-        return 0.0
+        return 0.0, cut
     V = phi.query_batch(np.asarray(items_a), np.asarray(items_b))
-    return it._fsum(it._row_max(np.abs(V)))
+    return it._fsum(it._row_max(np.abs(V))), cut
+
+
+def oracle_levels(phi, E, schedule, seed):
+    """Per level: the best packing value and the components any restart was cut in."""
+    comps = normalize_set(E)
+    levels = []
+    for n, gauge in enumerate(schedule.levels, start=1):
+        best, cut = 0.0, set()
+        for r in range(it._PACK_RESTARTS):
+            rng = np.random.default_rng([seed, 55, n, r])
+            value, lane_cut = _greedy_pack_value(phi, comps, gauge, rng)
+            best = max(best, value)
+            cut.update(lane_cut)
+        levels.append((best, sorted(cut)))
+    return levels
 
 
 def oracle_estimates(phi, E, schedule, seed):
+    return [best for best, _ in oracle_levels(phi, E, schedule, seed)]
+
+
+def assert_lockstep_equals_oracle(phi, E, schedule, seed):
+    """_pack_values level by level equals the oracle, guard cuts included.
+
+    variational_measure_estimate then gives the oracle's estimates, or
+    raises PackingTruncated when some level was cut.
+    """
+    want = oracle_levels(phi, E, schedule, seed)
     comps = normalize_set(E)
-    estimates = []
+    got = []
     for n, gauge in enumerate(schedule.levels, start=1):
-        best = 0.0
-        for r in range(it._PACK_RESTARTS):
-            rng = np.random.default_rng([seed, 55, n, r])
-            best = max(best, _greedy_pack_value(phi, comps, gauge, rng))
-        estimates.append(best)
-    return estimates
+        rngs = [np.random.default_rng([seed, 55, n, r]) for r in range(it._PACK_RESTARTS)]
+        values, cut = it._pack_values(phi, comps, gauge, rngs)
+        got.append((max(0.0, *values), cut))
+    assert got == want
+    cut_levels = [n for n, (_, cut) in enumerate(want, start=1) if cut]
+    if cut_levels:
+        with pytest.raises(PackingTruncated) as exc:
+            variational_measure_estimate(phi, E, schedule, seed=seed)
+        # the first cut level, or a later one that check_packing flags before level 1
+        assert exc.value.level in cut_levels
+    else:
+        got = variational_measure_estimate(phi, E, schedule, seed=seed)["estimates"]
+        assert got == [best for best, _ in want]
+    return cut_levels
 
 
 def _phi(entry):
@@ -112,8 +156,8 @@ def test_tiny_gauge_takes_the_empty_item_path(monkeypatch):
     sched = GaugeSchedule((Gauge.constant(1e-17),))
     phi = _phi("G2")
     for E in ([0.5, (0.6, 0.6 + 1e-10), (0.0, 0.3)], (0.25, 0.75), [0.0, 0.5]):
-        got = variational_measure_estimate(phi, E, sched, seed=1)["estimates"]
-        assert got == oracle_estimates(phi, E, sched, 1)
+        cut_levels = assert_lockstep_equals_oracle(phi, E, sched, 1)
+        assert cut_levels == ([] if E == [0.0, 0.5] else [1])
 
 
 @pytest.mark.parametrize("E", [
@@ -133,9 +177,7 @@ def test_rounding_paths_alike(monkeypatch, E):
     # and one ulp below 0.5 on [0.48, 0.6)
     tiny = Gauge.step([0.0, 0.4, 0.48, 0.6, 1.0], [0.01, 1e-17, 5e-17, 0.01])
     sched = GaugeSchedule((tiny,))
-    phi = _phi("G2")
-    got = variational_measure_estimate(phi, E, sched, seed=6)["estimates"]
-    assert got == oracle_estimates(phi, E, sched, 6)
+    assert_lockstep_equals_oracle(_phi("G2"), E, sched, 6)
 
 
 @pytest.mark.parametrize("max_items", [1, 3, 40])
@@ -143,8 +185,8 @@ def test_guard_fires_alike(monkeypatch, max_items):
     monkeypatch.setattr(it, "_PACK_MAX_ITEMS", max_items)
     phi, E = _phi("G2"), SETS["mixed"]
     sched = corpus.named_schedule("uniform", levels=6)
-    got = variational_measure_estimate(phi, E, sched, seed=2)["estimates"]
-    assert got == oracle_estimates(phi, E, sched, 2)
+    cut_levels = assert_lockstep_equals_oracle(phi, E, sched, 2)
+    assert bool(cut_levels) == (max_items < 40)  # 40 steps walk every component
 
 
 def test_draw_blocks_refill_alike(monkeypatch):
@@ -161,3 +203,35 @@ def test_empty_set_gives_zero_estimates():
     sched = corpus.named_schedule("uniform", levels=2)
     vm = variational_measure_estimate(_phi("G6"), SETS["outside"], sched, seed=0)
     assert vm["set"] == [] and vm["estimates"] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("max_items", [5, 40, 400])
+@pytest.mark.parametrize("E", [(0.25, 0.75), [(0.0, 0.1), (0.05, 0.6)], [0.2, (0.3, 0.35)]])
+def test_check_packing_flags_only_levels_the_guard_cuts(monkeypatch, max_items, E):
+    # a level check_packing flags is cut by the walk itself
+    monkeypatch.setattr(it, "_PACK_MAX_ITEMS", max_items)
+    comps = normalize_set(E)
+    phi = _phi("G2")
+    flagged = 0
+    for n in range(1, 13):
+        gauge = Gauge.constant(0.25 / 2.0 ** n)
+        sched = GaugeSchedule((gauge,))
+        try:
+            check_packing(E, sched)
+        except PackingTruncated:
+            flagged += 1
+            rngs = [np.random.default_rng([0, 55, 1, r]) for r in range(it._PACK_RESTARTS)]
+            _, cut = it._pack_values(phi, comps, gauge, rngs)
+            assert cut
+    assert flagged  # the finest levels are flagged for every set here
+
+
+def test_guard_truncation_is_raised_not_reported():
+    # G2 on [0.25, 0.75]: 2 * 200000 * delta_18 < 0.5 < 2 * 200000 * delta_17
+    phi = _phi("G2")
+    check_packing((0.25, 0.75), corpus.named_schedule("uniform", levels=17))
+    with pytest.raises(PackingTruncated, match="level 18: a greedy packing of "
+                                               r"\[0.25, 0.75\] cannot reach its end") as exc:
+        variational_measure_estimate(phi, (0.25, 0.75),
+                                     corpus.named_schedule("uniform", levels=18))
+    assert exc.value.level == 18

@@ -219,6 +219,20 @@ def test_partition_rejects_non_finite(a, b, t):
         TaggedPartition(np.array(a), np.array(b), np.array(t))
 
 
+@pytest.mark.parametrize("a, b, message", [
+    ([0.0, 0.5], [0.5, np.inf], "endpoints and tags must be finite"),
+    ([-np.inf, 0.5], [0.5, 1.0], "endpoints and tags must be finite"),
+    # an infinite interior end overlaps its neighbour; the finiteness message wins
+    ([0.0, 0.5], [np.inf, 1.0], "endpoints and tags must be finite"),
+    ([0.0, 0.4], [0.5, 1.0], "interval interiors overlap"),
+    ([0.0, 0.5], [0.5, 0.5], "intervals must have positive width"),
+    ([0.5, np.nan], [1.0, 0.7], "intervals must have positive width"),
+])
+def test_partition_rejection_messages(a, b, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TaggedPartition(np.array(a), np.array(b), np.array([0.25, 0.75]))
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=100, deadline=None)
 def test_cousin_fine_for_random_gauges(seed):

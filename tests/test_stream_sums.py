@@ -201,3 +201,48 @@ def test_uniform_draw_identity(seed):
     got = it._uniform(np.random.default_rng([seed, 10]), lo, hi)
     assert got.tobytes() == want.tobytes()
     assert np.array_equal(got[::7], lo[::7])
+
+
+def _broadcast_eval(kind):
+    """ts -> (N, 1) column; "nan" makes the tags below 0.3 nan."""
+    if kind == "nan":
+        def ev(ts):
+            with np.errstate(invalid="ignore"):
+                return np.log(ts - 0.3)[:, None]
+        return ev
+    return lambda ts: np.cos(1.0 / (ts + 1e-3))[:, None]
+
+
+@pytest.mark.parametrize("n", [1, B + 1, 2 * B + 3])
+@pytest.mark.parametrize("m", [2, 7, 8, 64])
+@pytest.mark.parametrize("kind", ["finite", "nan"])
+def test_broadcast_sums_equal_materialized_sums(n, m, kind):
+    # m across _NARROW_ROW: the materialized array takes either row layout
+    P = _partition(n)
+    gauge = Gauge.from_callable(lambda ts: (0.4 + ts) * 1.5 / n)
+    col = _broadcast_eval(kind)
+    view = lambda ts: np.broadcast_to(col(ts), (len(ts), m))
+    full = lambda ts: np.ascontiguousarray(view(ts))
+    cells = np.broadcast_to(np.random.default_rng([n, m, 3]).normal(size=(n, 1)), (n, m))
+    cols = _streamed_sums(P, gauge, "henstock", view, None)
+    assert cols[0].shape == (m,)
+    for got, want in zip(cols, _streamed_sums(P, gauge, "henstock", full, None)):
+        assert got.tobytes() == want.tobytes()
+    # gaps fold only when the cells are broadcast too
+    for c in (cells, np.random.default_rng([n, m, 4]).normal(size=(n, m))):
+        want = _streamed_sums(P, gauge, "henstock", full, {0: np.ascontiguousarray(c)})
+        got = _streamed_sums(P, gauge, "henstock", view, {0: c})
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_only_stride_zero_columns_fold():
+    col = np.linspace(0.0, 1.0, 5)[:, None]
+    view = np.broadcast_to(col, (5, 64))
+    folded = it._folded(view)
+    assert folded.shape == (5, 1) and np.shares_memory(folded, view)
+    # equal by value, but laid out column by column: the general path
+    equal = np.ascontiguousarray(view)
+    assert it._folded(equal) is equal
+    assert it._folded(col) is col
+    assert it._folded(np.broadcast_to(col, (5, 1))).shape == (5, 1)
+    assert it._widened(np.array([2.0]), 64).tobytes() == np.full(64, 2.0).tobytes()
