@@ -140,48 +140,37 @@ def _schedule_for(entry, method, levels, config_settings):
                 f"{source} {L} is past the {len(parts)} levels of partition chain {parts_id}")
         return parts[:L] if L else parts
     schedule_id = config_settings.get("schedule")
-    with _representable(L):
+    with _too_fine("range", levels=L):
         try:
             sched = corpus_mod.recommended_schedule(entry, method, schedule_id, L)
         except (TypeError, ValueError) as e:
             raise click.ClickException(f'"settings.schedule": {e}')
-    return _budgeted(sched)
-
-
-@contextmanager
-def _representable(levels):
-    """A schedule whose gauge widths leave the float range is a usage error."""
-    try:
-        yield
-    except (OverflowError, GaugeNotPositive):
-        raise click.ClickException(
-            f"{levels} levels are too fine: the gauge widths leave the floating-point range")
-
-
-def _budgeted(schedule):
-    """A constant gauge too fine for the bisection budget fails before level 1."""
-    with _bisectable():
-        for g in schedule.levels:
+    with _too_fine("bisection"):  # a constant gauge too fine fails before level 1
+        for g in sched.levels:
             check_budget(g)
-    return schedule
+    return sched
+
+
+# the ways a schedule can be too fine: the errors that show it, and the message
+_TOO_FINE = {
+    "range": ((OverflowError, GaugeNotPositive),
+              "{levels} levels are too fine: the gauge widths leave the floating-point range"),
+    "bisection": (DepthExceeded, "the schedule is too fine for bisection: {e}"),
+    # a packing cut short by its loop guard would give a wrong estimate
+    "packing": (PackingTruncated, "the schedule is too fine for greedy packing: {e}"),
+}
 
 
 @contextmanager
-def _bisectable():
-    """A gauge too fine for the bisection budget is a usage error, not a traceback."""
+def _too_fine(*ways, levels=None):
+    """A schedule too fine in one of ``ways`` is a usage error, not a traceback."""
     try:
         yield
-    except DepthExceeded as e:
-        raise click.ClickException(f"the schedule is too fine for bisection: {e}")
-
-
-@contextmanager
-def _packable():
-    """A packing cut short by its loop guard is a usage error, not a wrong estimate."""
-    try:
-        yield
-    except PackingTruncated as e:
-        raise click.ClickException(f"the schedule is too fine for greedy packing: {e}")
+    except Exception as e:
+        for kinds, message in map(_TOO_FINE.get, ways):
+            if isinstance(e, kinds):
+                raise click.ClickException(message.format(levels=levels, e=e))
+        raise
 
 
 def _tol_for(entry, method, tol, config_settings):
@@ -248,7 +237,7 @@ def integrate(entry, method, tol, levels, seed, out_dir, config_path, determinis
     tol = _tol_for(spec, method, tol, settings)
     sched = _schedule_for(spec, method, levels, settings)
 
-    with _bisectable():
+    with _too_fine("bisection"):
         if method == "henstock":
             report = it.henstock_integrate(spec, sched, tol, seed=seed)
         elif method == "mcshane":
@@ -357,11 +346,13 @@ def varmeasure(entry, set_token, seed, levels, out_dir, deterministic):
     spec = _entry(entry)
     seed = _resolve_seed(seed)
     E = _parse_set(set_token)
-    with _representable(levels):
+    with _too_fine("range", levels=levels):
         sched = corpus_mod.named_schedule("uniform", levels=levels or 12)
     if not spec.exact_primitive:  # only a built primitive bisects
-        _budgeted(sched)
-    with _bisectable(), _packable():
+        with _too_fine("bisection"):
+            for g in sched.levels:
+                check_budget(g)
+    with _too_fine("bisection", "packing"):
         it.check_packing(E, sched)  # before the primitive is built
         phi = (spec.exact_primitive() if spec.exact_primitive
                else it.build_primitive(spec, sched.levels[-1]))

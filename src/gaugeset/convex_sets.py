@@ -64,7 +64,8 @@ class DirectionGrid:
     def __init__(self, d, dirs):
         self.d = d
         self.m = dirs.shape[0]
-        dirs = np.ascontiguousarray(dirs, dtype=np.float64)
+        # a copy, so that freezing it leaves the caller's array writeable
+        dirs = np.array(dirs, dtype=np.float64, order="C")
         dirs.flags.writeable = False
         self.dirs = dirs
 
@@ -109,7 +110,8 @@ class SupportSet:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
+        # a copy, so that freezing it leaves the caller's array writeable
+        v = np.array(self.values, dtype=np.float64, order="C")
         if v.shape != (self.grid.m,):
             raise ValueError(f"expected {self.grid.m} support values, got shape {v.shape}")
         if not np.all(np.isfinite(v)):

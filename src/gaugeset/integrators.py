@@ -41,9 +41,9 @@ level's partition, probe tags and set evaluation.  Its blocks are of one of
 two kinds.  Column-sum blocks take Riemann sums per column.  Variational
 blocks take the summed primitive-vs-term gaps, worst over the level's tag
 sets, on left-first tags, with rng salt 7702, and in free mode their probes
-fall back to the nominal free tags rather than the build tags.  On a
-nested schedule (GaugeSchedule.nested) each level's Cousin build starts
-from the previous level's cells.  Each probe tag set is made, evaluated,
+fall back to the nominal free tags rather than the build tags.  Each
+level's Cousin partition is built from [0, 1] for its own gauge, as
+Cousin's lemma gives it.  Each probe tag set is made, evaluated,
 weighted and reduced in row blocks of _ROW_BLOCK rows (_streamed_sums),
 with the bits of the whole-array computation; only the exact nominal
 column sums take the whole level at once.  A support array broadcast along
@@ -97,16 +97,12 @@ CSV_HEADER = "level,residual,max_dir_residual,wall_ms"
 class GaugeSchedule:
     """Pointwise nonincreasing sequence of gauges delta_1 >= delta_2 >= ...
 
-    The check below compares 1001 sampled points exactly.  The constructors
-    whose gauges are nonincreasing in floating point at every t by
-    construction (uniform, measurable-uniform, origin) mark their schedules
-    ``nested``, and only those warm-start each level's Cousin build from
-    the previous level's cells.
+    The check below compares 1001 sampled points exactly; it is an input
+    check, and no build relies on the order of the gauges.
     """
 
     levels: tuple
     name: str = "custom"
-    _nested: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         if not self.levels:
@@ -120,11 +116,6 @@ class GaugeSchedule:
             prev = cur
 
     @property
-    def nested(self):
-        """True when delta_{n+1}(t) <= delta_n(t) holds at every t, not only at the samples."""
-        return self._nested
-
-    @property
     def measurable(self):
         """True when every gauge is piecewise constant, hence measurable."""
         return all(g.kind == "piecewise" for g in self.levels)
@@ -136,7 +127,7 @@ class GaugeSchedule:
 def uniform_schedule(base=0.25, levels=DEFAULT_LEVELS):
     """Constant gauges base/2^n, n = 1..levels."""
     gs = tuple(Gauge.constant(base / 2.0 ** n) for n in range(1, levels + 1))
-    return GaugeSchedule(gs, name=f"uniform({base:g},L{levels})", _nested=True)
+    return GaugeSchedule(gs, name=f"uniform({base:g},L{levels})")
 
 
 def measurable_uniform_schedule(base=0.25, levels=DEFAULT_LEVELS):
@@ -145,7 +136,7 @@ def measurable_uniform_schedule(base=0.25, levels=DEFAULT_LEVELS):
         Gauge.step(np.array([0.0, 1.0]), np.array([base / 2.0 ** n]), name="measurable-const")
         for n in range(1, levels + 1)
     )
-    return GaugeSchedule(gs, name=f"measurable-uniform({base:g},L{levels})", _nested=True)
+    return GaugeSchedule(gs, name=f"measurable-uniform({base:g},L{levels})")
 
 
 def origin_schedule(h0, h_factor, c0, c_factor, levels=DEFAULT_LEVELS, name="origin"):
@@ -171,10 +162,7 @@ def origin_schedule(h0, h_factor, c0, c_factor, levels=DEFAULT_LEVELS, name="ori
     hs = [h0 * h_factor ** n for n in range(1, levels + 1)]
     cs = [c0 * c_factor ** n for n in range(1, levels + 1)]
     gs = tuple(make(n, hn, cn) for n, (hn, cn) in enumerate(zip(hs, cs), start=1))
-    # GaugeSchedule's exact check reads hn at t = 0 and cn at t = 1, so a
-    # schedule that passes it has nonincreasing coefficients; (cn * t) * t is
-    # monotone in cn, so its gauges are nonincreasing at every t
-    return GaugeSchedule(gs, name=f"{name}(L{levels})", _nested=True)
+    return GaugeSchedule(gs, name=f"{name}(L{levels})")
 
 
 # -- exact summation helpers -------------------------------------------------
@@ -599,22 +587,18 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None):
 
     Sums are per block, so a block's run is bit-identical to a one-block
     run.  A level's ``wall_ms`` is that of the whole shared level, recorded
-    on every block that ran it.  On a nested schedule a level's partition is
-    bisected on from the previous level's (cousin_build's ``start``), which
-    gives the partition a build from [0, 1] gives.  Returns one run dict
-    per block.
+    on every block that ran it.  Each level's partition is built from
+    [0, 1] by cousin_build for that level's gauge alone.  Returns one run
+    dict per block.
     """
     variational = phis is not None
     runs = [_new_run(m) for m in ms]
     live = list(range(len(ms)))
-    built = None
     for n, gauge in enumerate(schedule.levels, start=1):
         if not live:
             break
         t0 = time.perf_counter()
-        built = cousin_build(gauge, tag_order="left" if variational else "mid",
-                             start=built if schedule.nested else None)
-        P = built
+        P = cousin_build(gauge, tag_order="left" if variational else "mid")
         rng = np.random.default_rng([seed, 7702 if variational else 7701, n])
         tags = P.t if mode == "henstock" else _free_tags(P.a, P.b, P.t, gauge, rng)
         if variational and mode != "henstock":
@@ -669,6 +653,7 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None):
                 fired = run["fired_dirs"].any()
             if _record(run, stat, value, fired):
                 live.remove(k)
+        del P, tags, w, cells  # free this level's arrays before the next build
     return runs
 
 
@@ -1002,8 +987,9 @@ def normalize_set(E):
 
     E is a dict with "points" and/or "intervals", a bare (lo, hi) tuple, or
     a list of points and (lo, hi) pairs; a point t is the component (t, t).
-    Components are clipped to [0, 1] first, and those left empty (hi < lo:
-    reversed, or wholly outside [0, 1]) are dropped.
+    A NaN endpoint raises ValueError.  Components are clipped to [0, 1]
+    first, and those left empty (hi < lo: reversed, or wholly outside
+    [0, 1]) are dropped.
     """
     if isinstance(E, dict):
         items = [*E.get("points", ()), *E.get("intervals", ())]
@@ -1015,7 +1001,10 @@ def normalize_set(E):
     comps = []
     for item in items:
         lo, hi = (item, item) if np.isscalar(item) else item
-        lo, hi = max(0.0, float(lo)), min(1.0, float(hi))
+        lo, hi = float(lo), float(hi)
+        if math.isnan(lo) or math.isnan(hi):  # max and min would clip NaN to 0 and 1
+            raise ValueError(f"set component {item!r} has a NaN endpoint")
+        lo, hi = max(0.0, lo), min(1.0, hi)
         if hi >= lo:
             comps.append((lo, hi))
     return sorted(comps)

@@ -200,24 +200,6 @@ def is_delta_fine(P, g, require_perron=False):
     return fine
 
 
-def _dyadic_cells(P):
-    """{depth: cell indices} of a partition of [0, 1] into dyadic cells.
-
-    A cell [i 2^-k, (i + 1) 2^-k] has width exactly 2^-k (both endpoints
-    are dyadic with at most k bits), so k and i are read off exactly.
-    """
-    w = P.b - P.a
-    mant, exp = np.frexp(w)
-    depth = (1 - exp).astype(np.int16)
-    idx = np.ldexp(P.a, depth)
-    if not (P.full and np.all(mant == 0.5) and np.all(idx == np.floor(idx))):
-        raise ValueError("start must be a partition of [0, 1] into dyadic cells")
-    order = np.argsort(depth, kind="stable")
-    counts = np.bincount(depth)
-    groups = np.split(idx[order].astype(np.int64), np.cumsum(counts)[:-1])
-    return {k: cells for k, cells in enumerate(groups) if len(cells)}
-
-
 _MAX_DEPTH = 40
 _CELL_BUDGET = 1 << 22
 
@@ -252,8 +234,7 @@ def check_budget(g, max_depth=_MAX_DEPTH, cell_budget=_CELL_BUDGET):
         depth += 1
 
 
-def cousin_build(g, max_depth=_MAX_DEPTH, tag_order="mid", cell_budget=_CELL_BUDGET,
-                 start=None):
+def cousin_build(g, max_depth=_MAX_DEPTH, tag_order="mid", cell_budget=_CELL_BUDGET):
     """Full delta-fine Perron partition of [0, 1] by bisection.
 
     A dyadic cell of width w is accepted at the first candidate tag t (in
@@ -263,38 +244,21 @@ def cousin_build(g, max_depth=_MAX_DEPTH, tag_order="mid", cell_budget=_CELL_BUD
     past ``max_depth`` or when the active cell count would exceed the
     budget, signalling a gauge too irregular for the probe set.
 
-    ``start`` warm-starts the bisection from the cells of a partition that
-    cousin_build gave for a gauge delta' >= g at every point (the previous
-    level of a nested schedule).  Every strict ancestor of such a cell
-    failed all candidates under delta', so it fails under g too, and a
-    build from [0, 1] would reach every start cell: bisecting from the
-    start cells gives the same cells and tags.  The skipped ancestors still
-    count as active cells at their depths, so both builds raise the same
-    DepthExceeded.  Whether delta' >= g holds is the caller's promise.
-
     A cell whose width the gauge's bounds decide (Gauge.lower, Gauge.upper)
     is accepted at its first candidate, or bisected, with no gauge call.
     Each depth's active cells are kept in increasing order (children are
-    interleaved, start cells merged in), so the cells come out as one
-    increasing run per depth, which TaggedPartition merges.
+    interleaved), so the cells come out as one increasing run per depth,
+    which TaggedPartition merges.
     """
     if tag_order not in ("mid", "left"):
         raise ValueError(f"unknown tag_order {tag_order!r}")
     # a + w * c is a + w / 2, a and a + w exactly at c = 0.5, 0 and 1
     offsets = ((0.5, 0.0, 1.0) if tag_order == "mid" else (0.0, 0.5, 1.0)) + _WEYL8
-    seeds = {0: np.zeros(1, dtype=np.int64)} if start is None else _dyadic_cells(start)
-    last = max(seeds)
     starts, widths, tags = [], [], []
-    idx = np.zeros(0, dtype=np.int64)
-    covered = 0  # cells at this depth inside start cells of this depth or coarser
+    idx = np.zeros(1, dtype=np.int64)
     depth = 0
-    while len(idx) or depth <= last:
-        fresh = seeds.get(depth, idx[:0])
-        if len(fresh):  # two increasing runs: the stable sort (timsort) merges them
-            idx = np.sort(np.concatenate([fresh, idx]), kind="stable")
-        covered = 2 * covered + len(fresh)
-        # plus skipped ancestors
-        _check_limits(depth, len(idx) + (1 << depth) - covered, max_depth, cell_budget)
+    while len(idx):
+        _check_limits(depth, len(idx), max_depth, cell_budget)
         w = 2.0 ** (-depth)
         a = idx * w
         chosen = a + w * offsets[0]  # every cell's first candidate

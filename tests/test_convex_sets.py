@@ -42,6 +42,15 @@ def test_line_grid_is_cached_and_fixed():
     assert CIRCLE.m == 64 and CIRCLE.d == 2
 
 
+def test_constructors_copy_the_caller_buffer():
+    v, dirs = np.zeros(2), np.array([[-1.0], [1.0]])
+    S, grid = SupportSet(LINE, v), DirectionGrid(1, dirs)
+    assert v.flags.writeable and dirs.flags.writeable
+    assert not S.values.flags.writeable and not grid.dirs.flags.writeable
+    v[1], dirs[1, 0] = 5.0, 5.0
+    assert np.array_equal(S.values, [0.0, 0.0]) and np.array_equal(grid.dirs, [[-1.0], [1.0]])
+
+
 def test_circle_grid_rejects_odd_m():
     with pytest.raises(ValueError):
         DirectionGrid.circle(7)

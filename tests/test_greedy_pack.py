@@ -235,3 +235,17 @@ def test_guard_truncation_is_raised_not_reported():
         variational_measure_estimate(phi, (0.25, 0.75),
                                      corpus.named_schedule("uniform", levels=18))
     assert exc.value.level == 18
+
+
+@pytest.mark.parametrize("E", [[float("nan")], [(0.2, float("nan"))],
+                               {"intervals": [(float("nan"), 0.5)]}])
+def test_nan_endpoint_is_rejected_not_clipped(E):
+    # max(0.0, nan) is 0.0 and min(1.0, nan) is 1.0, so a NaN would read as a clip bound
+    with pytest.raises(ValueError, match="NaN endpoint"):
+        normalize_set(E)
+
+
+def test_variational_measure_rejects_nan_set():
+    sched = corpus.named_schedule("uniform", levels=2)
+    with pytest.raises(ValueError, match=r"\(0.2, nan\)"):
+        variational_measure_estimate(_phi("G2"), [(0.2, float("nan"))], sched)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gaugeset import partitions
 from gaugeset.corpus import named_schedule
 from gaugeset.errors import DepthExceeded, GaugeNotPositive
-from gaugeset.integrators import GaugeSchedule, origin_schedule
+from gaugeset.integrators import origin_schedule
 from gaugeset.partitions import (
     Gauge,
     MeasurablePartition,
@@ -75,48 +75,10 @@ def test_cell_budget_guard():
         cousin_build(Gauge.constant(1e-6), cell_budget=1000)
 
 
-@pytest.mark.parametrize("schedule_id", ["uniform", "uniform-measurable", "henstock-origin",
-                                         "vh-origin"])
-@pytest.mark.parametrize("tag_order", ["mid", "left"])
-def test_warm_build_equals_cold_build(schedule_id, tag_order):
-    sched = named_schedule(schedule_id, levels=10)
-    assert sched.nested
-    prev = None
-    for g in sched.levels:
-        cold = cousin_build(g, tag_order=tag_order)
-        warm = cousin_build(g, tag_order=tag_order, start=prev)
-        for x, y in ((cold.a, warm.a), (cold.b, warm.b), (cold.t, warm.t)):
-            assert x.tobytes() == y.tobytes()
-        prev = warm
-
-
-def test_hand_built_schedule_is_not_nested():
-    g = Gauge.constant(0.1)
-    assert not GaugeSchedule((g, g)).nested
+def test_schedule_monotonicity_check_is_exact():
     # the sampled check is exact: a growth of one part in 2^50 is rejected
     with pytest.raises(ValueError):
         origin_schedule(1.0, 1.0, 0.1, 1.0 + 2.0 ** -50, levels=3)
-    assert origin_schedule(1.0, 1.0, 0.1, 0.5, levels=3).nested
-
-
-def _raised(build):
-    with pytest.raises(DepthExceeded) as ei:
-        build()
-    e = ei.value
-    return str(e), e.depth, e.active_cells
-
-
-@pytest.mark.parametrize("limits", [{"cell_budget": 20}, {"cell_budget": 200},
-                                    {"cell_budget": 2000}, {"max_depth": 3},
-                                    {"max_depth": 9}, {"max_depth": 15}])
-def test_warm_build_raises_as_cold_build(limits):
-    # the start cells lie at depths 5 and 9..19, and each limit trips at a
-    # depth some start cells lie below, so the skipped ancestors must count
-    levels = named_schedule("henstock-origin", levels=8).levels
-    prev = cousin_build(levels[6])
-    assert -np.log2(prev.widths.max()) == 5 and -np.log2(prev.widths.min()) == 19
-    cold = _raised(lambda: cousin_build(levels[7], **limits))
-    assert cold == _raised(lambda: cousin_build(levels[7], start=prev, **limits))
 
 
 def _raw_builds(monkeypatch, build):
@@ -137,30 +99,13 @@ def _raw_builds(monkeypatch, build):
 @pytest.mark.parametrize("tag_order", ["mid", "left"])
 def test_cousin_build_emits_each_depth_in_order(monkeypatch, schedule_id, tag_order):
     levels = named_schedule(schedule_id, levels=9).levels
-    cold = _raw_builds(monkeypatch, lambda: [cousin_build(g, tag_order=tag_order)
-                                             for g in levels])
-    warm = []
-
-    def warm_builds():
-        prev = None
-        for g in levels:
-            prev = cousin_build(g, tag_order=tag_order, start=prev)
-
-    warm = _raw_builds(monkeypatch, warm_builds)
-    assert len(cold) == len(warm) == len(levels)
-    for (a, b, t), got in zip(cold, warm):
-        # the same arrays, row for row, from [0, 1] and from the previous level
-        for x, y in zip((a, b, t), got):
-            assert x.tobytes() == y.tobytes()
+    raw = _raw_builds(monkeypatch, lambda: [cousin_build(g, tag_order=tag_order)
+                                            for g in levels])
+    assert len(raw) == len(levels)
+    for a, b, t in raw:
         # one run per depth, coarsest first, each increasing
         dw, da = np.diff(b - a), np.diff(a)
         assert np.all(dw <= 0) and np.all(da[dw == 0] > 0)
-
-
-def test_warm_build_rejects_non_dyadic_start():
-    P = TaggedPartition(np.array([0.0, 0.3]), np.array([0.3, 1.0]), np.array([0.1, 0.5]))
-    with pytest.raises(ValueError):
-        cousin_build(Gauge.constant(0.1), start=P)
 
 
 def test_is_delta_fine_needs_open_containment():
@@ -284,17 +229,23 @@ def test_gauge_without_bound_settles_nothing():
 @pytest.mark.parametrize("tag_order", ["mid", "left"])
 def test_gauge_bounds_keep_every_cousin_cell(schedule_id, tag_order):
     # the bounds settle cells without gauge calls; a bound-less copy calls on every one
-    prev = bare = None
-    for n, g in enumerate(named_schedule(schedule_id, levels=10).levels, start=1):
-        prev = cousin_build(g, tag_order=tag_order, start=prev)
-        bare = cousin_build(Gauge.from_callable(g), tag_order=tag_order, start=bare)
-        for x, y in ((prev.a, bare.a), (prev.b, bare.b), (prev.t, bare.t)):
+    for g in named_schedule(schedule_id, levels=10).levels:
+        P = cousin_build(g, tag_order=tag_order)
+        bare = cousin_build(Gauge.from_callable(g), tag_order=tag_order)
+        for x, y in ((P.a, bare.a), (P.b, bare.b), (P.t, bare.t)):
             assert x.tobytes() == y.tobytes()
 
 
 # -- the bisection budget before a build ------------------------------------------
 
 _CONSTANT_GAUGES = [Gauge.constant, lambda c: Gauge.step([0.0, 1.0], [c])]
+
+
+def _raised(build):
+    with pytest.raises(DepthExceeded) as ei:
+        build()
+    e = ei.value
+    return str(e), e.depth, e.active_cells
 
 
 @pytest.mark.parametrize("make", _CONSTANT_GAUGES)

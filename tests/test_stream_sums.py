@@ -142,11 +142,10 @@ def _open_fallbacks(P, g, seed):
 @pytest.mark.parametrize("tag_order", ["mid", "left"])
 def test_gauge_bound_keeps_every_probe_tag(schedule_id, tag_order):
     # levels 1, 6 and 12 have 16 to about 10^6 cells, across _ROW_BLOCK
-    P = None
-    for n, g in enumerate(corpus.named_schedule(schedule_id, levels=12).levels, start=1):
-        P = cousin_build(g, tag_order=tag_order, start=P)
-        if n in (1, 6, 12):
-            _open_fallbacks(P, g, [n, 7701])
+    levels = corpus.named_schedule(schedule_id, levels=12).levels
+    for n in (1, 6, 12):
+        g = levels[n - 1]
+        _open_fallbacks(cousin_build(g, tag_order=tag_order), g, [n, 7701])
 
 
 @pytest.mark.parametrize("tag_order", ["mid", "left"])
