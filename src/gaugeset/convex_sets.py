@@ -62,10 +62,12 @@ class DirectionGrid:
     __slots__ = ("d", "m", "dirs")
 
     def __init__(self, d, dirs):
-        self.d = d
-        self.m = dirs.shape[0]
         # a copy, so that freezing it leaves the caller's array writeable
         dirs = np.array(dirs, dtype=np.float64, order="C")
+        if dirs.ndim != 2 or dirs.shape[1] != d:
+            raise ValueError(f"a d={d} grid needs directions of shape (m, {d}), got {dirs.shape}")
+        self.d = d
+        self.m = dirs.shape[0]
         dirs.flags.writeable = False
         self.dirs = dirs
 

@@ -300,9 +300,7 @@ def verify_decomposition(mf, sel, theorem, tol, seed=0):
     else:
         sched_h = recommended_schedule(mf, "henstock")
         tol_h = recommendation(mf, "henstock").get("tol", tol)
-    rep_gamma, rep_f = henstock_with_selection(
-        mf, sel, sched_h, tol_h, tol, seed=seed, name=sel.name,
-        from_support=sel.support_map(mf))
+    rep_gamma, rep_f = henstock_with_selection(mf, sel, sched_h, tol_h, tol, seed=seed)
     if sched_h.measurable:
         rep_gamma.flags["gauge_mode"] = "measurable"
     add_clause("gamma_henstock", rep_gamma)

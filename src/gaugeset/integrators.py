@@ -55,8 +55,8 @@ cell bound (Gauge.lower(a)) the fineness check w < delta(t) holds without
 a gauge call; only the other rows are checked.  The bound settles no
 free-mode window check, and a gauge built without one settles nothing.
 birkhoff_integrate keeps its own loop over measurable partitions.  Both
-loops share the level bookkeeping (_record), and _assemble builds every
-report, so the verdict, divergence record and report id follow one rule.
+loops hand each level to _record, the one place a level becomes a LevelStat
+and meets the run's divergence bound, and _assemble builds every report.
 """
 
 from __future__ import annotations
@@ -550,19 +550,40 @@ def _streamed_sums(make, w, eval_blocks, blocks, cells=None):
 
 
 def _new_run(m):
-    """Empty level record of one run over m columns; _assemble reads it."""
-    return {"stats": [], "effs": [], "nominals": [], "eff_cols": [],
+    """Empty level record of one run over m columns, with the run's divergence bound."""
+    return {"stats": [], "effs": [], "nominals": [], "eff_cols": [], "bound": DIVERGENCE_BOUND,
             "fired_dirs": np.zeros(m, dtype=bool), "fired_level": None}
 
 
-def _record(run, stat, value, fired):
-    """Append one level (its stat and value); returns ``fired``, which ends the run."""
+def _record(run, level, n_items, value, spread, peak, wall_ms, nominal=None):
+    """Append one level to ``run``; True when it fires, which ends the run.
+
+    The one place a level becomes a LevelStat and meets the run's bound.  An
+    array ``value`` holds column sums: a column's effective residual is the
+    larger of its change from the last level and its probe ``spread``, and
+    it fires when its ``peak`` (largest |sum| over the tag sets) passes the
+    bound.  sum_norm is max |nominal| if given (Birkhoff, whose value is a
+    trial's sum), else max |value|.  A scalar (variational) value is its own
+    effective residual and sum norm, and fires with no direction.
+    """
+    over = peak > run["bound"]
+    if np.ndim(value) == 0:
+        stat = LevelStat(level, n_items, None, spread, value, value, wall_ms)
+    else:
+        resid = np.abs(value - run["nominals"][-1]) if run["nominals"] else None
+        eff_cols = spread if resid is None else np.maximum(spread, resid)
+        stat = LevelStat(
+            level, n_items, None if resid is None else float(resid.max()),
+            float(spread.max()), float(eff_cols.max()),
+            float(np.abs(value if nominal is None else nominal).max()), wall_ms)
+        run["eff_cols"].append(eff_cols)
+        run["fired_dirs"] |= over
     run["stats"].append(stat)
     run["effs"].append(stat.eff_residual)
     run["nominals"].append(value)
-    if fired:
-        run["fired_level"] = stat.level
-    return fired
+    if np.any(over):
+        run["fired_level"] = level
+    return run["fired_level"] is not None
 
 
 def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None):
@@ -580,7 +601,7 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None):
       - variational (``phis``, one interval map per block): the level value,
         also the effective residual, is sum_j d_H(Phi(I_j), |I_j| Gamma(t_j)),
         the worst over the level's tag sets (a sup over partitions).  A
-        block whose value passes DIVERGENCE_BOUND freezes it, since later
+        block whose value passes the run's bound freezes it, since later
         probes could only raise it, and the probes end once every live
         block has frozen.  This kind fixes left-first tags, rng salt 7702,
         and probes that in free mode fall back to the nominal free tags.
@@ -624,34 +645,14 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None):
                     np.maximum(worst[k], np.abs(s), out=worst[k])
                     np.maximum(spread_cols[k], np.abs(s - nominal[k]), out=spread_cols[k])
             if variational:
-                active = [k for k in active if not worst[k] > DIVERGENCE_BOUND]
+                active = [k for k in active if not worst[k] > runs[k]["bound"]]
                 if not active:
                     break
         wall_ms = (time.perf_counter() - t0) * 1e3
+        value = worst if variational else nominal
         for k in list(live):
-            run = runs[k]
-            if variational:
-                s = value = worst[k]
-                stat = LevelStat(level=n, n_items=len(P), residual=None,
-                                 probe_spread=s - nominal[k], eff_residual=s, sum_norm=s,
-                                 wall_ms=wall_ms)
-                fired = s > DIVERGENCE_BOUND
-            else:
-                spread, value = spread_cols[k], nominal[k]
-                resid_cols = np.abs(value - run["nominals"][-1]) if run["nominals"] else None
-                eff_cols = spread if resid_cols is None else np.maximum(spread, resid_cols)
-                stat = LevelStat(
-                    level=n, n_items=len(P),
-                    residual=None if resid_cols is None else float(resid_cols.max()),
-                    probe_spread=float(spread.max()),
-                    eff_residual=float(eff_cols.max()),
-                    sum_norm=float(np.abs(value).max()),
-                    wall_ms=wall_ms,
-                )
-                run["eff_cols"].append(eff_cols)
-                run["fired_dirs"] |= worst[k] > DIVERGENCE_BOUND
-                fired = run["fired_dirs"].any()
-            if _record(run, stat, value, fired):
+            spread = worst[k] - nominal[k] if variational else spread_cols[k]
+            if _record(runs[k], n, len(P), value[k], spread, worst[k], wall_ms):
                 live.remove(k)
         del P, tags, w, cells  # free this level's arrays before the next build
     return runs
@@ -685,7 +686,7 @@ def _assemble(method, entry, grid, tol, seed, schedule, run, flags=None, values=
     if fired:
         labels = _direction_labels(grid, m)
         divergence = {
-            "bound": DIVERGENCE_BOUND,
+            "bound": run["bound"],
             "level": run["fired_level"],
             "directions": [labels[k] for k in np.flatnonzero(run["fired_dirs"])],
         }
@@ -731,31 +732,29 @@ def scalar_hk(phi, schedule, tol, seed=0, name="phi"):
     return _assemble("scalar-hk", name, None, tol, seed, schedule.describe(), run)
 
 
-def henstock_with_selection(mf, points, schedule, tol, point_tol, seed=0, name="f",
-                            from_support=None):
+def henstock_with_selection(mf, sel, schedule, tol, point_tol, seed=0):
     """Henstock run of Gamma and scalar HK runs of a selection's components.
 
-    ``points(ts)`` gives the (N, d) selection points at tags ts, d =
+    ``sel`` is a decomposition.Selection with (N, d) points at tags ts, d =
     mf.grid.d.  All d + 1 runs share one pass: each level builds one
     partition and one set of probe tags and evaluates Gamma once per tag
-    set.  With ``from_support`` (Gamma's support rows (N, m) -> the same
-    points) every component is read off that evaluation; without it the
-    points are evaluated on the same tags, and Gamma is no longer evaluated
-    once its own run has stopped.  Returns the Gamma report and the d
-    component reports, equal to henstock_integrate(mf, schedule, tol, seed)
-    and to scalar_hk of each component at point_tol, named ``name[i]``.
+    set.  When sel is read off mf itself (sel.support_map(mf)), every
+    component is read off that evaluation; otherwise the points are
+    evaluated on the same tags, and Gamma is no longer evaluated once its
+    own run has stopped.  Returns the Gamma report and the d component
+    reports, equal to henstock_integrate(mf, schedule, tol, seed) and to
+    scalar_hk of each component at point_tol, named ``sel.name[i]``.
     Level wall times are those of the shared levels.
     """
     def eval_blocks(ts, live):
-        V = mf.eval_support(ts) if from_support is not None or 0 in live else None
-        X = points(ts) if from_support is None else from_support(V)
-        X = np.asarray(X, dtype=np.float64)
+        V = mf.eval_support(ts) if sel.support_map(mf) is not None or 0 in live else None
+        X = np.asarray(sel.at(mf, ts, V), dtype=np.float64)
         return (V, *(X[:, i:i + 1] for i in range(d)))
 
     m, d = mf.grid.m, mf.grid.d
     runs = _run_schedule(eval_blocks, (m,) + (1,) * d, schedule, seed, "henstock")
     gamma = _assemble("henstock", mf.name, mf.grid, tol, seed, schedule.describe(), runs[0])
-    comps = [_assemble("scalar-hk", f"{name}[{i}]", None, point_tol, seed,
+    comps = [_assemble("scalar-hk", f"{sel.name}[{i}]", None, point_tol, seed,
                        schedule.describe(), run)
              for i, run in enumerate(runs[1:])]
     return gamma, comps
@@ -817,7 +816,6 @@ def birkhoff_integrate(mf, part_specs, tol, seed=0):
         parts.append(mp)
 
     run = _new_run(mf.grid.m)
-    prev = None
     perm_ok = True
     for n, mp in enumerate(parts, start=1):
         t0 = time.perf_counter()
@@ -833,16 +831,11 @@ def birkhoff_integrate(mf, part_specs, tol, seed=0):
             terms = _folded(mf.eval_support(ts)) * lam
             sums.append(_widened(_fsum_columns(terms), mf.grid.m))
         nominal = sums[0]
-        ref = prev if prev is not None else nominal
+        ref = run["nominals"][-1] if run["nominals"] else nominal  # the previous estimate
         dists = [float(np.max(np.abs(s - ref))) for s in sums]
         est = sums[int(np.argmax(dists))]
-        spread = max(float(np.max(np.abs(s - nominal))) for s in sums)
-        residual = None if prev is None else float(np.max(np.abs(est - prev)))
-        stat = LevelStat(
-            level=n, n_items=mp.n_pieces, residual=residual, probe_spread=spread,
-            eff_residual=spread if residual is None else max(residual, spread),
-            sum_norm=float(np.max(np.abs(nominal))),
-            wall_ms=(time.perf_counter() - t0) * 1e3)
+        spread = np.max([np.abs(s - nominal) for s in sums], axis=0)
+        wall_ms = (time.perf_counter() - t0) * 1e3
         # unconditionality: exact because _fsum_columns rounds each exact column sum once
         n_perms = 8 if len(terms) * mf.grid.m <= (1 << 18) else 2
         for k in range(n_perms):
@@ -850,10 +843,8 @@ def birkhoff_integrate(mf, part_specs, tol, seed=0):
             if not np.array_equal(_widened(_fsum_columns(terms[perm]), mf.grid.m), sums[-1]):
                 perm_ok = False
         worst = max(sums, key=lambda s: float(np.max(np.abs(s))))
-        run["fired_dirs"] |= np.abs(worst) > DIVERGENCE_BOUND
-        if _record(run, stat, est, run["fired_dirs"].any()):
+        if _record(run, n, mp.n_pieces, est, spread, np.abs(worst), wall_ms, nominal):
             break
-        prev = est
 
     return _assemble("birkhoff", mf.name, mf.grid, tol, seed,
                      {"name": f"birkhoff-parts(L{len(parts)})", "levels": len(parts)}, run,
@@ -989,7 +980,8 @@ def normalize_set(E):
     a list of points and (lo, hi) pairs; a point t is the component (t, t).
     A NaN endpoint raises ValueError.  Components are clipped to [0, 1]
     first, and those left empty (hi < lo: reversed, or wholly outside
-    [0, 1]) are dropped.
+    [0, 1]) are dropped.  Components that overlap or touch are then merged,
+    so the result is disjoint and each spelling of a set gives the same one.
     """
     if isinstance(E, dict):
         items = [*E.get("points", ()), *E.get("intervals", ())]
@@ -1007,7 +999,12 @@ def normalize_set(E):
         lo, hi = max(0.0, lo), min(1.0, hi)
         if hi >= lo:
             comps.append((lo, hi))
-    return sorted(comps)
+    merged = []
+    for lo, hi in sorted(comps):
+        if merged and lo <= merged[-1][1]:
+            lo, hi = merged[-1][0], max(merged.pop()[1], hi)
+        merged.append((lo, hi))
+    return merged
 
 
 class _Draws:

@@ -243,6 +243,19 @@ def test_varmeasure_point_list(runner, tmp_path):
     assert rep["final"] < 0.01
 
 
+@pytest.mark.parametrize("args", [["varmeasure", "G2", "--levels", "4"],
+                                  ["riemann-check", "G2", "--trials", "3"]])
+def test_two_spellings_of_a_set_give_one_report(runner, tmp_path, args):
+    reports = []
+    for k, token in enumerate(["0.25:0.5,0.4:0.75,0.75", "0.25:0.75"]):
+        out = tmp_path / str(k)
+        res = runner.invoke(main, args + ["--set", token, "--out", str(out),
+                                          "--deterministic"])
+        assert res.exit_code == 0, res.output
+        reports.append([p.read_bytes() for p in sorted(out.iterdir())])
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("command", ["varmeasure", "riemann-check"])
 @pytest.mark.parametrize("token", ["abc", "0.75:0.25", "0.2:x", "nan", "0:inf"])
 def test_set_syntax_error_is_usage_error(runner, tmp_path, command, token):

@@ -51,6 +51,15 @@ def test_constructors_copy_the_caller_buffer():
     assert np.array_equal(S.values, [0.0, 0.0]) and np.array_equal(grid.dirs, [[-1.0], [1.0]])
 
 
+def test_direction_grid_takes_a_list_and_checks_its_shape():
+    grid = DirectionGrid(1, [[-1.0], [1.0]])
+    assert grid.m == 2 and np.array_equal(grid.dirs, LINE.dirs)
+    for d, dirs in ((1, [[-1.0, 0.0], [1.0, 0.0]]), (2, [[1.0], [-1.0]]),
+                    (1, [-1.0, 1.0]), (2, np.zeros((2, 2, 1)))):
+        with pytest.raises(ValueError, match=rf"shape \(m, {d}\)"):
+            DirectionGrid(d, dirs)
+
+
 def test_circle_grid_rejects_odd_m():
     with pytest.raises(ValueError):
         DirectionGrid.circle(7)

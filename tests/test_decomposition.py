@@ -439,6 +439,13 @@ def test_probe_strong_dominates_plain():
         assert r["strong_max"] == pytest.approx(r["plain_max"], rel=1e-12)
 
 
+def test_probe_overlapping_components_are_one_set():
+    f = lambda ts: np.sin(40.0 * np.asarray(ts, dtype=float))
+    r = riemann_measurability_probe(f, [(0.0, 0.8), (0.2, 1.0)], delta=1e-3, seed=0)
+    assert r == riemann_measurability_probe(f, (0.0, 1.0), delta=1e-3, seed=0)
+    assert r["complement_measure"] == 0.0
+
+
 def test_probe_multiple_components():
     r = riemann_measurability_probe(F_prime, [(0.2, 0.4), (0.6, 0.9)],
                                     delta=1e-6, seed=0)

@@ -245,6 +245,22 @@ def test_nan_endpoint_is_rejected_not_clipped(E):
         normalize_set(E)
 
 
+@pytest.mark.parametrize("E, comps", [
+    ([(0.25, 0.5), (0.4, 0.75)], [(0.25, 0.75)]),
+    ([(0.2, 0.4), (0.4, 0.6), 0.6, 0.9], [(0.2, 0.6), (0.9, 0.9)]),
+    ([0.3, (0.1, 0.5), 0.3, (-1.0, 0.05)], [(0.0, 0.05), (0.1, 0.5)]),
+    ([(0.0, 0.8), (0.2, 1.0)], [(0.0, 1.0)]),
+])
+def test_overlapping_or_touching_components_are_merged(E, comps):
+    assert normalize_set(E) == comps
+
+
+def test_two_spellings_of_a_set_have_one_variational_measure():
+    phi, sched = _phi("G2"), corpus.named_schedule("uniform", levels=4)
+    assert (variational_measure_estimate(phi, [(0.25, 0.5), (0.4, 0.75)], sched)
+            == variational_measure_estimate(phi, (0.25, 0.75), sched))
+
+
 def test_variational_measure_rejects_nan_set():
     sched = corpus.named_schedule("uniform", levels=2)
     with pytest.raises(ValueError, match=r"\(0.2, nan\)"):

@@ -30,6 +30,14 @@ PINNED = {
     "varmeasure G6 --set 0.25:0.5,0.75 --levels 4": "186d57764e2db8e54a6dad5d9b1590d7261fcff13bd6c6acfda44c9823c272b6",
     "riemann-check G2": "cfade86445e49373fb6ac65cb0e2964a9cde1575d07ae2b2ae27fc6b94e4e54f",
     "riemann-check G6 --set 0.5,0.2:0.4 --trials 3": "d89ad66ec2b45bcd6a58a6bfc9b262218182129229b259e8a2588da281580a95",
+    # diverging ops, one per shape of divergence.directions: both columns
+    # (mcshane), the column whose probe sums pass the bound (henstock), the
+    # trial sum of largest norm (birkhoff), none (vms) and hkp's record
+    "integrate G1 --method mcshane": "9dc93d4112946a9c16545d43885cf1cda849960e1ea7c13174b0c241aaa37c28",
+    "integrate G3 --method henstock": "9bac95992a422177370dc70bcd89c558750bc167ffec5a947b7e6186789abd32",
+    "integrate G3 --method birkhoff": "276b9a213839aa481840d0a8752e6d2d9cbe4b514ed4e749f531dd2d381bc1d3",
+    "integrate G5 --method vms": "86f22ffdd4a41cafbb557930fa6081b1c1c40c956f45ba7a08b2a9ebde3dcc0a",
+    "integrate G3 --method hkp": "6a386e3a587eaa6f71eee2d470c15cf201969b58db14fa0364d4c33e4c32c278",
 }
 
 
