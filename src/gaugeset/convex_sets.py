@@ -345,9 +345,15 @@ class Primitive:
         """Value matrix (n, m) for interval batches, via prefix sums.
 
         Fast path for variational sums; agrees with query to ~1e-15 per value.
+        Row i is _prefix_at(b[i]) - _prefix_at(a[i]) with both ends clipped to
+        [0, 1].  _prefix_at works point by point, so when the intervals abut
+        (a[i + 1] == b[i], as Cousin cells do) it is taken once per edge.
         """
         a = np.clip(np.asarray(a, dtype=np.float64), 0.0, 1.0)
         b = np.clip(np.asarray(b, dtype=np.float64), 0.0, 1.0)
+        if len(a) > 1 and np.array_equal(a[1:], b[:-1]):
+            p = self._prefix_at(np.concatenate((a[:1], b)))
+            return p[1:] - p[:-1]
         return self._prefix_at(b) - self._prefix_at(a)
 
     def _prefix_at(self, t):

@@ -29,7 +29,10 @@ Nominal sums, Birkhoff sums and variational gap sums are exactly rounded
 (_fsum_columns: math.fsum's value bit for bit, by error-free extraction
 over whole arrays), hence permutation invariant - constants integrate to
 themselves bit-exactly and Birkhoff sums are order-independent by
-construction; probe sums use a deterministic pairwise tree reduction.
+construction; probe sums use a deterministic pairwise tree reduction.  A
+variational probe sum only matters if it passes the level's running worst,
+so it is summed exactly only where a float error bound (_fsum_at_most)
+cannot show that it does not.
 
 Two level loops exist.  _run_schedule runs every method over Cousin
 partitions: Henstock, McShane, scalar, directional and variational.  It
@@ -57,6 +60,12 @@ free-mode window check, and a gauge built without one settles nothing.
 birkhoff_integrate keeps its own loop over measurable partitions.  Both
 loops hand each level to _record, the one place a level becomes a LevelStat
 and meets the run's divergence bound, and _assemble builds every report.
+
+variational_measure_estimate packs 16 seeded greedy walks per level
+(_pack_values).  Under a constant gauge the walks cross a component by
+np.add.accumulate along each walk's steps (_const_walk); any other gauge
+steps all walks in lockstep (_lockstep_walk).  Both give the scalar walk's
+items bit for bit.
 """
 
 from __future__ import annotations
@@ -87,6 +96,7 @@ _PACK_RESTARTS = 16  # greedy packings per variational-measure level
 _PACK_MAX_ITEMS = 200_000  # loop guard of one greedy packing component
 _PACK_DRAW_BLOCK = 512  # uniform doubles a packing draws ahead at a time
 _PACK_STEP_CHUNK = 1024  # packing steps whose kept items are joined into one array
+_PACK_WALK_STEPS = 1 << 13  # steps a constant-gauge walk accumulates at a time
 _ROW_BLOCK = 1 << 15  # rows of a probe tag set made, evaluated and reduced at a time
 CSV_HEADER = "level,residual,max_dir_residual,wall_ms"
 
@@ -511,7 +521,23 @@ def _gaps(cells, v, w, out):
             np.maximum(out, d, out=out)
 
 
-def _streamed_sums(make, w, eval_blocks, blocks, cells=None):
+def _fsum_at_most(x, ref):
+    """True when a float bound shows math.fsum(x) <= ref, for x >= 0 (or nan).
+
+    Any summation order of n nonnegative terms errs by at most
+    gamma_(n-1) = (n - 1) u / (1 - (n - 1) u) of the exact sum s, with
+    u = 2^-53 (Higham 2002, section 4.2), so s <= np.sum(x) / (1 - gamma).
+    The factor 1 + n 2^-50 is exact below n = 2^50 and exceeds
+    1 / ((1 - gamma) (1 - u)), which also covers the product's rounding;
+    math.fsum(x), s correctly rounded, is then at most ref too.  A nan or
+    inf sum, or an inf ref, answers False.
+    """
+    with np.errstate(over="ignore"):
+        total = np.sum(x)
+    return bool(total * (1.0 + len(x) * 2.0 ** -50) <= ref < math.inf)
+
+
+def _streamed_sums(make, w, eval_blocks, blocks, cells=None, worst=None):
     """The sums of one tag set, made _ROW_BLOCK rows at a time.
 
     Each row block's tags are made, evaluated, weighted by the widths ``w``
@@ -527,7 +553,9 @@ def _streamed_sums(make, w, eval_blocks, blocks, cells=None):
     After k = log2(_ROW_BLOCK) steps the array is therefore the block
     partials, and the remaining steps are _tree_sum_columns of those.
     Variational sums (``cells`` {block: (N, m) primitive values}) write each
-    row block's max gap into one length-N vector and _fsum it at the end.
+    row block's max gap into one length-N vector and _fsum it at the end;
+    given ``worst`` {block: running worst sum}, a block whose gaps
+    _fsum_at_most shows cannot pass its worst gets that worst instead.
     A broadcast block (_folded) is weighted and reduced as its one column,
     whose tree sum is the same whatever the row width.
     """
@@ -546,7 +574,8 @@ def _streamed_sums(make, w, eval_blocks, blocks, cells=None):
         del vals
     if cells is None:
         return {k: _tree_sum_columns(np.array(p)) for k, p in parts.items()}
-    return {k: _fsum(p) for k, p in parts.items()}
+    return {k: worst[k] if worst is not None and _fsum_at_most(p, worst[k]) else _fsum(p)
+            for k, p in parts.items()}
 
 
 def _new_run(m):
@@ -600,11 +629,14 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None):
         effective residual is the larger of probe spread and Cauchy residual;
       - variational (``phis``, one interval map per block): the level value,
         also the effective residual, is sum_j d_H(Phi(I_j), |I_j| Gamma(t_j)),
-        the worst over the level's tag sets (a sup over partitions).  A
-        block whose value passes the run's bound freezes it, since later
-        probes could only raise it, and the probes end once every live
-        block has frozen.  This kind fixes left-first tags, rng salt 7702,
-        and probes that in free mode fall back to the nominal free tags.
+        the worst over the level's tag sets (a sup over partitions).  The
+        nominal sum is exact; a probe sum is taken exactly only where
+        _fsum_at_most cannot show it is at most the block's running worst,
+        which it then leaves as it is.  A block whose value passes the
+        run's bound freezes it, since later probes could only raise it, and
+        the probes end once every live block has frozen.  This kind fixes
+        left-first tags, rng salt 7702, and probes that in free mode fall
+        back to the nominal free tags.
 
     Sums are per block, so a block's run is bit-identical to a one-block
     run.  A level's ``wall_ms`` is that of the whole shared level, recorded
@@ -638,7 +670,8 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None):
         spread_cols = {} if variational else {k: np.zeros(ms[k]) for k in live}
         active = list(live)
         for make in _probe_tag_sets(P, gauge, rng, mode):
-            for k, s in _streamed_sums(make, w, eval_blocks, active, cells).items():
+            sums = _streamed_sums(make, w, eval_blocks, active, cells, worst if variational else None)
+            for k, s in sums.items():
                 if variational:
                     worst[k] = max(worst[k], s)
                 else:
@@ -917,10 +950,11 @@ def variational_measure_estimate(phi, E, schedule, seed=0):
     "points" or "intervals", or a bare list of floats / (lo, hi) pairs).
     Per level, delta-fine Perron items tagged in E are packed greedily left
     to right with seeded extent jitter, 16 times; the best packing is kept.
-    The 16 restarts run in lockstep (_pack_values), and restart r reads
-    default_rng([seed, 55, n, r]) in the order of its own scalar walk, so
-    each packing, and the level's estimate, is the one the restarts give
-    run one after another.  Estimates are a lower surrogate for the sup in
+    Restart r reads default_rng([seed, 55, n, r]) in the order of its own
+    scalar walk, whether _pack_values accumulates its steps (a constant
+    gauge, as every uniform schedule has) or steps it in lockstep with the
+    others, so each packing, and the level's estimate, is the one the
+    restarts give run one after another.  Estimates are a lower surrogate for the sup in
     Var and the sequence's last value a surrogate for the limit; flagged
     approximate.  A level whose packings the loop guard cuts short has no
     estimate: PackingTruncated is raised, before level 1 where
@@ -1010,9 +1044,10 @@ def normalize_set(E):
 class _Draws:
     """Uniform draws of several packings, each from its own rng, read ahead.
 
-    lo + (hi - lo) * u with u from rng.random is rng.uniform(lo, hi) bit for
-    bit, and each rng serves one packing, so drawing a block ahead changes
-    no value a packing reads.
+    Row r of the buffer holds packing r's next unread draws from column
+    pos[r] on.  lo + (hi - lo) * u with u from rng.random is rng.uniform(lo,
+    hi) bit for bit, and each rng serves one packing, so reading ahead
+    changes no value a packing reads.
     """
 
     def __init__(self, rngs):
@@ -1024,12 +1059,32 @@ class _Draws:
         """The next draw of each packing in ``lanes``, mapped to [lo, hi)."""
         pos = self._pos[lanes]
         u = self._buf[lanes, pos]
-        pos += 1
-        self._pos[lanes] = pos
-        for r in lanes[pos == _PACK_DRAW_BLOCK]:
-            self._buf[r] = self._rngs[r].random(_PACK_DRAW_BLOCK)
-            self._pos[r] = 0
+        self._pos[lanes] = pos + 1
+        self._read_on(lanes, 1)
         return lo + (hi - lo) * u
+
+    def ahead(self, lanes, n):
+        """The next n draws of each packing in ``lanes``, one row each, left unread."""
+        self._read_on(lanes, n)
+        return self._buf[lanes[:, None], self._pos[lanes][:, None] + np.arange(n)]
+
+    def take(self, lanes, counts):
+        """Mark the next ``counts`` draws of each packing in ``lanes`` read."""
+        self._pos[lanes] += counts
+
+    def _read_on(self, lanes, n):
+        """Make each row in ``lanes`` hold at least n unread draws."""
+        width = self._buf.shape[1]
+        if n > width:  # widen every row with its own rng's next draws
+            more = max(n, 2 * width) - width
+            self._buf = np.hstack([self._buf, np.stack([g.random(more) for g in self._rngs])])
+            width += more
+        for r in lanes[self._pos[lanes] + n > width]:  # unread draws to the front, then read on
+            p = self._pos[r]
+            row = self._buf[r]
+            row[:width - p] = row[p:]
+            row[width - p:] = self._rngs[r].random(p)
+            self._pos[r] = 0
 
 
 def _pack_values(phi, comps, gauge, rngs):
@@ -1042,18 +1097,97 @@ def _pack_values(phi, comps, gauge, rngs):
     on by max(dt, 1e-12); a kept one moves the cursor to its right end and
     t to cursor + gauge(cursor) * U(0.5, 0.9), both capped at hi.  The lane
     leaves the component when t reaches hi, an item reaches hi, t does not
-    advance, or after _PACK_MAX_ITEMS steps.  All live lanes take each step
-    together: one gauge call on their tags and one on their new cursors.
-    A lane's value is the sum of d_H(Phi(I), 0) over its items.  Returns
-    the values and the sorted indices of the components that the guard
-    stopped some lane in before their end.
+    advance, or after _PACK_MAX_ITEMS steps.  Under a constant gauge of at
+    least 1e-12 each lane's steps through a component are partial sums
+    (_const_walk); any other gauge walks all lanes in lockstep, one step at
+    a time (_lockstep_walk).  Both give each lane the items of its scalar
+    walk, bit for bit.  A lane's value is the sum of d_H(Phi(I), 0) over
+    its items.  Returns the values and the sorted indices of the components
+    that the guard stopped some lane in before their end.
     """
-    n_lanes = len(rngs)
+    walk = _const_walk if gauge.const is not None and gauge.const >= 1e-12 else _lockstep_walk
+    lanes, cut = walk(comps, gauge, _Draws(rngs), len(rngs))
+    values = [_fsum(_row_max(np.abs(_folded(phi.query_batch(a, b))))) if len(a) else 0.0
+              for a, b in lanes]
+    return values, cut
+
+
+def _const_walk(comps, gauge, draws, n_lanes):
+    """Each lane's items (a, b) under a constant gauge delta >= 1e-12, and the cut components.
+
+    Every step then keeps its item and moves t forward, since f delta and
+    g delta exceed an ulp of any t <= 1; the one exception, a lane whose
+    cursor is already at 1, gets an empty item and adds none after it.  So,
+    with d_0 = t_0 and d_1, d_2, ... = f_0 delta, g_0 delta, f_1 delta, ...,
+    a lane's tags and right ends in a component are the partial sums
+    s = t_0, R_0, t_1, R_1, ... of d, which np.add.accumulate takes along
+    each lane's row with the walk's own additions in its order.  The first
+    s_j >= hi ends the component: an odd j is the last right end (clipped
+    at 1); an even j is the last tag, clipped to hi, whose item takes one
+    more draw.  The lanes in a component accumulate up to _PACK_WALK_STEPS
+    steps at a time, and a lane that does not end in them goes on from
+    s_n; one still in the component after _PACK_MAX_ITEMS steps is cut, as
+    the guard cuts it.
+    """
+    delta = gauge.const
+    cursor = np.zeros(n_lanes)
+    items, cut = [], set()
+    for i, (lo, hi) in enumerate(comps):
+        lane = np.flatnonzero(cursor <= hi)
+        t = np.maximum(lo, cursor[lane])
+        steps = 0
+        while len(lane):
+            # a step and its gap advance t by about 1.3 delta or more
+            half = int(min(_PACK_WALK_STEPS, _PACK_MAX_ITEMS - steps,
+                           (hi - t.min()) / (1.3 * delta) + 2))
+            n = 2 * half
+            u = draws.ahead(lane, n)
+            d = np.empty((len(lane), n + 1))
+            d[:, 0] = t
+            d[:, 1::2] = (0.8 + (0.98 - 0.8) * u[:, 0::2]) * delta
+            d[:, 2::2] = (0.5 + (0.9 - 0.5) * u[:, 1::2]) * delta
+            s = np.add.accumulate(d, axis=1)
+            end = s[:, :n] >= hi
+            done = end.any(axis=1)
+            k = np.where(done, end.argmax(axis=1) // 2 + 1, half)  # steps taken
+            draws.take(lane, 2 * k - done)  # the leaving step draws no gap
+            m = int(k.max())
+            tags = np.minimum(s[:, 0:2 * m:2], hi)
+            fdt = d[:, 1:2 * m:2]
+            R = np.minimum(1.0, tags + fdt)
+            L = np.maximum(np.column_stack((cursor[lane], R[:, :-1])), tags - fdt)
+            kept = (R > L) & (np.arange(m) < k[:, None])
+            items.append((np.broadcast_to(lane[:, None], kept.shape)[kept], L[kept], R[kept]))
+            last = np.arange(len(lane)), k - 1
+            cursor[lane] = np.where(kept[last], R[last], cursor[lane])
+            steps += half
+            if steps == _PACK_MAX_ITEMS and not done.all():
+                cut.add(i)
+                done[:] = True
+            lane, t = lane[~done], s[~done, n]
+    return _by_lane(items, n_lanes), sorted(cut)
+
+
+def _by_lane(items, n_lanes):
+    """Each lane's items (a, b), in the order added, from blocks of (lanes, a, b)."""
+    if not items:
+        return [(np.empty(0), np.empty(0))] * n_lanes
+    owner, a, b = map(np.concatenate, zip(*items))
+    order = np.argsort(owner, kind="stable")
+    sel = np.split(order, np.cumsum(np.bincount(owner, minlength=n_lanes))[:-1])
+    return [(a[s], b[s]) for s in sel]
+
+
+def _lockstep_walk(comps, gauge, draws, n_lanes):
+    """Each lane's items (a, b) under any gauge, and the sorted cut components.
+
+    All live lanes take each step together: one gauge call on their tags
+    and one on their new cursors.
+    """
     # a sentinel component past the last one: no cursor skips it, and a
     # lane that enters it is finished
     los = np.array([lo for lo, _ in comps] + [0.0])
     his = np.array([hi for _, hi in comps] + [np.inf])
-    draws = _Draws(rngs)
     lane = np.arange(n_lanes)
     comp = np.full(n_lanes, -1)
     cursor, t, hi = np.zeros(n_lanes), np.zeros(n_lanes), np.zeros(n_lanes)
@@ -1102,19 +1236,7 @@ def _pack_values(phi, comps, gauge, rngs):
             stop &= ~leave  # the lanes the guard stops before hi
             cut.update(comp[stop].tolist())
             leave |= stop
-    cut = sorted(cut)
-    if not chunks and not items:
-        return [0.0] * n_lanes, cut
-    owner, a, b = map(np.concatenate, zip(*chunks, *items))
-    order = np.argsort(owner, kind="stable")  # a lane's items in walk order
-    ends = np.cumsum(np.bincount(owner, minlength=n_lanes))
-    values, start = [], 0
-    for end in ends:
-        sel = order[start:end]
-        values.append(_fsum(_row_max(np.abs(_folded(phi.query_batch(a[sel], b[sel])))))
-                      if len(sel) else 0.0)
-        start = end
-    return values, cut
+    return _by_lane(chunks + items, n_lanes), sorted(cut)
 
 
 def _built_primitives(eval_blocks, grid, gauge, blocks):

@@ -118,6 +118,36 @@ def test_g4_henstock_matches_mpmath_half_ball():
     np.testing.assert_allclose(rep.estimate_values, [half] * 64, rtol=0.0, atol=1e-3)
 
 
+def _mpmath_truths():
+    """Integrals over [0, 1] as support vectors: (-lo, hi) on the line, radii on the circle."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        sin1 = float(mp.sin(1))
+        half = float(mp.quad(lambda t: t, [0, 1]))
+        one = float(mp.quad(lambda t: 1, [0, 1]))
+    return {"G1": [-sin1, one + sin1], "G2": [0.0, half], "G4": [half] * 64,
+            "G5": [-sin1, sin1], "G6": [0.0, one]}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("method", ["henstock", "mcshane", "birkhoff"])
+@pytest.mark.parametrize("entry", ["G1", "G2", "G4", "G5", "G6"])
+def test_converged_runs_lie_within_their_error_bar(entry, method, seed):
+    """A converged run at the recommended settings has |estimate - truth| <= eff_residual."""
+    mf = corpus.corpus_get(entry)
+    rec = corpus.recommendation(mf, method)
+    if method == "birkhoff":
+        rep = birkhoff_integrate(mf, corpus.named_parts(rec["parts"]), rec["tol"], seed=seed)
+    else:
+        run = henstock_integrate if method == "henstock" else mcshane_integrate
+        rep = run(mf, corpus.recommended_schedule(mf, method), rec["tol"], seed=seed)
+    if rep.verdict == "converged":
+        truth = _mpmath_truths()[entry]
+        gap = max(abs(v - t) for v, t in zip(rep.estimate_values, truth, strict=True))
+        assert gap <= rep.levels[-1].eff_residual
+
+
 def test_criterion_03_decomposition_with_derivative_selection(runner, tmp_path):
     g1 = corpus.corpus_get("G1")
     sel = argmax_selection(g1, "-1")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaugeset import corpus
 from gaugeset.convex_sets import (
     DirectionGrid,
     ExactIntervalMap,
@@ -27,6 +28,8 @@ from gaugeset.convex_sets import (
     translate,
 )
 from gaugeset.errors import EmptySupportSet, GridMismatch
+from gaugeset.integrators import build_primitive
+from gaugeset.partitions import cousin_build
 
 LINE = DirectionGrid.line()
 CIRCLE = DirectionGrid.circle(64)
@@ -305,6 +308,48 @@ def test_primitive_query_batch_matches_query():
     batch = phi.query_batch(a, b)
     single = np.stack([phi.query(ai, bi).values for ai, bi in zip(a, b)])
     np.testing.assert_allclose(batch, single, atol=1e-14)
+
+
+def _built_g1_primitive():
+    return build_primitive(corpus.corpus_get("G1"),
+                           corpus.named_schedule("vh-origin", levels=6).levels[-1])
+
+
+def _query_batch_cases():
+    P = cousin_build(corpus.named_schedule("vh-origin", levels=4).levels[-1], tag_order="left")
+    a, b = P.a, P.b
+    edges = np.array([-0.5, -0.2, 0.3, 0.3, 0.71, 1.2, 1.5])
+    t = np.sort(np.random.default_rng(5).uniform(-0.1, 1.1, 41))
+    return {
+        "cousin": (a, b),
+        "gapped": (a[::2], b[::2]),
+        "reversed": (b, a),
+        "overlapping": (a[1:] - 0.5 * (b[1:] - a[1:]), b[1:]),
+        "clipped": (a - 0.25, b + 0.25),
+        "abut-after-clip": (edges[:-1], edges[1:]),
+        "random-abutting": (t[:-1], t[1:]),
+        "one": (a[3:4], b[3:4]),
+        "empty": (a[:0], b[:0]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_query_batch_cases()))
+def test_primitive_query_batch_equals_prefix_differences(case, monkeypatch):
+    """Every row is _prefix_at(b) - _prefix_at(a) of the clipped ends, bit for bit."""
+    phi = _built_g1_primitive()
+    a, b = _query_batch_cases()[case]
+    ca, cb = np.clip(a, 0.0, 1.0), np.clip(b, 0.0, 1.0)
+    want = phi._prefix_at(cb) - phi._prefix_at(ca)
+    calls = []
+    prefix_at = phi._prefix_at
+    monkeypatch.setattr(phi, "_prefix_at", lambda t: calls.append(len(t)) or prefix_at(t))
+    got = phi.query_batch(a, b)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    if len(a) > 1 and np.array_equal(ca[1:], cb[:-1]):  # abutting: once on the N + 1 edges
+        assert calls == [len(a) + 1]
+    else:
+        assert calls == [len(a), len(a)]
 
 
 def test_primitive_degenerate_query_is_zero():

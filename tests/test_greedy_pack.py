@@ -2,10 +2,12 @@
 
 The oracle below is the restart loop that packed one item per Python step:
 each of the 16 restarts of a level walks the set alone, with its own
-default_rng([seed, 55, n, r]) and one gauge call per tag.  The library runs
-the restarts in lockstep, so every estimate must equal the oracle's exactly,
-and the guard must stop the same components short.  A level the guard cuts
-short has no estimate: variational_measure_estimate raises PackingTruncated.
+default_rng([seed, 55, n, r]) and one gauge call per tag.  The library walks
+each restart through a component with one accumulate under a constant
+gauge, and runs the restarts in lockstep under any other, so every estimate
+must equal the oracle's exactly, and the guard must stop the same
+components short.  A level the guard cuts short has no estimate:
+variational_measure_estimate raises PackingTruncated.
 """
 
 import numpy as np
@@ -93,7 +95,7 @@ def oracle_estimates(phi, E, schedule, seed):
     return [best for best, _ in oracle_levels(phi, E, schedule, seed)]
 
 
-def assert_lockstep_equals_oracle(phi, E, schedule, seed):
+def assert_packing_equals_oracle(phi, E, schedule, seed):
     """_pack_values level by level equals the oracle, guard cuts included.
 
     variational_measure_estimate then gives the oracle's estimates, or
@@ -156,7 +158,7 @@ def test_tiny_gauge_takes_the_empty_item_path(monkeypatch):
     sched = GaugeSchedule((Gauge.constant(1e-17),))
     phi = _phi("G2")
     for E in ([0.5, (0.6, 0.6 + 1e-10), (0.0, 0.3)], (0.25, 0.75), [0.0, 0.5]):
-        cut_levels = assert_lockstep_equals_oracle(phi, E, sched, 1)
+        cut_levels = assert_packing_equals_oracle(phi, E, sched, 1)
         assert cut_levels == ([] if E == [0.0, 0.5] else [1])
 
 
@@ -177,7 +179,7 @@ def test_rounding_paths_alike(monkeypatch, E):
     # and one ulp below 0.5 on [0.48, 0.6)
     tiny = Gauge.step([0.0, 0.4, 0.48, 0.6, 1.0], [0.01, 1e-17, 5e-17, 0.01])
     sched = GaugeSchedule((tiny,))
-    assert_lockstep_equals_oracle(_phi("G2"), E, sched, 6)
+    assert_packing_equals_oracle(_phi("G2"), E, sched, 6)
 
 
 @pytest.mark.parametrize("max_items", [1, 3, 40])
@@ -185,7 +187,7 @@ def test_guard_fires_alike(monkeypatch, max_items):
     monkeypatch.setattr(it, "_PACK_MAX_ITEMS", max_items)
     phi, E = _phi("G2"), SETS["mixed"]
     sched = corpus.named_schedule("uniform", levels=6)
-    cut_levels = assert_lockstep_equals_oracle(phi, E, sched, 2)
+    cut_levels = assert_packing_equals_oracle(phi, E, sched, 2)
     assert bool(cut_levels) == (max_items < 40)  # 40 steps walk every component
 
 
@@ -265,3 +267,58 @@ def test_variational_measure_rejects_nan_set():
     sched = corpus.named_schedule("uniform", levels=2)
     with pytest.raises(ValueError, match=r"\(0.2, nan\)"):
         variational_measure_estimate(_phi("G2"), [(0.2, float("nan"))], sched)
+
+
+# constant gauges: each lane walks a component with one accumulate
+CONST_GAUGES = {
+    "const": Gauge.constant(0.01),
+    "coarse": Gauge.constant(0.3),
+    "one-piece-step": Gauge.step([0.0, 1.0], [0.0137]),
+}
+# the walk through the first component reaches 1, so the point 1 sees a cursor at 1
+SETS_TO_ONE = {**SETS, "to-one": [(0.5, 1.0 - 1e-9), 1.0]}
+
+
+@pytest.mark.parametrize("set_name", sorted(SETS_TO_ONE))
+@pytest.mark.parametrize("gauge_name", sorted(CONST_GAUGES))
+def test_accumulate_walk_equals_lockstep_and_scalar_oracle(gauge_name, set_name):
+    gauge, E = CONST_GAUGES[gauge_name], SETS_TO_ONE[set_name]
+    assert gauge.const is not None
+    phi = _phi("G2")
+    assert_packing_equals_oracle(phi, E, GaugeSchedule((gauge,)), 7)
+    # the same widths with no const are walked in lockstep
+    plain = Gauge.from_callable(lambda ts, c=gauge.const: np.full_like(ts, c))
+    rngs = lambda: [np.random.default_rng([7, 55, 1, r]) for r in range(it._PACK_RESTARTS)]
+    comps = normalize_set(E)
+    assert it._pack_values(phi, comps, gauge, rngs()) == it._pack_values(phi, comps, plain, rngs())
+
+
+@pytest.mark.parametrize("walk_steps", [2, 8192])
+@pytest.mark.parametrize("max_items", range(1, 13))
+def test_accumulate_walk_guard_at_every_step_count(monkeypatch, max_items, walk_steps):
+    # each of the 16 walks of the first component takes 9 steps of 0.04: at
+    # 9 it ends on the guard's last step, below 9 the guard cuts it
+    monkeypatch.setattr(it, "_PACK_MAX_ITEMS", max_items)
+    monkeypatch.setattr(it, "_PACK_WALK_STEPS", walk_steps)
+    sched = GaugeSchedule((Gauge.constant(0.04),))
+    cut_levels = assert_packing_equals_oracle(_phi("G4"), [(0.25, 0.75), 0.8, (0.85, 0.95)],
+                                              sched, 2)
+    assert bool(cut_levels) == (max_items < 9)
+
+
+def test_accumulate_walk_at_the_smallest_constant_gauge(monkeypatch):
+    # 1e-12 is the smallest constant gauge walked by accumulation; the guard cuts
+    # every interval component, and a point is one step
+    monkeypatch.setattr(it, "_PACK_MAX_ITEMS", 50)
+    sched = GaugeSchedule((Gauge.constant(1e-12),))
+    cut_levels = assert_packing_equals_oracle(_phi("G2"), SETS["mixed"], sched, 3)
+    assert cut_levels == [1]
+
+
+@pytest.mark.parametrize("walk_steps", [1, 2, 5])
+def test_accumulate_walk_in_short_blocks(monkeypatch, walk_steps):
+    # a lane that does not end a component within one block goes on from there
+    monkeypatch.setattr(it, "_PACK_WALK_STEPS", walk_steps)
+    sched = corpus.named_schedule("uniform", levels=4)
+    for E in SETS_TO_ONE.values():
+        assert_packing_equals_oracle(_phi("G2"), E, sched, 5)

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from gaugeset import corpus
+from gaugeset import integrators as it
 from gaugeset.cli import main
 from gaugeset.convex_sets import DirectionGrid, hausdorff, make_interval
 from gaugeset.corpus import SIN_1
@@ -316,6 +317,24 @@ def test_vms_g1_free_tags_diverge():
     phi = spec.exact_primitive()
     rep = vh_check(spec, phi, UNIFORM12, tol=5e-2, seed=0, mode="free")
     assert rep.verdict == "diverged"
+
+
+@pytest.mark.parametrize("entry, primitive", [("G1", "built"), ("G2", "exact")])
+@pytest.mark.parametrize("mode", ["perron", "free"])
+def test_vh_reports_equal_with_every_probe_sum_exact(monkeypatch, entry, primitive, mode):
+    """Probe sums the float bound settles leave every report bit as exact sums do."""
+    spec = corpus.corpus_get(entry)
+    sched = corpus.recommended_schedule(spec, "vh" if mode == "perron" else "vms", levels=9)
+    phi = (spec.exact_primitive() if primitive == "exact"
+           else build_primitive(spec, corpus.named_schedule("vh-origin").levels[-1]))
+    shown = []
+    bound = it._fsum_at_most
+    monkeypatch.setattr(it, "_fsum_at_most", lambda x, ref: shown.append(bound(x, ref)) or shown[-1])
+    got = vh_check(spec, phi, sched, tol=5e-2, seed=1, mode=mode).to_json_dict(True)
+    monkeypatch.setattr(it, "_fsum_at_most", lambda x, ref: False)
+    want = vh_check(spec, phi, sched, tol=5e-2, seed=1, mode=mode).to_json_dict(True)
+    assert json.dumps(got) == json.dumps(want)
+    assert any(shown)
 
 
 class _OnesPrimitive:

@@ -38,6 +38,10 @@ PINNED = {
     "integrate G3 --method birkhoff": "276b9a213839aa481840d0a8752e6d2d9cbe4b514ed4e749f531dd2d381bc1d3",
     "integrate G5 --method vms": "86f22ffdd4a41cafbb557930fa6081b1c1c40c956f45ba7a08b2a9ebde3dcc0a",
     "integrate G3 --method hkp": "6a386e3a587eaa6f71eee2d470c15cf201969b58db14fa0364d4c33e4c32c278",
+    # the twelve-level packing under constant gauges, and a t55 run whose
+    # variational sums query a built Primitive
+    "varmeasure G2 --set 0.25:0.75": "24b28d0ad685654017442a55f06478fc843d1a76ece1174d200b5fccb31874a2",
+    "decompose G2 --selection steiner --theorem t55": "fedb9a45dfc31c9960adea06cc0cdd486ce4a921d70863990d7e4a76451fceb5",
 }
 
 

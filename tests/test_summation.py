@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaugeset import corpus
-from gaugeset.integrators import _fsum, _fsum_columns, _row_max, _tree_sum_columns
+from gaugeset.integrators import (
+    _fsum,
+    _fsum_at_most,
+    _fsum_columns,
+    _row_max,
+    _tree_sum_columns,
+)
 from gaugeset.partitions import cousin_build
 
 
@@ -115,3 +121,47 @@ def test_variational_gap_sum_matches_first_formula():
     gaps = np.abs(cells - g1.eval_support(P.t) * P.widths[:, None])
     want = math.fsum(np.max(gaps, axis=1).tolist())
     assert _fsum(_row_max(gaps)) == want
+
+
+@st.composite
+def _gap_vectors(draw):
+    """Nonnegative vectors with zeros, subnormals and values up to about 1e300."""
+    n = draw(st.sampled_from([1, 2, 3, 255, 4097, 1 << 16]) | st.integers(1, 40))
+    lo = draw(st.integers(-1074, 996))
+    hi = draw(st.integers(lo, 996))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.uniform(0.5, 1.0, n) * np.exp2(rng.integers(lo, hi + 1, n))
+    x[rng.uniform(size=n) < draw(st.sampled_from([0.0, 0.1, 0.9]))] = 0.0
+    if draw(st.booleans()):
+        k = rng.integers(0, n, max(1, n // 8))
+        x[k] = rng.integers(1, 1 << 52, len(k)) * 2.0 ** -1074  # subnormal
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gap_vectors())
+def test_fsum_at_most_never_skips_a_larger_sum(x):
+    """Whenever the float bound answers True, math.fsum(x) <= ref holds."""
+    exact = math.fsum(x.tolist())
+    approx = float(np.sum(x))
+    loose = approx * (1.0 + len(x) * 2.0 ** -50)
+    for base in (exact, approx, loose, 0.0, 5e-324, 1e300):
+        for ulps in (0, 1, -1, 3, -3, 64, -64):
+            ref = base
+            for _ in range(abs(ulps)):
+                ref = math.nextafter(ref, math.copysign(math.inf, ulps))
+            if _fsum_at_most(x, ref):
+                assert exact <= ref, (base, ulps)
+    if exact > 1e-290:  # the bound is not vacuous: twice the sum is shown
+        assert _fsum_at_most(x, 2.0 * exact)
+
+
+@pytest.mark.parametrize("x, ref", [
+    ([1.0, math.nan], 1e300),
+    ([1.0, math.inf], math.inf),
+    ([1e308, 1e308], math.inf),
+    ([1.0], math.inf),
+    ([], 0.0),
+])
+def test_fsum_at_most_takes_the_exact_path_on_nan_and_inf(x, ref):
+    assert _fsum_at_most(np.array(x), ref) is (len(x) == 0)
