@@ -357,11 +357,19 @@ class Primitive:
         return self._prefix_at(b) - self._prefix_at(a)
 
     def _prefix_at(self, t):
+        """prefix[j] + cellV[j] * frac at each t, built in one (n, m) buffer.
+
+        Addition commutes, so adding prefix[j] in place last gives the
+        bits of the expression as written.
+        """
         j = np.searchsorted(self._starts, t, side="right") - 1
         j = np.clip(j, 0, len(self._starts) - 1)
         frac = (t - self._starts[j]) / self._widths[j]
         frac = np.clip(frac, 0.0, 1.0)
-        return self._prefix[j] + self._cellV[j] * frac[:, None]
+        out = self._cellV[j]
+        out *= frac[:, None]
+        out += self._prefix[j]
+        return out
 
 
 class ExactIntervalMap:

@@ -27,12 +27,13 @@ growth rule holds; otherwise it is inconclusive.
 
 Nominal sums, Birkhoff sums and variational gap sums are exactly rounded
 (_fsum_columns: math.fsum's value bit for bit, by error-free extraction
-over whole arrays), hence permutation invariant - constants integrate to
-themselves bit-exactly and Birkhoff sums are order-independent by
-construction; probe sums use a deterministic pairwise tree reduction.  A
-variational probe sum only matters if it passes the level's running worst,
-so it is summed exactly only where a float error bound (_fsum_at_most)
-cannot show that it does not.
+whose exact pass totals may be collected block by block and rounded once),
+hence permutation invariant - constants integrate to themselves bit-exactly
+and Birkhoff sums are order-independent by construction; probe sums use a
+deterministic pairwise tree reduction.  A variational probe sum only
+matters if it passes the level's running worst, so it is summed exactly
+only where a float error bound (_fsum_at_most) cannot show that it does
+not.
 
 Two level loops exist.  _run_schedule runs every method over Cousin
 partitions: Henstock, McShane, scalar, directional and variational.  It
@@ -46,17 +47,20 @@ blocks take the summed primitive-vs-term gaps, worst over the level's tag
 sets, on left-first tags, with rng salt 7702, and in free mode their probes
 fall back to the nominal free tags rather than the build tags.  Each
 level's Cousin partition is built from [0, 1] for its own gauge, as
-Cousin's lemma gives it.  Each probe tag set is made, evaluated,
-weighted and reduced in row blocks of _ROW_BLOCK rows (_streamed_sums),
-with the bits of the whole-array computation; only the exact nominal
-column sums take the whole level at once.  A support array broadcast along
-its directions (strides[1] == 0, as G4's) holds one column in memory;
-every sum, gap and norm reduces that column once and widens the result
-(_folded, _widened), with the bits of reducing every column.  A Perron
-probe tag lies in its cell [a, b], so where b - a is below the gauge's
-cell bound (Gauge.lower(a)) the fineness check w < delta(t) holds without
-a gauge call; only the other rows are checked.  The bound settles no
-free-mode window check, and a gauge built without one settles nothing.
+Cousin's lemma gives it.  Every tag set is made, evaluated, weighted and
+reduced in row blocks of _ROW_BLOCK rows, with the bits of the whole-array
+computation: each probe set by _streamed_sums, and the nominal set by
+_nominal_sums, which collects each block's exact extraction totals.  So no
+evaluation spans the level, unless a nominal term is inf, nan or too large
+for the extraction; then math.fsum decides, over the whole level.  A
+support array broadcast along its directions (strides[1] == 0, as G4's)
+holds one column in memory; every sum, gap and norm reduces that column
+once and widens the result (_folded, _widened), with the bits of reducing
+every column.  A Perron probe tag lies in its cell [a, b], so where b - a
+is below the gauge's cell bound (Gauge.lower(a)) the fineness check
+w < delta(t) holds without a gauge call; only the other rows are checked.
+The bound settles no free-mode window check, and a gauge built without one
+settles nothing.
 birkhoff_integrate keeps its own loop over measurable partitions.  Both
 loops hand each level to _record, the one place a level becomes a LevelStat
 and meets the run's divergence bound, and _assemble builds every report.
@@ -97,7 +101,12 @@ _PACK_MAX_ITEMS = 200_000  # loop guard of one greedy packing component
 _PACK_DRAW_BLOCK = 512  # uniform doubles a packing draws ahead at a time
 _PACK_STEP_CHUNK = 1024  # packing steps whose kept items are joined into one array
 _PACK_WALK_STEPS = 1 << 13  # steps a constant-gauge walk accumulates at a time
-_ROW_BLOCK = 1 << 15  # rows of a probe tag set made, evaluated and reduced at a time
+# rows of a tag set made, evaluated and reduced at a time.  Sums keep their
+# bits under any block size, but a d=2 Steiner selection's points come from
+# a BLAS product per block, whose bits depend on its row count: at 2^12,
+# decompose G4 --selection steiner --theorem t33 moved its components' probe
+# spreads at levels 10-12.  Levels of d=2 ops stay within one 2^15 block.
+_ROW_BLOCK = 1 << 15
 CSV_HEADER = "level,residual,max_dir_residual,wall_ms"
 
 
@@ -186,25 +195,20 @@ _PAIRWISE_MAX_WIDTH = 32  # widest rows whose max is taken by pairwise column ha
 def _fsum_columns(terms):
     """math.fsum of each column of an (N, m) array, bit for bit.
 
-    Error-free extraction (Rump, Ogita and Oishi 2008).  In a block of at
-    most n rows with |x| < 2^e and 2^k >= 2n, q = (x + s) - s with
-    s = 2^(e+k) is a multiple of 2^(e+k-53) with |q| <= 2^e, so every
-    partial sum of q is exact and the block's column sums of q may be taken
-    in any order (here one matrix-vector product).  x - q is exact too and
-    below 2^(e+k-53), so repeating on it until nothing is left splits each
-    column into a few exact pass totals, and math.fsum of those is the
-    correctly rounded column sum: math.fsum's value, independent of the row
-    order.  A column holding inf, nan or |x| >= 2^(1000-k) is summed by
-    math.fsum itself, so it gives the same value or raises the same error.
+    Error-free extraction (Rump, Ogita and Oishi 2008), in two steps:
+    _extract collects each column's exact pass totals and _fsum_totals
+    rounds them once, so a caller may feed an array's rows in blocks and
+    take math.fsum of all their totals at the end (never of rounded block
+    sums).  A column holding inf, nan or |x| >= 2^(1000-k) (_sum_limit,
+    with k from the whole array's row count) is summed by math.fsum itself,
+    so it gives the same value or raises the same error.
     """
     x = np.ascontiguousarray(terms, dtype=np.float64)
     n, m = x.shape
     out = np.zeros(m)
     if n == 0 or m == 0:
         return out
-    rows = min(n, max(1, _SUM_BLOCK // m))
-    k = (2 * rows - 1).bit_length()
-    limit = math.ldexp(1.0, _SUM_LIMIT_EXP - k)
+    k, limit = _sum_limit(n, m)
     ok = slice(None)
     if not (x.max() < limit and -x.min() < limit):  # nan compares False
         ok = np.abs(x).max(axis=0) < limit
@@ -213,10 +217,34 @@ def _fsum_columns(terms):
         if not ok.any():
             return out
         x = x[:, ok]
-    ones = np.ones(rows)
+    out[ok] = _fsum_totals(_extract(x, k, []), x.shape[1])
+    return out
+
+
+def _sum_limit(n, m):
+    """(k, limit) of an (n, m) array: 2^k >= 2 rows of every _extract block,
+    and 2^(1000-k), the bound below which every |x| must lie."""
+    rows = min(n, max(1, _SUM_BLOCK // m))
+    k = (2 * rows - 1).bit_length()
+    return k, math.ldexp(1.0, _SUM_LIMIT_EXP - k)
+
+
+def _extract(x, k, totals):
+    """Append the exact column totals of each extraction pass over x to ``totals``.
+
+    x is (n, m) with every |x| below _sum_limit's limit for k.  In a block
+    of at most 2^(k-1) rows with |x| < 2^e, q = (x + s) - s with
+    s = 2^(e+k) is a multiple of 2^(e+k-53) with |q| <= 2^e, so every
+    partial sum of q is exact and the block's column sums of q may be taken
+    in any order (numpy sums, free of BLAS).  x - q is exact too and below
+    2^(e+k-53), so repeating on it until nothing is left splits each column
+    into a few exact pass totals, and math.fsum of those (_fsum_totals) is
+    the correctly rounded column sum: math.fsum's value, independent of the
+    row order and of how the rows were split into calls.
+    """
+    rows = min(len(x), max(1, _SUM_BLOCK // x.shape[1]))
     q_buf, r_buf = np.empty((rows, x.shape[1])), np.empty((rows, x.shape[1]))
-    totals = []
-    for lo in range(0, n, rows):
+    for lo in range(0, len(x), rows):
         src = x[lo:lo + rows]
         b = len(src)
         q, r = q_buf[:b], r_buf[:b]
@@ -225,12 +253,18 @@ def _fsum_columns(terms):
             s = math.ldexp(1.0, math.frexp(big)[1] + k)
             np.add(src, s, out=q)
             q -= s
-            totals.append(ones[:b] @ q)
+            # numpy sums along rows narrower than _NARROW_ROW slowly: those go by column
+            totals.append(q.sum(axis=0) if q.shape[1] >= _NARROW_ROW else [c.sum() for c in q.T])
             src = np.subtract(src, q, out=r)
             big = max(r.max(), -r.min())
-    if totals:
-        out[ok] = [math.fsum(col) for col in np.array(totals).T.tolist()]
-    return out
+    return totals
+
+
+def _fsum_totals(totals, m):
+    """math.fsum of each of m columns of exact pass totals; zeros when there are none."""
+    if not totals:
+        return np.zeros(m)
+    return np.array([math.fsum(col) for col in np.array(totals).T.tolist()])
 
 
 def _fsum(values):
@@ -578,6 +612,36 @@ def _streamed_sums(make, w, eval_blocks, blocks, cells=None, worst=None):
             for k, p in parts.items()}
 
 
+def _nominal_sums(tags, w, eval_blocks, blocks, ms):
+    """Exact column sums of the nominal tag set, made _ROW_BLOCK rows at a time.
+
+    Each row block is evaluated, weighted by the widths ``w`` (N, 1) and fed
+    to _extract, and each column's pass totals are math.fsum-ed once at the
+    end, so the sums are _fsum_columns of the whole (N, m) term array, bit
+    for bit, with no temporary spanning the level.  The fallback limit is
+    the whole array's (_sum_limit of N rows).  If a block holds inf, nan or
+    a value past it, the whole level is evaluated again and summed by
+    _fsum_columns, which keeps math.fsum's value or error; the evaluators
+    are effect-free, so that costs only the time.
+    """
+    n = len(w)
+    totals = {k: [] for k in blocks}
+    widths = {}
+    for lo in range(0, n, _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        vals = eval_blocks(tags[rows], blocks)
+        for k in blocks:
+            x = _folded(vals[k]) * w[rows]
+            widths[k] = x.shape[1]
+            k_sum, limit = _sum_limit(n, x.shape[1])
+            if not (x.max() < limit and -x.min() < limit):  # nan compares False
+                vals = eval_blocks(tags, blocks)
+                return {k: _widened(_fsum_columns(_folded(vals[k]) * w), ms[k])
+                        for k in blocks}
+            _extract(x, k_sum, totals[k])
+    return {k: _widened(_fsum_totals(totals[k], widths[k]), ms[k]) for k in blocks}
+
+
 def _new_run(m):
     """Empty level record of one run over m columns, with the run's divergence bound."""
     return {"stats": [], "effs": [], "nominals": [], "eff_cols": [], "bound": DIVERGENCE_BOUND,
@@ -638,11 +702,12 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None):
         left-first tags, rng salt 7702, and probes that in free mode fall
         back to the nominal free tags.
 
-    Sums are per block, so a block's run is bit-identical to a one-block
-    run.  A level's ``wall_ms`` is that of the whole shared level, recorded
-    on every block that ran it.  Each level's partition is built from
-    [0, 1] by cousin_build for that level's gauge alone.  Returns one run
-    dict per block.
+    Every tag set, the nominal included, is evaluated _ROW_BLOCK rows at a
+    time (_nominal_sums, _streamed_sums).  Sums are per block, so a block's
+    run is bit-identical to a one-block run.  A level's ``wall_ms`` is that
+    of the whole shared level, recorded on every block that ran it.  Each
+    level's partition is built from [0, 1] by cousin_build for that level's
+    gauge alone.  Returns one run dict per block.
     """
     variational = phis is not None
     runs = [_new_run(m) for m in ms]
@@ -662,10 +727,8 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None):
 
         if variational:
             nominal = _streamed_sums(lambda rows: tags[rows], w, eval_blocks, live, cells)
-        else:  # exact, over the whole array
-            vals = eval_blocks(tags, live)
-            nominal = {k: _widened(_fsum_columns(_folded(vals[k]) * w), ms[k]) for k in live}
-            del vals
+        else:
+            nominal = _nominal_sums(tags, w, eval_blocks, live, ms)
         worst = {k: abs(v) for k, v in nominal.items()}  # largest |sum| over the tag sets
         spread_cols = {} if variational else {k: np.zeros(ms[k]) for k in live}
         active = list(live)
@@ -1127,13 +1190,22 @@ def _const_walk(comps, gauge, draws, n_lanes):
     more draw.  The lanes in a component accumulate up to _PACK_WALK_STEPS
     steps at a time, and a lane that does not end in them goes on from
     s_n; one still in the component after _PACK_MAX_ITEMS steps is cut, as
-    the guard cuts it.
+    the guard cuts it.  A point component (lo == hi) is one step per lane,
+    at tag hi, with no accumulate.
     """
     delta = gauge.const
     cursor = np.zeros(n_lanes)
     items, cut = [], set()
     for i, (lo, hi) in enumerate(comps):
         lane = np.flatnonzero(cursor <= hi)
+        if lo == hi:  # a point: every lane takes the one step at tag hi
+            fdt = draws.uniform(lane, 0.8, 0.98) * delta
+            R = np.minimum(1.0, hi + fdt)
+            L = np.maximum(cursor[lane], hi - fdt)
+            kept = R > L
+            items.append((lane[kept], L[kept], R[kept]))
+            cursor[lane[kept]] = R[kept]
+            continue
         t = np.maximum(lo, cursor[lane])
         steps = 0
         while len(lane):

@@ -322,3 +322,26 @@ def test_accumulate_walk_in_short_blocks(monkeypatch, walk_steps):
     sched = corpus.named_schedule("uniform", levels=4)
     for E in SETS_TO_ONE.values():
         assert_packing_equals_oracle(_phi("G2"), E, sched, 5)
+
+
+# sets of many points, each walked as one step per lane with no accumulate
+POINT_SETS = {
+    "200-points": list(np.linspace(0.001, 0.999, 200)),
+    # closer than one step, so most lanes pass most points by
+    "dense-points": list(0.5 + 1e-3 * np.arange(40)),
+    # a walk ends at 1 before the last point; points lead into an interval
+    "points-and-intervals": [*np.linspace(0.05, 0.3, 30), (0.4, 0.6), 0.6 + 1e-4,
+                             (0.7, 1.0), 1.0],
+}
+
+
+@pytest.mark.parametrize("set_name", sorted(POINT_SETS))
+@pytest.mark.parametrize("gauge_name", sorted(CONST_GAUGES))
+def test_point_components_equal_lockstep_and_scalar_oracle(gauge_name, set_name):
+    gauge, E = CONST_GAUGES[gauge_name], POINT_SETS[set_name]
+    phi = _phi("G2")
+    assert_packing_equals_oracle(phi, E, GaugeSchedule((gauge,)), 11)
+    plain = Gauge.from_callable(lambda ts, c=gauge.const: np.full_like(ts, c))
+    rngs = lambda: [np.random.default_rng([11, 55, 1, r]) for r in range(it._PACK_RESTARTS)]
+    comps = normalize_set(E)
+    assert it._pack_values(phi, comps, gauge, rngs()) == it._pack_values(phi, comps, plain, rngs())

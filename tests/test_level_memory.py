@@ -1,0 +1,167 @@
+"""Level memory: Cousin builds and exact nominal sums hold no whole-level temporaries.
+
+The traced peaks below are tracemalloc's, so they count what numpy asks
+for, not what the allocator keeps; they are exact and repeat run to run.
+The nominal of a column run is evaluated and summed _ROW_BLOCK rows at a
+time (integrators._nominal_sums); its sums must equal _fsum_columns of the
+whole term array bit for bit, and where math.fsum decides (inf, nan or a
+value past the extraction limit) it must give math.fsum's value or error.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from gaugeset import corpus
+from gaugeset import integrators as it
+from gaugeset.partitions import TaggedPartition, cousin_build
+
+B = it._ROW_BLOCK
+
+
+def _traced_peak(fn):
+    """fn()'s result and the traced peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_cousin_build_peak_is_a_small_multiple_of_its_output():
+    # 1,075,912 cells; a width array per depth, with the per-depth lists
+    # alive through the final concatenation, takes this to 3.8x
+    g = corpus.named_schedule("henstock-origin").levels[-1]
+    P, peak = _traced_peak(lambda: cousin_build(g))
+    assert len(P) > 1_000_000
+    assert peak <= 2.75 * (P.a.nbytes + P.b.nbytes + P.t.nbytes)
+
+
+def test_henstock_level_loop_peak_is_bounded():
+    # G1's finest level is 1,075,912 cells (24.6 MiB of a, b, t); evaluating
+    # the nominal over the whole level takes the run to 4.3x that
+    G1 = corpus.corpus_get("G1")
+    sched = corpus.named_schedule("henstock-origin")
+    rep, peak = _traced_peak(lambda: it.henstock_integrate(G1, sched, 1e-3))
+    cells = rep.levels[-1].n_items
+    assert cells > 1_000_000
+    assert peak <= 3.5 * 3 * 8 * cells
+
+
+def test_query_batch_peak_is_a_small_multiple_of_its_output():
+    G1 = corpus.corpus_get("G1")
+    g = corpus.named_schedule("vh-origin").levels[8]
+    phi = it.build_primitive(G1, g)
+    P = cousin_build(g, tag_order="left")
+    out, peak = _traced_peak(lambda: phi.query_batch(P.a, P.b))
+    assert peak - out.nbytes <= 4.0 * out.nbytes
+
+
+def _level(n):
+    """n cells of uneven widths tiling [0, 1], tagged at their midpoints."""
+    widths = np.random.default_rng([n, 5]).uniform(0.5, 1.5, n)
+    edges = np.concatenate([[0.0], np.cumsum(widths)]) / widths.sum()
+    edges[-1] = 1.0
+    P = TaggedPartition(edges[:-1], edges[1:], (edges[:-1] + edges[1:]) / 2.0)
+    return P.t, P.widths[:, None]
+
+
+def _outcome(fn):
+    """Result bits, or the type and message of the error raised."""
+    try:
+        return [s.view(np.int64).tolist() for s in fn()]
+    except (OverflowError, ValueError) as e:
+        return type(e), str(e)
+
+
+def _nominal_outcomes(tags, w, evals, ms):
+    """(streamed, whole-array) outcomes of the nominal of ``evals``, one per block."""
+    calls = []
+
+    def eval_blocks(ts, blocks):
+        calls.append(len(ts))
+        return [f(ts) for f in evals]
+
+    blocks = list(range(len(evals)))
+    streamed = _outcome(lambda: list(it._nominal_sums(tags, w, eval_blocks, blocks, ms).values()))
+    whole = _outcome(lambda: [it._widened(it._fsum_columns(it._folded(f(tags)) * w), m)
+                              for f, m in zip(evals, ms)])
+    return streamed, whole, calls
+
+
+def _smooth(m):
+    c = np.linspace(0.01, 1.0, m)
+    return lambda ts: (ts[:, None] - c) / (ts[:, None] + c)
+
+
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 7])
+@pytest.mark.parametrize("m", [1, 2, 64])
+def test_streamed_nominal_equals_whole_array_sums(n, m):
+    tags, w = _level(n)
+    # the second evaluator is broadcast along its directions, as G4's is
+    evals = [_smooth(m),
+             lambda ts: np.broadcast_to(np.cos(1.0 / (ts[:, None] + 1e-3)), (len(ts), m))]
+    streamed, whole, calls = _nominal_outcomes(tags, w, evals, (m, m))
+    assert streamed == whole
+    assert calls == [min(B, n - lo) for lo in range(0, n, B)]  # row blocks, no whole pass
+
+
+def _spiked(m, col, rows, values, tags, w):
+    """_smooth(m) with weighted terms ``values`` at ``rows`` of column ``col``.
+
+    The spike rows get width 1 in ``w`` (written in place), so each term is
+    its value exactly.  A call on a row block finds its first row in the
+    sorted ``tags``.
+    """
+    base = _smooth(m)
+    w[rows] = 1.0
+
+    def f(ts):
+        out = base(ts)
+        lo = int(np.searchsorted(tags, ts[0]))
+        hit = (rows >= lo) & (rows < lo + len(ts))
+        out[rows[hit] - lo, col] = values[hit]
+        return out
+    return f
+
+
+SPIKES = {
+    "inf": [math.inf],
+    "nan": [math.nan],
+    "inf-minus-inf": [math.inf, -math.inf],
+    "1e300": [1e300],
+    "1e300-cancelling": [1e300, -1e300],
+    "overflow": [1.5e308, 1.5e308],
+}
+
+
+@pytest.mark.parametrize("spike", sorted(SPIKES))
+@pytest.mark.parametrize("m", [1, 2])
+def test_nominal_with_a_spike_in_its_second_block_keeps_math_fsum(spike, m):
+    n = 3 * B + 7
+    tags, w = _level(n)
+    values = np.array(SPIKES[spike])
+    rows = B + 11 + 97 * np.arange(len(values))
+    f = _spiked(m, m - 1, rows, values, tags, w)
+    streamed, whole, calls = _nominal_outcomes(tags, w, [f], (m,))
+    assert streamed == whole
+    assert calls == [B, B, n]  # the second block meets the spike; the level is evaluated again
+    if spike == "overflow":
+        assert whole == (OverflowError, "intermediate overflow in fsum")
+    if spike == "inf-minus-inf":
+        assert whole[0] is ValueError
+
+
+def test_nominal_fallback_limit_is_the_whole_levels():
+    # one weighted term in [2^983, 2^984): past the limit of 2^16 rows (k = 17),
+    # inside that of a 2^15-row block (k = 16), so only the level's own limit falls back
+    n = 3 * B + 7
+    tags, w = _level(n)
+    f = _spiked(1, 0, np.array([B + 5]), np.array([1.5 * 2.0 ** 983]), tags, w)
+    streamed, whole, calls = _nominal_outcomes(tags, w, [f], (1,))
+    assert streamed == whole
+    assert calls == [B, B, n]
