@@ -35,6 +35,7 @@ from .convex_sets import (
     make_interval,
     make_point,
 )
+from .integrators import _pooled
 
 SIN_1 = math.sin(1.0)
 _CLAMP = 1e-8
@@ -87,7 +88,9 @@ class MultifunctionSpec:
     description: str
     grid: DirectionGrid
     # ts (N,) -> (N, m) support values, effect-free; may be a read-only view,
-    # and one broadcast along its directions (strides[1] == 0) is reduced once
+    # and one broadcast along its directions (strides[1] == 0) is reduced once.
+    # The registry's evaluators are also thread-safe, and marked (_pooled) so
+    # that row blocks of one tag set are evaluated on two threads
     eval_support: object
     flags: dict
     truth: SupportSet | None
@@ -124,6 +127,7 @@ _LINE = DirectionGrid.line()
 _CIRCLE = DirectionGrid.circle(64)
 
 
+@_pooled
 def _g1_eval(ts):
     fp = F_prime(ts)
     out = np.empty((fp.shape[0], 2))
@@ -132,11 +136,13 @@ def _g1_eval(ts):
     return out
 
 
+@_pooled
 def _g2_eval(ts):
     ts = np.asarray(ts, dtype=np.float64)
     return np.column_stack([np.zeros_like(ts), ts])
 
 
+@_pooled
 def _g3_eval(ts):
     fp = F_prime(ts)
     out = np.empty((fp.shape[0], 2))
@@ -145,11 +151,13 @@ def _g3_eval(ts):
     return out
 
 
+@_pooled
 def _g4_eval(ts):
     ts = np.asarray(ts, dtype=np.float64)
     return np.broadcast_to(ts[:, None], (ts.shape[0], _CIRCLE.m))  # read-only view
 
 
+@_pooled
 def _g5_eval(ts):
     fp = F_prime(ts)
     out = np.empty((fp.shape[0], 2))
@@ -158,6 +166,7 @@ def _g5_eval(ts):
     return out
 
 
+@_pooled
 def _g6_eval(ts):
     ts = np.asarray(ts, dtype=np.float64)
     out = np.zeros((ts.shape[0], 2))

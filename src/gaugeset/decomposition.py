@@ -30,6 +30,7 @@ from .corpus import named_parts, named_schedule, recommendation, recommended_sch
 from .integrators import (
     _built_primitives,
     _fsum,
+    _pooled,
     _vh_pass,
     birkhoff_integrate,
     henstock_with_selection,
@@ -81,7 +82,7 @@ class Selection:
         """Selection f = from_support o Gamma.eval_support."""
         def ev(ts):
             return from_support(mf.eval_support(np.asarray(ts, dtype=np.float64)))
-        return cls(name=name, d=mf.grid.d, eval_points=ev,
+        return cls(name=name, d=mf.grid.d, eval_points=_pooled(ev, mf.eval_support, from_support),
                    from_support=from_support, source=mf)
 
 
@@ -98,11 +99,13 @@ def steiner_selection(mf):
     """t -> steiner_point(Gamma(t)); always a member of the set."""
     grid = mf.grid
     if grid.d == 1:
+        @_pooled
         def pick(V):
             return ((V[:, 1] - V[:, 0]) / 2.0)[:, None]
     else:
         U = grid.dirs
 
+        @_pooled
         def pick(V):
             return (2.0 / grid.m) * (V @ U)
     return Selection.of_support("steiner", mf, pick)
@@ -131,9 +134,11 @@ def argmax_selection(mf, u):
         if uval not in (1, -1):
             raise ValueError("d=1 directions are +1 and -1")
         if uval == 1:
+            @_pooled
             def pick(V):
                 return V[:, 1][:, None]
         else:
+            @_pooled
             def pick(V):
                 return (-V[:, 0])[:, None]
         return Selection.of_support(f"argmax:{'+' if uval == 1 else ''}{uval}", mf, pick)
@@ -152,6 +157,7 @@ def argmax_selection(mf, u):
     m = grid.m
     i_prev, i_next = (k - 1) % m, (k + 1) % m
 
+    @_pooled
     def pick(V):
         p1 = _vertex_of_pair(U, V, min(i_prev, k), max(i_prev, k))
         p2 = _vertex_of_pair(U, V, min(k, i_next), max(k, i_next))
@@ -191,8 +197,8 @@ def subtract_selection(mf, sel):
     def ev(pts):
         return _support_parts(mf, sel, np.asarray(pts, dtype=np.float64))[2]
 
-    G = DerivedMultifunction(name=f"{mf.name}-minus-{sel.name}",
-                             grid=mf.grid, eval_support=ev)
+    G = DerivedMultifunction(name=f"{mf.name}-minus-{sel.name}", grid=mf.grid,
+                             eval_support=_pooled(ev, mf.eval_support, sel.support_map(mf)))
     stats = {
         "probe_points": int(ts.size),
         "min_support": worst,
@@ -206,7 +212,7 @@ def singleton_of(sel, grid, name=None):
     def ev(ts):
         return sel(ts) @ grid.dirs.T
     return DerivedMultifunction(name=name or f"point:{sel.name}",
-                                grid=grid, eval_support=ev)
+                                grid=grid, eval_support=_pooled(ev, sel.eval_points))
 
 
 # -- theorem verification ----------------------------------------------------
@@ -327,7 +333,8 @@ def verify_decomposition(mf, sel, theorem, tol, seed=0):
     if theorem == "t55":
         sched_vh = recommended_schedule(mf, "vh")
         tol_vh = recommendation(mf, "vh").get("tol", max(tol, 5e-2))
-        eval_blocks = lambda ts, blocks: _support_parts(mf, sel, ts)
+        eval_blocks = _pooled(lambda ts, blocks: _support_parts(mf, sel, ts),
+                              mf.eval_support, sel.support_map(mf))
         exact = mf.exact_primitive() if getattr(mf, "exact_primitive", None) else None
         built = _built_primitives(eval_blocks, grid, sched_vh.levels[-1],
                                   [0, 1, 2] if exact is None else [1, 2])

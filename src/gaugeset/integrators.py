@@ -52,7 +52,11 @@ reduced in row blocks of _ROW_BLOCK rows, with the bits of the whole-array
 computation: each probe set by _streamed_sums, and the nominal set by
 _nominal_sums, which collects each block's exact extraction totals.  So no
 evaluation spans the level, unless a nominal term is inf, nan or too large
-for the extraction; then math.fsum decides, over the whole level.  A
+for the extraction; then math.fsum decides, over the whole level.  With an
+evaluator the library built (_pooled), the blocks of a level are evaluated
+and reduced on two worker threads while the calling thread makes their tags
+in row order (_block_results); the results are taken in row order, so the
+bits do not depend on the threads.  A
 support array broadcast along its directions (strides[1] == 0, as G4's)
 holds one column in memory; every sum, gap and norm reduces that column
 once and widens the result (_folded, _widened), with the bits of reducing
@@ -74,8 +78,13 @@ items bit for bit.
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import math
+import os
 import time
+import weakref
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -575,7 +584,7 @@ def _streamed_sums(make, w, eval_blocks, blocks, cells=None, worst=None):
     """The sums of one tag set, made _ROW_BLOCK rows at a time.
 
     Each row block's tags are made, evaluated, weighted by the widths ``w``
-    (N, 1) and reduced before the next block is made, so no temporary spans
+    (N, 1) and reduced on its own (_block_results), so no temporary spans
     the level.  Column sums (``cells`` None) are _tree_sum_columns of
     the whole (N, m) term array, bit for bit: _tree_sum_columns pairs rows
     2i and 2i + 1 and carries an odd last row, so after k steps row j holds
@@ -587,25 +596,27 @@ def _streamed_sums(make, w, eval_blocks, blocks, cells=None, worst=None):
     After k = log2(_ROW_BLOCK) steps the array is therefore the block
     partials, and the remaining steps are _tree_sum_columns of those.
     Variational sums (``cells`` {block: (N, m) primitive values}) write each
-    row block's max gap into one length-N vector and _fsum it at the end;
-    given ``worst`` {block: running worst sum}, a block whose gaps
-    _fsum_at_most shows cannot pass its worst gets that worst instead.
+    row block's max gap into its slice of one length-N vector and _fsum it
+    at the end; given ``worst`` {block: running worst sum}, a block whose
+    gaps _fsum_at_most shows cannot pass its worst gets that worst instead.
     A broadcast block (_folded) is weighted and reduced as its one column,
     whose tree sum is the same whatever the row width.
     """
     n = len(w)
     parts = {k: [] if cells is None else np.empty(n) for k in blocks}
-    for lo in range(0, n, _ROW_BLOCK):
-        rows = slice(lo, lo + _ROW_BLOCK)
-        vals = eval_blocks(make(rows), blocks)
+
+    def reduce(rows, tags):
+        vals = eval_blocks(tags, blocks)
+        if cells is None:
+            return [_widened(_tree_sum_columns(_weighted(_folded(vals[k]), w[rows, 0])),
+                             vals[k].shape[1]) for k in blocks]
         for k in blocks:
-            if cells is None:
-                v = vals[k]
-                s = _tree_sum_columns(_weighted(_folded(v), w[rows, 0]))
-                parts[k].append(_widened(s, v.shape[1]))
-            else:
-                _gaps(cells[k][rows], vals[k], w[rows, 0], out=parts[k][rows])
-        del vals
+            _gaps(cells[k][rows], vals[k], w[rows, 0], out=parts[k][rows])
+
+    for sums in _block_results(n, make, reduce, eval_blocks):
+        if cells is None:
+            for k, s in zip(blocks, sums):
+                parts[k].append(s)
     if cells is None:
         return {k: _tree_sum_columns(np.array(p)) for k, p in parts.items()}
     return {k: worst[k] if worst is not None and _fsum_at_most(p, worst[k]) else _fsum(p)
@@ -616,30 +627,113 @@ def _nominal_sums(tags, w, eval_blocks, blocks, ms):
     """Exact column sums of the nominal tag set, made _ROW_BLOCK rows at a time.
 
     Each row block is evaluated, weighted by the widths ``w`` (N, 1) and fed
-    to _extract, and each column's pass totals are math.fsum-ed once at the
-    end, so the sums are _fsum_columns of the whole (N, m) term array, bit
-    for bit, with no temporary spanning the level.  The fallback limit is
-    the whole array's (_sum_limit of N rows).  If a block holds inf, nan or
-    a value past it, the whole level is evaluated again and summed by
+    to _extract (_block_results), and each column's pass totals, taken in
+    row order, are math.fsum-ed once at the end, so the sums are
+    _fsum_columns of the whole (N, m) term array, bit for bit, with no
+    temporary spanning the level.  The fallback limit is the whole array's
+    (_sum_limit of N rows).  If a block holds inf, nan or a value past it,
+    the whole level is evaluated again on the calling thread and summed by
     _fsum_columns, which keeps math.fsum's value or error; the evaluators
     are effect-free, so that costs only the time.
     """
     n = len(w)
     totals = {k: [] for k in blocks}
     widths = {}
-    for lo in range(0, n, _ROW_BLOCK):
-        rows = slice(lo, lo + _ROW_BLOCK)
-        vals = eval_blocks(tags[rows], blocks)
+
+    def extract(rows, ts):
+        vals = eval_blocks(ts, blocks)
+        out = {}
         for k in blocks:
             x = _folded(vals[k]) * w[rows]
-            widths[k] = x.shape[1]
             k_sum, limit = _sum_limit(n, x.shape[1])
             if not (x.max() < limit and -x.min() < limit):  # nan compares False
-                vals = eval_blocks(tags, blocks)
-                return {k: _widened(_fsum_columns(_folded(vals[k]) * w), ms[k])
-                        for k in blocks}
-            _extract(x, k_sum, totals[k])
+                return None
+            out[k] = x.shape[1], _extract(x, k_sum, [])
+        return out
+
+    results = _block_results(n, lambda rows: tags[rows], extract, eval_blocks)
+    for out in results:
+        if out is None:
+            results.close()  # no block is left running
+            vals = eval_blocks(tags, blocks)
+            return {k: _widened(_fsum_columns(_folded(vals[k]) * w), ms[k]) for k in blocks}
+        for k, (width, passes) in out.items():
+            widths[k] = width
+            totals[k] += passes
     return {k: _widened(_fsum_totals(totals[k], widths[k]), ms[k]) for k in blocks}
+
+
+# -- the evaluation pool -----------------------------------------------------
+
+_POOLED = weakref.WeakSet()  # evaluators the library built: effect-free and thread-safe
+_IN_FLIGHT = 2  # row blocks handed to the pool and not yet taken back
+
+
+def _pooled(fn, *parts):
+    """Mark ``fn`` for the evaluation pool when every one of ``parts`` is; return fn.
+
+    Only the library marks evaluators: the corpus evaluators, and what it
+    composes of them alone (_one_block, a selection read off a corpus
+    entry, its remainder and singleton, the shared-pass block evaluators).
+    Any other evaluator, a user's or a wrapper of a marked one (such as a
+    timing wrapper), is not marked and runs on the calling thread.
+    """
+    if all(p in _POOLED for p in parts):
+        _POOLED.add(fn)
+    return fn
+
+
+@functools.lru_cache(maxsize=None)
+def _pool():
+    """The evaluation pool, made at first use; None where this process may use
+    one CPU only, and then no thread is made.  Two workers at most."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    if cpus < 2:
+        return None
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(2, thread_name_prefix="gaugeset-eval")
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _block_results(n, make, reduce, eval_blocks):
+    """reduce(rows, make(rows)) for each _ROW_BLOCK row slice of n rows, in row order.
+
+    ``make`` runs on the calling thread, block after block, so the rng
+    draws of tag making keep their order.  When ``eval_blocks`` is one the
+    library marked (_pooled) and there is more than one block, ``reduce``
+    (evaluation, weighting and the block's reduction) runs on the
+    evaluation pool, in the caller's context (numpy's error state
+    included), with at most _IN_FLIGHT blocks handed over at a time, and
+    the results are still taken in row order.  An error in a block is
+    raised there, as the serial loop raises it, once no other block is
+    running; so is the close of the generator.  No block's arrays outlive
+    its result.
+    """
+    slices = [slice(lo, lo + _ROW_BLOCK) for lo in range(0, n, _ROW_BLOCK)]
+    pool = _pool() if len(slices) > 1 and eval_blocks in _POOLED else None
+    if pool is None:
+        for rows in slices:
+            yield reduce(rows, make(rows))
+        return
+    pending = deque()
+    try:
+        for rows in slices:
+            if len(pending) == _IN_FLIGHT:
+                yield pending.popleft().result()
+            pending.append(pool.submit(contextvars.copy_context().run, reduce, rows, make(rows)))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for f in pending:
+            if not f.cancel():
+                f.exception()  # wait for a running block; its error, if any, is dropped
 
 
 def _new_run(m):
@@ -720,6 +814,7 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None):
         rng = np.random.default_rng([seed, 7702 if variational else 7701, n])
         tags = P.t if mode == "henstock" else _free_tags(P.a, P.b, P.t, gauge, rng)
         if variational and mode != "henstock":
+            tags.flags.writeable = False  # so the partition shares it, and P's a and b
             P = TaggedPartition(P.a, P.b, tags)
         w = P.widths[:, None]
         # the primitive side of a variational sum depends only on the cells
@@ -750,12 +845,14 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None):
             spread = worst[k] - nominal[k] if variational else spread_cols[k]
             if _record(runs[k], n, len(P), value[k], spread, worst[k], wall_ms):
                 live.remove(k)
-        del P, tags, w, cells  # free this level's arrays before the next build
+        # free this level's arrays before the next build: the last probe
+        # maker's closure holds the partition's arrays too
+        del P, tags, w, cells, make
     return runs
 
 
 def _one_block(eval_fn):
-    return lambda ts, blocks: (eval_fn(ts),)
+    return _pooled(lambda ts, blocks: (eval_fn(ts),), eval_fn)
 
 
 def _direction_labels(grid, m):
@@ -848,6 +945,7 @@ def henstock_with_selection(mf, sel, schedule, tol, point_tol, seed=0):
         return (V, *(X[:, i:i + 1] for i in range(d)))
 
     m, d = mf.grid.m, mf.grid.d
+    _pooled(eval_blocks, mf.eval_support, sel.support_map(mf))
     runs = _run_schedule(eval_blocks, (m,) + (1,) * d, schedule, seed, "henstock")
     gamma = _assemble("henstock", mf.name, mf.grid, tol, seed, schedule.describe(), runs[0])
     comps = [_assemble("scalar-hk", f"{sel.name}[{i}]", None, point_tol, seed,

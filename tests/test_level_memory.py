@@ -10,6 +10,8 @@ value past the extraction limit) it must give math.fsum's value or error.
 
 import math
 import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -33,12 +35,39 @@ def _traced_peak(fn):
 
 
 def test_cousin_build_peak_is_a_small_multiple_of_its_output():
-    # 1,075,912 cells; a width array per depth, with the per-depth lists
-    # alive through the final concatenation, takes this to 3.8x
+    # 1,075,912 cells, 24.6 MiB of a, b and t; a width array per depth, with
+    # the per-depth lists alive through the final concatenation, takes this
+    # to 3.8x, and merging the depths' runs by an argsort and gathers to 2.5x
     g = corpus.named_schedule("henstock-origin").levels[-1]
     P, peak = _traced_peak(lambda: cousin_build(g))
     assert len(P) > 1_000_000
-    assert peak <= 2.75 * (P.a.nbytes + P.b.nbytes + P.t.nbytes)
+    assert peak <= 1.5 * (P.a.nbytes + P.b.nbytes + P.t.nbytes)
+
+
+@pytest.mark.parametrize("entry, run", [
+    ("G1", lambda mf: it.henstock_integrate(
+        mf, corpus.named_schedule("henstock-origin", levels=10), 1e-3)),
+    ("G1", lambda mf: it.vh_check(
+        mf, mf.exact_primitive(), corpus.named_schedule("vh-origin", levels=9))),
+    ("G2", lambda mf: it.vh_check(  # G1's free mode diverges at level 1
+        mf, mf.exact_primitive(), corpus.named_schedule("uniform", levels=13), mode="free")),
+], ids=["henstock", "vh", "vms"])
+def test_each_level_is_freed_before_the_next_build(monkeypatch, entry, run):
+    # the last probe maker's closure holds the partition's arrays; with the
+    # pool on, nor may a block's future or closure outlive its level
+    build, refs, alive = it.cousin_build, [], []
+
+    def hooked(*args, **kwargs):
+        alive.append(sum(r() is not None for r in refs))
+        P = build(*args, **kwargs)
+        refs[:] = [weakref.ref(x) for x in (P.a, P.b, P.t)]
+        return P
+
+    monkeypatch.setattr(it, "cousin_build", hooked)
+    with ThreadPoolExecutor(2) as pool:
+        monkeypatch.setattr(it, "_pool", lambda: pool)
+        run(corpus.corpus_get(entry))
+    assert len(alive) > 8 and alive == [0] * len(alive)
 
 
 def test_henstock_level_loop_peak_is_bounded():

@@ -103,9 +103,56 @@ def test_cousin_build_emits_each_depth_in_order(monkeypatch, schedule_id, tag_or
                                             for g in levels])
     assert len(raw) == len(levels)
     for a, b, t in raw:
-        # one run per depth, coarsest first, each increasing
-        dw, da = np.diff(b - a), np.diff(a)
-        assert np.all(dw <= 0) and np.all(da[dw == 0] > 0)
+        # the depths' runs come merged: each cell abuts the next, so every
+        # depth's cells, and all of them, are in increasing order
+        assert np.all(b > a) and np.array_equal(a[1:], b[:-1])
+
+
+def _per_depth_build(g, tag_order):
+    """cousin_build as it was before it placed the cells itself.
+
+    Each depth's accepted starts, tags and widths are kept as one increasing
+    run, and TaggedPartition's stable sort merges the runs.  The oracle of
+    test_cousin_build_equals_the_merged_per_depth_runs.
+    """
+    offsets = ((0.5, 0.0, 1.0) if tag_order == "mid" else (0.0, 0.5, 1.0)) + partitions._WEYL8
+    starts, tags, widths = [], [], []
+    idx = np.zeros(1, dtype=np.int64)
+    depth = 0
+    while len(idx):
+        w = 2.0 ** (-depth)
+        a = idx * w
+        chosen = np.full(len(idx), np.nan)
+        todo = np.arange(len(idx))
+        for c in offsets:
+            cand = a[todo] + w * c
+            ok = w < np.atleast_1d(g(cand))
+            chosen[todo[ok]] = cand[ok]
+            todo = todo[~ok]
+        have = ~np.isnan(chosen)
+        starts.append(a[have])
+        tags.append(chosen[have])
+        widths.append(np.full(np.count_nonzero(have), w))
+        rest = idx[~have]
+        idx = np.empty(2 * len(rest), dtype=np.int64)
+        idx[0::2] = rest * 2
+        idx[1::2] = idx[0::2] + 1
+        depth += 1
+    a, t, w = (np.concatenate(x) for x in (starts, tags, widths))
+    return TaggedPartition(a, a + w, t)
+
+
+@pytest.mark.parametrize("schedule_id", ["uniform", "uniform-measurable", "henstock-origin",
+                                         "vh-origin"])
+@pytest.mark.parametrize("tag_order", ["mid", "left"])
+def test_cousin_build_equals_the_merged_per_depth_runs(schedule_id, tag_order):
+    for g in named_schedule(schedule_id).levels:
+        P = cousin_build(g, tag_order=tag_order)
+        Q = _per_depth_build(g, tag_order)
+        for x, y in ((P.a, Q.a), (P.b, Q.b), (P.t, Q.t)):
+            assert x.tobytes() == y.tobytes()
+        # handed over read-only, the builder's arrays are the partition's own
+        assert all(x.flags.owndata and not x.flags.writeable for x in (P.a, P.b, P.t))
 
 
 def test_is_delta_fine_needs_open_containment():
@@ -144,6 +191,20 @@ def test_partition_sorts_only_out_of_order_input():
         assert np.array_equal(x, z) and np.array_equal(y, z)
         assert x is not z and not x.flags.writeable  # an own, frozen copy
     assert P.full and Q.full
+
+
+def test_partition_keeps_only_own_read_only_arrays():
+    a, b, t = QUARTERS[:-1].copy(), QUARTERS[1:].copy(), QUARTERS[:-1] + 0.125
+    for x in (a, t):
+        x.flags.writeable = False
+    P = TaggedPartition(a, b, t)
+    assert P.a is a and P.t is t  # owned and read-only: kept
+    assert P.b is not b and not P.b.flags.writeable  # writeable: copied
+    view = np.array(QUARTERS[:-1])[:]  # read-only view of writeable memory
+    view.flags.writeable = False
+    assert TaggedPartition(view, b, t).a is not view
+    Q = TaggedPartition(P.a, P.b, P.t)  # another partition's arrays are shared
+    assert Q.a is P.a and Q.b is P.b and Q.t is P.t
 
 
 def test_partition_validation():
