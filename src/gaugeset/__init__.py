@@ -20,9 +20,7 @@ from .convex_sets import (
     canonical_values,
     contains_point,
     from_points,
-    from_values,
     hausdorff,
-    is_canonical,
     make_ball,
     make_interval,
     make_point,

@@ -113,15 +113,16 @@ def _load_config(path):
 
 
 def _write_reports(out_dir, stem, json_dict, csv_rows, deterministic):
+    """Write ``stem``.json and .csv under out_dir; an unwritable place is a usage error."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    json_path = out / f"{stem}.json"
-    payload = dict(json_dict)
-    payload["schema"] = 1
-    payload["deterministic"] = bool(deterministic)
-    json_path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    csv_path = out / f"{stem}.csv"
-    csv_path.write_text("\n".join(csv_rows) + "\n")
+    json_path, csv_path = out / f"{stem}.json", out / f"{stem}.csv"
+    payload = dict(json_dict, schema=1, deterministic=bool(deterministic))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        json_path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        csv_path.write_text("\n".join(csv_rows) + "\n")
+    except OSError as e:
+        raise click.ClickException(f"cannot write reports to {out_dir}: {e}")
     return json_path, csv_path
 
 

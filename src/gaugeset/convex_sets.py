@@ -105,7 +105,7 @@ class SupportSet:
 
     Direct construction trusts ``values`` to already be support evaluations
     (everything produced by this module's operations is).  Raw vectors from
-    outside go through :func:`from_values`, which canonicalizes.
+    outside go through :func:`canonical_values` first.
     """
 
     grid: DirectionGrid
@@ -162,16 +162,6 @@ def _feasible_vertices(grid, v, tol):
     return pts[feas]
 
 
-def from_values(grid, values):
-    """Build a canonical SupportSet from a raw value vector."""
-    return SupportSet(grid, canonical_values(grid, values))
-
-
-def is_canonical(A, tol=CANON_TOL):
-    """True when grid re-evaluation moves no support value by more than tol."""
-    return float(np.max(np.abs(canonical_values(A.grid, A.values) - A.values))) <= tol
-
-
 # -- constructors ------------------------------------------------------------
 
 def make_interval(a, b, grid=None):
@@ -202,7 +192,11 @@ def make_ball(grid, center, radius):
 
 
 def from_points(grid, points):
-    """Convex hull of finitely many points, evaluated on the grid."""
+    """Convex hull of finitely many points, evaluated on the grid.
+
+    Test oracle: exact grid hulls for the Minkowski, Steiner and
+    canonicalization tests.
+    """
     P = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if P.shape[1] != grid.d:
         raise GridMismatch(f"points have dimension {P.shape[1]}, grid has d={grid.d}")
@@ -212,6 +206,7 @@ def from_points(grid, points):
 # -- arithmetic and metric ---------------------------------------------------
 
 def minkowski_add(A, B):
+    """A + B.  Paper claim: the support embedding is additive, h(A + B) = h(A) + h(B)."""
     _check_grids(A, B)
     return SupportSet(A.grid, A.values + B.values)
 
@@ -249,6 +244,7 @@ def steiner_point(A):
 
 
 def contains_point(A, x, slack=CANON_TOL):
+    """x in A up to slack.  Paper claim: the Steiner point is a selection (lies in A)."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     return bool(np.all(A.grid.dirs @ x <= A.values + slack))
 
@@ -267,10 +263,8 @@ class Primitive:
 
         node value == left child value + right child value   (bit exact).
 
-    ``query`` weights every cell by its covered share (1 inside, 0 outside,
-    proportional at the two boundary cells) and sums all cells that way, so
-    it is additive with zero grid error across canonical dyadic splits and
-    costs O(cells) per call.  A degenerate interval queries to {0}.
+    ``query_batch`` weights the cells by their covered shares, through
+    prefix sums of the cell values.
     """
 
     def __init__(self, grid, starts, widths, cell_values):
@@ -331,20 +325,9 @@ class Primitive:
             raise KeyError((depth, index))
         return self._tree_sum(self._cellV[lo:hi], self._depths[lo:hi], depth)
 
-    def query(self, a, b):
-        """Value on [a, b] as the tree-order sum of covered shares; {0} when b <= a."""
-        a = max(0.0, min(1.0, a))
-        b = max(0.0, min(1.0, b))
-        if b <= a:
-            return SupportSet(self.grid, np.zeros(self.grid.m))
-        lo, hi = self._starts, self._starts + self._widths
-        frac = np.clip((np.minimum(hi, b) - np.maximum(lo, a)) / self._widths, 0.0, 1.0)
-        return SupportSet(self.grid, self._tree_sum(self._cellV * frac[:, None], self._depths, 0))
-
     def query_batch(self, a, b):
         """Value matrix (n, m) for interval batches, via prefix sums.
 
-        Fast path for variational sums; agrees with query to ~1e-15 per value.
         Row i is _prefix_at(b[i]) - _prefix_at(a[i]) with both ends clipped to
         [0, 1].  _prefix_at works point by point, so when the intervals abut
         (a[i + 1] == b[i], as Cousin cells do) it is taken once per edge.
@@ -384,9 +367,6 @@ class ExactIntervalMap:
         self.grid = grid
         self.fn = fn
         self.name = name
-
-    def query(self, a, b):
-        return SupportSet(self.grid, self.query_batch([a], [b])[0])
 
     def query_batch(self, a, b):
         """fn(a, b) with the rows where b <= a set to 0.

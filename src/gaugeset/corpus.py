@@ -76,6 +76,7 @@ def F_prime(ts):
 
 
 def abs_F_prime(ts):
+    """|F'|.  Paper claim: F' is not Lebesgue integrable (|F'| ~ 2/t on the cos spikes)."""
     return np.abs(F_prime(ts))
 
 
@@ -89,8 +90,8 @@ class MultifunctionSpec:
     grid: DirectionGrid
     # ts (N,) -> (N, m) support values, effect-free; may be a read-only view,
     # and one broadcast along its directions (strides[1] == 0) is reduced once.
-    # The registry's evaluators are also thread-safe, and marked (_pooled) so
-    # that row blocks of one tag set are evaluated on two threads
+    # The registry's evaluators are also thread-safe, and _register marks them
+    # (_pooled) so that row blocks of one tag set are evaluated on two threads
     eval_support: object
     flags: dict
     truth: SupportSet | None
@@ -127,7 +128,6 @@ _LINE = DirectionGrid.line()
 _CIRCLE = DirectionGrid.circle(64)
 
 
-@_pooled
 def _g1_eval(ts):
     fp = F_prime(ts)
     out = np.empty((fp.shape[0], 2))
@@ -136,13 +136,11 @@ def _g1_eval(ts):
     return out
 
 
-@_pooled
 def _g2_eval(ts):
     ts = np.asarray(ts, dtype=np.float64)
     return np.column_stack([np.zeros_like(ts), ts])
 
 
-@_pooled
 def _g3_eval(ts):
     fp = F_prime(ts)
     out = np.empty((fp.shape[0], 2))
@@ -151,13 +149,11 @@ def _g3_eval(ts):
     return out
 
 
-@_pooled
 def _g4_eval(ts):
     ts = np.asarray(ts, dtype=np.float64)
     return np.broadcast_to(ts[:, None], (ts.shape[0], _CIRCLE.m))  # read-only view
 
 
-@_pooled
 def _g5_eval(ts):
     fp = F_prime(ts)
     out = np.empty((fp.shape[0], 2))
@@ -166,7 +162,6 @@ def _g5_eval(ts):
     return out
 
 
-@_pooled
 def _g6_eval(ts):
     ts = np.asarray(ts, dtype=np.float64)
     out = np.zeros((ts.shape[0], 2))
@@ -261,6 +256,7 @@ _REGISTRY = {}
 
 
 def _register(spec):
+    _pooled(spec.eval_support)
     _REGISTRY[spec.name] = spec
     return spec
 
@@ -454,7 +450,11 @@ def corpus_get(name, params=None):
 
 
 def check_flag_consistency(spec):
-    """Implication checks between flags; returns a list of violations."""
+    """Implication checks between flags; returns a list of violations.
+
+    Paper claims: McShane implies Henstock and HKP; vMS implies vH and
+    integrable boundedness.
+    """
     out = []
     f = spec.flag
     if f("mcshane") == "yes" and not (f("henstock") == "yes" and f("hkp") == "yes"):

@@ -78,11 +78,16 @@ class Selection:
         return self(ts) if pick is None else pick(V)
 
     @classmethod
-    def of_support(cls, name, mf, from_support):
-        """Selection f = from_support o Gamma.eval_support."""
+    def _of_support(cls, name, mf, from_support):
+        """Selection f = from_support o Gamma.eval_support, for the library's own picks.
+
+        The pick is marked for the evaluation pool (_pooled), and so is f
+        when Gamma's evaluator is.
+        """
         def ev(ts):
             return from_support(mf.eval_support(np.asarray(ts, dtype=np.float64)))
-        return cls(name=name, d=mf.grid.d, eval_points=_pooled(ev, mf.eval_support, from_support),
+        _pooled(from_support)
+        return cls(name=name, d=mf.grid.d, eval_points=_pooled(ev, mf.eval_support),
                    from_support=from_support, source=mf)
 
 
@@ -99,16 +104,14 @@ def steiner_selection(mf):
     """t -> steiner_point(Gamma(t)); always a member of the set."""
     grid = mf.grid
     if grid.d == 1:
-        @_pooled
         def pick(V):
             return ((V[:, 1] - V[:, 0]) / 2.0)[:, None]
     else:
         U = grid.dirs
 
-        @_pooled
         def pick(V):
             return (2.0 / grid.m) * (V @ U)
-    return Selection.of_support("steiner", mf, pick)
+    return Selection._of_support("steiner", mf, pick)
 
 
 def _vertex_of_pair(U, V, i, j):
@@ -134,14 +137,12 @@ def argmax_selection(mf, u):
         if uval not in (1, -1):
             raise ValueError("d=1 directions are +1 and -1")
         if uval == 1:
-            @_pooled
             def pick(V):
                 return V[:, 1][:, None]
         else:
-            @_pooled
             def pick(V):
                 return (-V[:, 0])[:, None]
-        return Selection.of_support(f"argmax:{'+' if uval == 1 else ''}{uval}", mf, pick)
+        return Selection._of_support(f"argmax:{'+' if uval == 1 else ''}{uval}", mf, pick)
 
     if np.isscalar(u):
         k = int(u)
@@ -157,7 +158,6 @@ def argmax_selection(mf, u):
     m = grid.m
     i_prev, i_next = (k - 1) % m, (k + 1) % m
 
-    @_pooled
     def pick(V):
         p1 = _vertex_of_pair(U, V, min(i_prev, k), max(i_prev, k))
         p2 = _vertex_of_pair(U, V, min(k, i_next), max(k, i_next))
@@ -166,7 +166,7 @@ def argmax_selection(mf, u):
         pick2 = s2 > s1 + 1e-12  # lower pair index wins ties
         return np.where(pick2[:, None], p2, p1)
 
-    return Selection.of_support(f"argmax:u{k}", mf, pick)
+    return Selection._of_support(f"argmax:u{k}", mf, pick)
 
 
 def _support_parts(mf, sel, ts):
@@ -232,7 +232,6 @@ class DecompositionReport:
     tol: float
     clauses: list
     membership: dict
-    report_refs: list = field(default_factory=list)
     reports: dict = field(default_factory=dict)
 
     def to_json_dict(self, deterministic=False):
@@ -247,7 +246,7 @@ class DecompositionReport:
             "tol": self.tol,
             "clauses": self.clauses,
             "membership": self.membership,
-            "report_refs": self.report_refs,
+            "report_refs": [r.report_id for r in self.reports.values()],
             "reports": {k: r.to_json_dict(deterministic)
                         for k, r in self.reports.items()},
         }
@@ -270,17 +269,13 @@ def verify_decomposition(mf, sel, theorem, tol, seed=0):
     The remainder G = Gamma - f is built first (NotASelection propagates:
     a non-selection is a caller error, not a theorem failure).  Gamma runs
     under its recommended schedule where the registry provides one; f rides
-    the same schedule (a selection inherits the integrand's singularity),
-    and Gamma and the components of f share one pass over it: one partition
-    and one stream of probe tags per level, Gamma evaluated once per tag set
-    and f read off those values (``Selection.from_support``, when f was read
-    off this very Gamma; any other selection is evaluated on the same tags).
-    G runs under the defaults for its kind.  t55's variational clauses on
-    Gamma, {f} and G share one pass in the same way, {f} and G read off
-    each evaluation of Gamma, at the entry's recommended variational
-    tolerance.  Gamma uses the entry's exact primitive when it has one; the
-    other primitives are built at the finest variational gauge, all from
-    one partition and one evaluation of Gamma.
+    the same schedule (a selection inherits the integrand's singularity) in
+    the same pass (henstock_with_selection).  G runs under the defaults for
+    its kind.  t55's variational clauses on Gamma, {f} and G share one pass
+    (_vh_pass) at the entry's recommended variational tolerance.  Gamma uses
+    the entry's exact primitive when it has one; the other primitives are
+    built at the finest variational gauge, all from one partition and one
+    evaluation of Gamma.
     """
     theorem = theorem.lower().replace(".", "").replace("-", "")
     if theorem not in _THEOREMS:
@@ -361,7 +356,6 @@ def verify_decomposition(mf, sel, theorem, tol, seed=0):
         tol=tol,
         clauses=clauses,
         membership=membership,
-        report_refs=[r.report_id for r in reports.values()],
         reports=reports,
     )
     return report

@@ -25,55 +25,26 @@ A run converges when the last effective residual is below tol and the last
 three never bounce back above tol; it diverges when the bound fires or the
 growth rule holds; otherwise it is inconclusive.
 
-Nominal sums, Birkhoff sums and variational gap sums are exactly rounded
-(_fsum_columns: math.fsum's value bit for bit, by error-free extraction
-whose exact pass totals may be collected block by block and rounded once),
-hence permutation invariant - constants integrate to themselves bit-exactly
-and Birkhoff sums are order-independent by construction; probe sums use a
-deterministic pairwise tree reduction.  A variational probe sum only
-matters if it passes the level's running worst, so it is summed exactly
-only where a float error bound (_fsum_at_most) cannot show that it does
-not.
+Nominal, Birkhoff and variational gap sums are exactly rounded
+(_fsum_columns: math.fsum's value bit for bit), hence permutation
+invariant; probe sums use a deterministic pairwise tree reduction.
 
 Two level loops exist.  _run_schedule runs every method over Cousin
-partitions: Henstock, McShane, scalar, directional and variational.  It
-carries several blocks at once, each with its own level values, verdict
-and stop; the sums are per block, so a block's result is bit-identical to
-running it alone, and a set and its selection's components
-(henstock_with_selection) or t55's Gamma, {f} and G (_vh_pass) share each
-level's partition, probe tags and set evaluation.  Its blocks are of one of
-two kinds.  Column-sum blocks take Riemann sums per column.  Variational
-blocks take the summed primitive-vs-term gaps, worst over the level's tag
-sets, on left-first tags, with rng salt 7702, and in free mode their probes
-fall back to the nominal free tags rather than the build tags.  Each
-level's Cousin partition is built from [0, 1] for its own gauge, as
-Cousin's lemma gives it.  Every tag set is made, evaluated, weighted and
-reduced in row blocks of _ROW_BLOCK rows, with the bits of the whole-array
-computation: each probe set by _streamed_sums, and the nominal set by
-_nominal_sums, which collects each block's exact extraction totals.  So no
-evaluation spans the level, unless a nominal term is inf, nan or too large
-for the extraction; then math.fsum decides, over the whole level.  With an
-evaluator the library built (_pooled), the blocks of a level are evaluated
-and reduced on two worker threads while the calling thread makes their tags
-in row order (_block_results); the results are taken in row order, so the
-bits do not depend on the threads.  A
-support array broadcast along its directions (strides[1] == 0, as G4's)
-holds one column in memory; every sum, gap and norm reduces that column
-once and widens the result (_folded, _widened), with the bits of reducing
-every column.  A Perron probe tag lies in its cell [a, b], so where b - a
-is below the gauge's cell bound (Gauge.lower(a)) the fineness check
-w < delta(t) holds without a gauge call; only the other rows are checked.
-The bound settles no free-mode window check, and a gauge built without one
-settles nothing.
-birkhoff_integrate keeps its own loop over measurable partitions.  Both
-loops hand each level to _record, the one place a level becomes a LevelStat
-and meets the run's divergence bound, and _assemble builds every report.
+partitions (Henstock, McShane, scalar, directional and variational), each
+level's partition built from [0, 1] for that level's gauge.  It carries
+several blocks at once, each with its own level values, verdict and stop,
+so a set and its selection's components, or t55's Gamma, {f} and G, share
+each level's partition, probe tags and evaluation, and each block's result
+is bit-identical to running it alone.  birkhoff_integrate keeps its own
+loop over measurable partitions.  Both loops hand each level to _record,
+the one place a level becomes a LevelStat and meets the run's divergence
+bound, and _assemble builds every report.
 
-variational_measure_estimate packs 16 seeded greedy walks per level
-(_pack_values).  Under a constant gauge the walks cross a component by
-np.add.accumulate along each walk's steps (_const_walk); any other gauge
-steps all walks in lockstep (_lockstep_walk).  Both give the scalar walk's
-items bit for bit.
+Every tag set of a Cousin level is made, evaluated and reduced in row
+blocks of _ROW_BLOCK rows, with the bits of the whole-array sums.  With an
+evaluator the library marked (_pooled), the blocks are evaluated on two
+worker threads while the calling thread makes their tags in row order; the
+results are taken in row order, so the bits do not depend on the threads.
 """
 
 from __future__ import annotations
@@ -93,7 +64,6 @@ from .convex_sets import Primitive, SupportSet, canonical_values
 from .errors import PackingTruncated
 from .partitions import (
     Gauge,
-    TaggedPartition,
     _window_fine,
     cousin_build,
     measurable_partition,
@@ -476,12 +446,12 @@ def _free_tags(a, b, t, gauge, rng):
     return np.where(_window_fine(a, b, tau, gauge), tau, t)
 
 
-def _probe_tag_sets(P, gauge, rng, mode):
+def _probe_tag_sets(P, t0, gauge, rng, mode):
     """Re-tagging variants for the tag-robustness probe and divergence hunt.
 
     Every variant keeps the cells and replaces tags cellwise, falling back
-    to the build tag where a candidate violates fineness, so each variant is
-    itself a valid delta-fine partition of the right kind.  A variant is
+    to the caller's tag ``t0`` where a candidate violates fineness, so each
+    variant is itself a valid delta-fine partition of the right kind.  A variant is
     yielded as a block-maker: ``make(rows)`` gives its tags on the cells of
     the slice ``rows``.  The makers share ``rng``, so each must be called on
     the row blocks in order before the next one is taken; the seeded draws
@@ -491,7 +461,7 @@ def _probe_tag_sets(P, gauge, rng, mode):
     w < gauge.lower(a) keeps it with no gauge call; only the other (open)
     rows are checked.  The free-mode window rule checks every row.
     """
-    a, b, w, t0 = P.a, P.b, P.widths, P.t
+    a, b, w = P.a, P.b, P.widths
     henstock = mode == "henstock"
     open_rows = np.flatnonzero(~(w < gauge.lower(a))) if henstock else None
 
@@ -672,9 +642,11 @@ _IN_FLIGHT = 2  # row blocks handed to the pool and not yet taken back
 def _pooled(fn, *parts):
     """Mark ``fn`` for the evaluation pool when every one of ``parts`` is; return fn.
 
-    Only the library marks evaluators: the corpus evaluators, and what it
-    composes of them alone (_one_block, a selection read off a corpus
-    entry, its remainder and singleton, the shared-pass block evaluators).
+    Only the library marks evaluators: a registry entry's when it is
+    registered (corpus._register), its own selection picks
+    (Selection._of_support), and what it composes of those alone
+    (_one_block, a selection read off a corpus entry, its remainder and
+    singleton, the shared-pass block evaluators).
     Any other evaluator, a user's or a wrapper of a marked one (such as a
     timing wrapper), is not marked and runs on the calling thread.
     """
@@ -796,12 +768,10 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None):
         left-first tags, rng salt 7702, and probes that in free mode fall
         back to the nominal free tags.
 
-    Every tag set, the nominal included, is evaluated _ROW_BLOCK rows at a
-    time (_nominal_sums, _streamed_sums).  Sums are per block, so a block's
-    run is bit-identical to a one-block run.  A level's ``wall_ms`` is that
-    of the whole shared level, recorded on every block that ran it.  Each
-    level's partition is built from [0, 1] by cousin_build for that level's
-    gauge alone.  Returns one run dict per block.
+    Every tag set, the nominal included, is taken in row blocks
+    (_nominal_sums, _streamed_sums).  A level's ``wall_ms`` is that of the
+    whole shared level, recorded on every block that ran it.  Returns one
+    run dict per block.
     """
     variational = phis is not None
     runs = [_new_run(m) for m in ms]
@@ -813,9 +783,6 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None):
         P = cousin_build(gauge, tag_order="left" if variational else "mid")
         rng = np.random.default_rng([seed, 7702 if variational else 7701, n])
         tags = P.t if mode == "henstock" else _free_tags(P.a, P.b, P.t, gauge, rng)
-        if variational and mode != "henstock":
-            tags.flags.writeable = False  # so the partition shares it, and P's a and b
-            P = TaggedPartition(P.a, P.b, tags)
         w = P.widths[:, None]
         # the primitive side of a variational sum depends only on the cells
         cells = {k: phis[k].query_batch(P.a, P.b) for k in live} if variational else None
@@ -827,7 +794,7 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None):
         worst = {k: abs(v) for k, v in nominal.items()}  # largest |sum| over the tag sets
         spread_cols = {} if variational else {k: np.zeros(ms[k]) for k in live}
         active = list(live)
-        for make in _probe_tag_sets(P, gauge, rng, mode):
+        for make in _probe_tag_sets(P, tags if variational else P.t, gauge, rng, mode):
             sums = _streamed_sums(make, w, eval_blocks, active, cells, worst if variational else None)
             for k, s in sums.items():
                 if variational:

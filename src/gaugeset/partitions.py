@@ -16,7 +16,7 @@ build re-checks the sampled values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,8 +134,6 @@ class Gauge:
 class TaggedPartition:
     """Finite list of (interval, tag) pairs, sorted by left endpoint.
 
-    Flags are recomputed from the data, never trusted from the caller:
-    perron (tags inside their own intervals), full (intervals tile [0, 1]).
     Endpoints and tags must be finite, and every width positive.  Input out
     of order is sorted by a; input in order is copied, read-only, except
     an array that owns its memory and is read-only already, which is kept.
@@ -144,8 +142,6 @@ class TaggedPartition:
     a: np.ndarray
     b: np.ndarray
     t: np.ndarray
-    perron: bool = field(init=False)
-    full: bool = field(init=False)
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=np.float64)
@@ -178,10 +174,6 @@ class TaggedPartition:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "perron", bool(np.all((a <= t) & (t <= b))))
-        # exact abutment from 0 to 1, so the cells tile [0, 1]
-        covers = a[0] == 0.0 and b[-1] == 1.0 and np.all(a[1:] == b[:-1])
-        object.__setattr__(self, "full", bool(covers))
 
     @property
     def widths(self):
@@ -198,10 +190,11 @@ def _window_fine(a, b, t, g):
 
 
 def is_delta_fine(P, g, require_perron=False):
-    """True when every item satisfies I_i inside (t_i - delta, t_i + delta)."""
+    """True when every I_i lies inside (t_i - delta, t_i + delta), and with
+    ``require_perron`` every t_i in I_i.  Paper claim: Cousin's lemma."""
     fine = bool(np.all(_window_fine(P.a, P.b, P.t, g)))
     if require_perron:
-        fine = fine and P.perron
+        fine = fine and bool(np.all((P.a <= P.t) & (P.t <= P.b)))
     return fine
 
 

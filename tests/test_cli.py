@@ -330,6 +330,26 @@ def test_levels_too_fine_is_usage_error(runner, tmp_path, args, message):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("args", [
+    ["integrate", "G6", "--levels", "2"],
+    ["decompose", "G6"],
+    ["varmeasure", "G2", "--set", "0.25:0.75", "--levels", "2"],
+    ["riemann-check", "G2", "--trials", "2"],
+])
+@pytest.mark.parametrize("under", [False, True])
+def test_unwritable_out_is_usage_error(runner, tmp_path, args, under):
+    # --out names a file (mkdir: FileExistsError) or a path under one (NotADirectoryError)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    out = blocker / "sub" if under else blocker
+    res = runner.invoke(main, args + ["--out", str(out)])
+    assert res.exit_code == 1, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.output.startswith("Error: cannot write reports to ")
+    assert res.output.count("\n") == 1
+    assert blocker.read_text() == "kept\n"
+
+
 def test_varmeasure_exact_primitive_is_not_budget_checked(runner, tmp_path):
     # G2's primitive is exact, so no level bisects: 60 levels pack as usual
     res = runner.invoke(main, ["varmeasure", "G2", "--set", "0", "--levels", "60",

@@ -122,24 +122,24 @@ def test_g1_is_g5_plus_unit_interval():
 def test_exact_primitives_are_additive(name, a, b):
     phi = corpus.corpus_get(name).exact_primitive()
     mid = (a + b) / 2.0
-    whole = phi.query(a, b).values
-    split = phi.query(a, mid).values + phi.query(mid, b).values
+    whole = phi.query_batch([a], [b])[0]
+    split = phi.query_batch([a], [mid])[0] + phi.query_batch([mid], [b])[0]
     np.testing.assert_allclose(whole, split, atol=1e-15)
 
 
 def test_exact_primitive_full_interval_values():
     g1 = corpus.corpus_get("G1").exact_primitive()
-    np.testing.assert_allclose(g1.query(0.0, 1.0).values, [-SIN_1, 1.0 + SIN_1],
+    np.testing.assert_allclose(g1.query_batch([0.0], [1.0])[0], [-SIN_1, 1.0 + SIN_1],
                                atol=1e-15)
     g2 = corpus.corpus_get("G2").exact_primitive()
-    np.testing.assert_allclose(g2.query(0.0, 1.0).values, [0.0, 0.5], atol=0)
+    np.testing.assert_allclose(g2.query_batch([0.0], [1.0])[0], [0.0, 0.5], atol=0)
     g6 = corpus.corpus_get("G6").exact_primitive()
-    np.testing.assert_array_equal(g6.query(0.25, 0.75).values, [0.0, 0.5])
+    np.testing.assert_array_equal(g6.query_batch([0.25], [0.75])[0], [0.0, 0.5])
 
 
 def test_g4_primitive_is_radius_integral():
     phi = corpus.corpus_get("G4").exact_primitive()
-    row = phi.query(0.0, 1.0).values
+    row = phi.query_batch([0.0], [1.0])[0]
     np.testing.assert_allclose(row, 0.5, atol=1e-15)  # int_0^1 t dt in all dirs
 
 

@@ -82,7 +82,7 @@ def _streamed_sums(P, gauge, mode, eval_fn, cells):
     """Library sums of the level's tag sets, nominal first, on one fresh rng."""
     rng = np.random.default_rng(_SEED)
     tags = P.t if mode == "henstock" else it._free_tags(P.a, P.b, P.t, gauge, rng)
-    makers = [lambda rows: tags[rows], *it._probe_tag_sets(P, gauge, rng, mode)]
+    makers = [lambda rows: tags[rows], *it._probe_tag_sets(P, P.t, gauge, rng, mode)]
     eval_blocks = lambda ts, blocks: [eval_fn(ts)]
     return [it._streamed_sums(make, P.widths[:, None], eval_blocks, [0], cells)[0]
             for make in makers]
@@ -118,7 +118,7 @@ def _made_tags(P, gauge, seed):
     """Each henstock probe variant's tags, made row block by row block."""
     rng = np.random.default_rng(seed)
     return [np.concatenate([make(slice(lo, lo + B)) for lo in range(0, len(P), B)])
-            for make in it._probe_tag_sets(P, gauge, rng, "henstock")]
+            for make in it._probe_tag_sets(P, P.t, gauge, rng, "henstock")]
 
 
 def _open_fallbacks(P, g, seed):
