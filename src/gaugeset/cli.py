@@ -112,13 +112,20 @@ def _load_config(path):
     return cfg
 
 
+def _out_dir(out_dir):
+    """Make out_dir, so that a place reports cannot go to fails before any run."""
+    try:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise click.ClickException(f"cannot write reports to {out_dir}: {e}")
+
+
 def _write_reports(out_dir, stem, json_dict, csv_rows, deterministic):
     """Write ``stem``.json and .csv under out_dir; an unwritable place is a usage error."""
     out = Path(out_dir)
     json_path, csv_path = out / f"{stem}.json", out / f"{stem}.csv"
     payload = dict(json_dict, schema=1, deterministic=bool(deterministic))
     try:
-        out.mkdir(parents=True, exist_ok=True)
         json_path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
         csv_path.write_text("\n".join(csv_rows) + "\n")
     except OSError as e:
@@ -237,7 +244,7 @@ def integrate(entry, method, tol, levels, seed, out_dir, config_path, determinis
     spec = _entry(entry, cfg.get("params"))
     tol = _tol_for(spec, method, tol, settings)
     sched = _schedule_for(spec, method, levels, settings)
-
+    _out_dir(out_dir)
     with _too_fine("bisection"):
         if method == "henstock":
             report = it.henstock_integrate(spec, sched, tol, seed=seed)
@@ -300,8 +307,9 @@ def decompose(entry, selection, theorem, tol, seed, out_dir, deterministic):
     seed = _resolve_seed(seed)
     tol = (corpus_mod.recommendation(spec, "henstock").get("tol", 1e-3) if tol is None
            else _positive_tol(tol, "--tol"))
-    report = dec.verify_decomposition(spec, _parse_selection(selection, spec),
-                                      theorem, tol, seed=seed)
+    sel = _parse_selection(selection, spec)
+    _out_dir(out_dir)
+    report = dec.verify_decomposition(spec, sel, theorem, tol, seed=seed)
     gamma_rep = report.reports.get("gamma_henstock")
     stem = f"decompose-{spec.name}-{theorem}-s{seed}"
     jp, cp = _write_reports(out_dir, stem, report.to_json_dict(deterministic),
@@ -353,6 +361,7 @@ def varmeasure(entry, set_token, seed, levels, out_dir, deterministic):
         with _too_fine("bisection"):
             for g in sched.levels:
                 check_budget(g)
+    _out_dir(out_dir)
     with _too_fine("bisection", "packing"):
         it.check_packing(E, sched)  # before the primitive is built
         phi = (spec.exact_primitive() if spec.exact_primitive
@@ -390,6 +399,7 @@ def riemann_check(entry, set_token, delta, eps, trials, seed, out_dir, determini
     comps = _parse_set(set_token)
     sel = dec.steiner_selection(spec)
     f = lambda ts: sel(ts)[:, 0]
+    _out_dir(out_dir)
     result = dec.riemann_measurability_probe(f, comps, delta, trials=trials,
                                              eps=eps, seed=seed)
     result["entry"] = spec.name

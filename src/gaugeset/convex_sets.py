@@ -328,16 +328,20 @@ class Primitive:
     def query_batch(self, a, b):
         """Value matrix (n, m) for interval batches, via prefix sums.
 
-        Row i is _prefix_at(b[i]) - _prefix_at(a[i]) with both ends clipped to
-        [0, 1].  _prefix_at works point by point, so when the intervals abut
-        (a[i + 1] == b[i], as Cousin cells do) it is taken once per edge.
+        Row i is _prefix_at(b[i]) - _prefix_at(a[i]) of the ends clipped to
+        [0, 1], or 0 where b[i] <= a[i] then, as ExactIntervalMap gives it.
+        _prefix_at works point by point, so when the intervals abut (a[i + 1]
+        == b[i], as Cousin cells do) it is taken once per edge.
         """
         a = np.clip(np.asarray(a, dtype=np.float64), 0.0, 1.0)
         b = np.clip(np.asarray(b, dtype=np.float64), 0.0, 1.0)
         if len(a) > 1 and np.array_equal(a[1:], b[:-1]):
             p = self._prefix_at(np.concatenate((a[:1], b)))
-            return p[1:] - p[:-1]
-        return self._prefix_at(b) - self._prefix_at(a)
+            out = p[1:] - p[:-1]
+        else:
+            out = self._prefix_at(b) - self._prefix_at(a)
+        out[b <= a] = 0.0
+        return out
 
     def _prefix_at(self, t):
         """prefix[j] + cellV[j] * frac at each t, built in one (n, m) buffer.

@@ -169,11 +169,12 @@ def argmax_selection(mf, u):
     return Selection._of_support(f"argmax:u{k}", mf, pick)
 
 
-def _support_parts(mf, sel, ts):
-    """Support rows at ts of Gamma, {f} and G = Gamma - f, from one evaluation of Gamma."""
+def _support_parts(mf, sel, ts, remainder=False):
+    """Support rows at ts of Gamma, {f} and G = Gamma - f, from one evaluation of Gamma;
+    with ``remainder``, G's alone, subtracted in place of {f}'s."""
     V = mf.eval_support(ts)
     S = sel.at(mf, ts, V) @ mf.grid.dirs.T
-    return V, S, V - S
+    return np.subtract(V, S, out=S) if remainder else (V, S, V - S)
 
 
 def subtract_selection(mf, sel):
@@ -195,7 +196,7 @@ def subtract_selection(mf, sel):
             f"(support violation {-worst:.3e})", t=float(ts[i]))
 
     def ev(pts):
-        return _support_parts(mf, sel, np.asarray(pts, dtype=np.float64))[2]
+        return _support_parts(mf, sel, np.asarray(pts, dtype=np.float64), remainder=True)
 
     G = DerivedMultifunction(name=f"{mf.name}-minus-{sel.name}", grid=mf.grid,
                              eval_support=_pooled(ev, mf.eval_support, sel.support_map(mf)))

@@ -40,17 +40,18 @@ loop over measurable partitions.  Both loops hand each level to _record,
 the one place a level becomes a LevelStat and meets the run's divergence
 bound, and _assemble builds every report.
 
-Every tag set of a Cousin level is made, evaluated and reduced in row
-blocks of _ROW_BLOCK rows, with the bits of the whole-array sums.  With an
-evaluator the library marked (_pooled), the blocks are evaluated on two
-worker threads while the calling thread makes their tags in row order; the
-results are taken in row order, so the bits do not depend on the threads.
+All tag sets of a Cousin level are made, evaluated and reduced in row
+blocks through one stream (_level_stream), with the bits of the whole-array
+sums.  On a level that is not cheap, blocks of an evaluator the library
+marked (_pooled) run on two worker threads while the calling thread makes
+tags in row order; results are taken in order, so no bit depends on them.
 """
 
 from __future__ import annotations
 
 import contextvars
 import functools
+import itertools
 import math
 import os
 import time
@@ -80,12 +81,12 @@ _PACK_MAX_ITEMS = 200_000  # loop guard of one greedy packing component
 _PACK_DRAW_BLOCK = 512  # uniform doubles a packing draws ahead at a time
 _PACK_STEP_CHUNK = 1024  # packing steps whose kept items are joined into one array
 _PACK_WALK_STEPS = 1 << 13  # steps a constant-gauge walk accumulates at a time
-# rows of a tag set made, evaluated and reduced at a time.  Sums keep their
-# bits under any block size, but a d=2 Steiner selection's points come from
-# a BLAS product per block, whose bits depend on its row count: at 2^12,
-# decompose G4 --selection steiner --theorem t33 moved its components' probe
-# spreads at levels 10-12.  Levels of d=2 ops stay within one 2^15 block.
+# rows of a tag set evaluated at a time, and the fewest rows of a pooled task.  Sums keep
+# their bits under any block size, but d=2 Steiner points come from a BLAS product per
+# evaluation, whose bits depend on its row count (at 2^12, decompose G4 --selection steiner
+# --theorem t33 moved its probe spreads at levels 10-12); its levels fit in one block.
 _ROW_BLOCK = 1 << 15
+_POOL_WORK = 1 << 17  # rows x folded width below which a one-block level stays serial
 CSV_HEADER = "level,residual,max_dir_residual,wall_ms"
 
 
@@ -196,7 +197,7 @@ def _fsum_columns(terms):
         if not ok.any():
             return out
         x = x[:, ok]
-    out[ok] = _fsum_totals(_extract(x, k, []), x.shape[1])
+    out[ok] = _fsum_totals(_extract(x, [], k), x.shape[1])
     return out
 
 
@@ -208,18 +209,20 @@ def _sum_limit(n, m):
     return k, math.ldexp(1.0, _SUM_LIMIT_EXP - k)
 
 
-def _extract(x, k, totals):
+def _extract(x, totals, k, limit=math.inf, w=None):
     """Append the exact column totals of each extraction pass over x to ``totals``.
 
-    x is (n, m) with every |x| below _sum_limit's limit for k.  In a block
-    of at most 2^(k-1) rows with |x| < 2^e, q = (x + s) - s with
-    s = 2^(e+k) is a multiple of 2^(e+k-53) with |q| <= 2^e, so every
-    partial sum of q is exact and the block's column sums of q may be taken
-    in any order (numpy sums, free of BLAS).  x - q is exact too and below
-    2^(e+k-53), so repeating on it until nothing is left splits each column
-    into a few exact pass totals, and math.fsum of those (_fsum_totals) is
-    the correctly rounded column sum: math.fsum's value, independent of the
-    row order and of how the rows were split into calls.
+    x is (n, m) with every |x| (|x * w[:, None]|, given widths ``w``, then
+    weighted block by block) below _sum_limit's limit for k; a value not below
+    ``limit`` (inf, nan) returns None.  In a block of at most 2^(k-1) rows
+    with |x| < 2^e, q = (x + s) - s with s = 2^(e+k) is a multiple of
+    2^(e+k-53) with |q| <= 2^e, so every partial sum of q is exact and the
+    block's column sums of q may be taken in any order (numpy sums, free of
+    BLAS).  x - q is exact too and below 2^(e+k-53), so repeating on it until
+    nothing is left splits each column into a few exact pass totals, and
+    math.fsum of those (_fsum_totals) is the correctly rounded column sum:
+    math.fsum's value, independent of the row order and of how the rows were
+    split into calls.
     """
     rows = min(len(x), max(1, _SUM_BLOCK // x.shape[1]))
     q_buf, r_buf = np.empty((rows, x.shape[1])), np.empty((rows, x.shape[1]))
@@ -227,7 +230,11 @@ def _extract(x, k, totals):
         src = x[lo:lo + rows]
         b = len(src)
         q, r = q_buf[:b], r_buf[:b]
+        if w is not None:
+            src = np.multiply(src, w[lo:lo + rows, None], out=r)
         big = max(src.max(), -src.min())
+        if not big < limit:  # nan compares False
+            return None
         while big:
             s = math.ldexp(1.0, math.frexp(big)[1] + k)
             np.add(src, s, out=q)
@@ -246,9 +253,13 @@ def _fsum_totals(totals, m):
     return np.array([math.fsum(col) for col in np.array(totals).T.tolist()])
 
 
-def _fsum(values):
-    """math.fsum of a 1-D array, bit for bit (see _fsum_columns)."""
-    return float(_fsum_columns(np.reshape(values, (-1, 1)))[0])
+def _fsum(*parts):
+    """math.fsum of the 1-D arrays ``parts`` as one vector, uncopied (see _fsum_columns)."""
+    k, limit = _sum_limit(sum(map(len, parts)), 1)
+    totals = []
+    if all(_extract(p[:, None], totals, k, limit) is not None for p in parts if len(p)):
+        return float(_fsum_totals(totals, 1)[0])
+    return math.fsum(itertools.chain.from_iterable(p.tolist() for p in parts))
 
 
 def _tree_sum_columns(terms):
@@ -278,6 +289,14 @@ def _tree_sum_columns(terms):
                 dst[h] = x[n - 1]
         x, n, i = dst, n - h, 1 - i
     return x[0].copy()
+
+
+def _tree_sum_weighted(v, w):
+    """_tree_sum_columns(_weighted(v, w)) bit for bit, weighting aligned chunks of
+    2^j rows (about _SUM_BLOCK values) one at a time (the proof in _level_sums)."""
+    s = 1 << (max(1, _SUM_BLOCK // v.shape[1]).bit_length() - 1)
+    return _tree_sum_columns(np.array([_tree_sum_columns(_weighted(v[lo:lo + s], w[lo:lo + s]))
+                                       for lo in range(0, len(v), s)]))
 
 
 def _folded(x):
@@ -509,21 +528,22 @@ def _weighted(v, w):
     return out
 
 
-def _gaps(cells, v, w, out):
-    """Each row's max_j |cells[:, j] - v[:, j] * w|, written to ``out``.
+def _gaps(cells, v, w):
+    """Each row's max_j |cells[:, j] - v[:, j] * w|, as a new vector.
 
-    Rows narrower than _NARROW_ROW are taken column by column, with a
-    running max; max is exact, so the bits are those of _row_max.  When
-    ``cells`` and ``v`` are both broadcast along their rows (_folded), every
-    row holds one gap, and its first column is that row's max.
+    Rows narrower than _NARROW_ROW are taken column by column, with a running
+    max, wider ones _SUM_BLOCK values at a time; max is exact, so the bits are
+    _row_max's.  Rows of broadcast ``cells`` and ``v`` (_folded) hold one gap.
     """
+    out = np.empty(len(w))
     if _folded(cells).shape[1] == _folded(v).shape[1] == 1:
         cells, v = cells[:, :1], v[:, :1]
     if v.shape[1] >= _NARROW_ROW:
-        terms = v * w[:, None]
-        d = np.subtract(cells, terms, out=terms)
-        out[:] = _row_max(np.abs(d, out=d))
-        return
+        step = max(1, _SUM_BLOCK // v.shape[1])
+        for lo in range(0, len(w), step):
+            d = np.subtract(cells[lo:lo + step], v[lo:lo + step] * w[lo:lo + step, None])
+            out[lo:lo + step] = _row_max(np.abs(d, out=d))
+        return out
     d = np.empty(len(w))
     for j in range(v.shape[1]):
         dst = d if j else out
@@ -532,105 +552,23 @@ def _gaps(cells, v, w, out):
         np.abs(dst, out=dst)
         if j:
             np.maximum(out, d, out=out)
+    return out
 
 
-def _fsum_at_most(x, ref):
-    """True when a float bound shows math.fsum(x) <= ref, for x >= 0 (or nan).
+def _fsum_at_most(parts, ref):
+    """True when a float bound shows math.fsum(x) <= ref, for x >= 0 (or nan) in ``parts``.
 
     Any summation order of n nonnegative terms errs by at most
     gamma_(n-1) = (n - 1) u / (1 - (n - 1) u) of the exact sum s, with
-    u = 2^-53 (Higham 2002, section 4.2), so s <= np.sum(x) / (1 - gamma).
+    u = 2^-53 (Higham 2002, section 4.2), so s <= total / (1 - gamma).
     The factor 1 + n 2^-50 is exact below n = 2^50 and exceeds
     1 / ((1 - gamma) (1 - u)), which also covers the product's rounding;
     math.fsum(x), s correctly rounded, is then at most ref too.  A nan or
     inf sum, or an inf ref, answers False.
     """
-    with np.errstate(over="ignore"):
-        total = np.sum(x)
-    return bool(total * (1.0 + len(x) * 2.0 ** -50) <= ref < math.inf)
-
-
-def _streamed_sums(make, w, eval_blocks, blocks, cells=None, worst=None):
-    """The sums of one tag set, made _ROW_BLOCK rows at a time.
-
-    Each row block's tags are made, evaluated, weighted by the widths ``w``
-    (N, 1) and reduced on its own (_block_results), so no temporary spans
-    the level.  Column sums (``cells`` None) are _tree_sum_columns of
-    the whole (N, m) term array, bit for bit: _tree_sum_columns pairs rows
-    2i and 2i + 1 and carries an odd last row, so after k steps row j holds
-    the tree sum of rows [j 2^k, (j + 1) 2^k) of the input, clipped at N.
-    A full block starts at an even row of every step before the k-th, so
-    its rows pair up as in the block alone; the short last block ends the
-    array, so it pairs from its even start and carries its odd last row as
-    it would alone, and once reduced to one row it is carried unchanged.
-    After k = log2(_ROW_BLOCK) steps the array is therefore the block
-    partials, and the remaining steps are _tree_sum_columns of those.
-    Variational sums (``cells`` {block: (N, m) primitive values}) write each
-    row block's max gap into its slice of one length-N vector and _fsum it
-    at the end; given ``worst`` {block: running worst sum}, a block whose
-    gaps _fsum_at_most shows cannot pass its worst gets that worst instead.
-    A broadcast block (_folded) is weighted and reduced as its one column,
-    whose tree sum is the same whatever the row width.
-    """
-    n = len(w)
-    parts = {k: [] if cells is None else np.empty(n) for k in blocks}
-
-    def reduce(rows, tags):
-        vals = eval_blocks(tags, blocks)
-        if cells is None:
-            return [_widened(_tree_sum_columns(_weighted(_folded(vals[k]), w[rows, 0])),
-                             vals[k].shape[1]) for k in blocks]
-        for k in blocks:
-            _gaps(cells[k][rows], vals[k], w[rows, 0], out=parts[k][rows])
-
-    for sums in _block_results(n, make, reduce, eval_blocks):
-        if cells is None:
-            for k, s in zip(blocks, sums):
-                parts[k].append(s)
-    if cells is None:
-        return {k: _tree_sum_columns(np.array(p)) for k, p in parts.items()}
-    return {k: worst[k] if worst is not None and _fsum_at_most(p, worst[k]) else _fsum(p)
-            for k, p in parts.items()}
-
-
-def _nominal_sums(tags, w, eval_blocks, blocks, ms):
-    """Exact column sums of the nominal tag set, made _ROW_BLOCK rows at a time.
-
-    Each row block is evaluated, weighted by the widths ``w`` (N, 1) and fed
-    to _extract (_block_results), and each column's pass totals, taken in
-    row order, are math.fsum-ed once at the end, so the sums are
-    _fsum_columns of the whole (N, m) term array, bit for bit, with no
-    temporary spanning the level.  The fallback limit is the whole array's
-    (_sum_limit of N rows).  If a block holds inf, nan or a value past it,
-    the whole level is evaluated again on the calling thread and summed by
-    _fsum_columns, which keeps math.fsum's value or error; the evaluators
-    are effect-free, so that costs only the time.
-    """
-    n = len(w)
-    totals = {k: [] for k in blocks}
-    widths = {}
-
-    def extract(rows, ts):
-        vals = eval_blocks(ts, blocks)
-        out = {}
-        for k in blocks:
-            x = _folded(vals[k]) * w[rows]
-            k_sum, limit = _sum_limit(n, x.shape[1])
-            if not (x.max() < limit and -x.min() < limit):  # nan compares False
-                return None
-            out[k] = x.shape[1], _extract(x, k_sum, [])
-        return out
-
-    results = _block_results(n, lambda rows: tags[rows], extract, eval_blocks)
-    for out in results:
-        if out is None:
-            results.close()  # no block is left running
-            vals = eval_blocks(tags, blocks)
-            return {k: _widened(_fsum_columns(_folded(vals[k]) * w), ms[k]) for k in blocks}
-        for k, (width, passes) in out.items():
-            widths[k] = width
-            totals[k] += passes
-    return {k: _widened(_fsum_totals(totals[k], widths[k]), ms[k]) for k in blocks}
+    with np.errstate(over="ignore"):  # total: the sum of the parts' np.sums
+        total = sum(np.sum(p) for p in parts)
+        return bool(total * (1.0 + sum(map(len, parts)) * 2.0 ** -50) <= ref < math.inf)
 
 
 # -- the evaluation pool -----------------------------------------------------
@@ -646,9 +584,9 @@ def _pooled(fn, *parts):
     registered (corpus._register), its own selection picks
     (Selection._of_support), and what it composes of those alone
     (_one_block, a selection read off a corpus entry, its remainder and
-    singleton, the shared-pass block evaluators).
-    Any other evaluator, a user's or a wrapper of a marked one (such as a
-    timing wrapper), is not marked and runs on the calling thread.
+    singleton, the shared-pass block evaluators).  Any other evaluator, a
+    user's or a wrapper of a marked one (such as a timing wrapper), runs on
+    the calling thread.
     """
     if all(p in _POOLED for p in parts):
         _POOLED.add(fn)
@@ -674,38 +612,126 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's t
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
-def _block_results(n, make, reduce, eval_blocks):
-    """reduce(rows, make(rows)) for each _ROW_BLOCK row slice of n rows, in row order.
+def _level_stream(n, makers, eval_blocks, blocks, reduce, finish):
+    """Every tag set of one level of n rows, made, evaluated and reduced in row blocks.
 
-    ``make`` runs on the calling thread, block after block, so the rng
-    draws of tag making keep their order.  When ``eval_blocks`` is one the
-    library marked (_pooled) and there is more than one block, ``reduce``
-    (evaluation, weighting and the block's reduction) runs on the
-    evaluation pool, in the caller's context (numpy's error state
-    included), with at most _IN_FLIGHT blocks handed over at a time, and
-    the results are still taken in row order.  An error in a block is
-    raised there, as the serial loop raises it, once no other block is
-    running; so is the close of the generator.  No block's arrays outlive
-    its result.
+    Each tag set's block-maker in ``makers`` (make(rows): the tags of cells
+    ``rows``) is called here block after block, so rng draws keep order.  A
+    row block of tag set i made while the blocks ``ks`` are live is reduced
+    as reduce(i, rows, eval_blocks(tags, ks), ks); finish(i, parts, live)
+    gets tag set i's reductions in row order and returns the blocks to go on
+    with (none ends the stream).  The first block runs here; with a _pooled
+    evaluator, a level of more than one row block, or whose rows times that
+    block's folded width reach _POOL_WORK, runs the rest on the pool in the
+    caller's context, in tasks of at least _ROW_BLOCK rows across tag sets,
+    at most _IN_FLIGHT at a time.  Results and errors come as in the serial loop.
     """
-    slices = [slice(lo, lo + _ROW_BLOCK) for lo in range(0, n, _ROW_BLOCK)]
-    pool = _pool() if len(slices) > 1 and eval_blocks in _POOLED else None
-    if pool is None:
-        for rows in slices:
-            yield reduce(rows, make(rows))
-        return
-    pending = deque()
+    per_set, live, parts, done = -(-n // _ROW_BLOCK), list(blocks), [], 0
+    pool, pending, task = None, deque(), []
+
+    def run(items):  # an error is returned, to be raised when taken
+        nonlocal pool
+        out = []
+        for i, rows, ts, ks in items:
+            try:
+                vals = eval_blocks(ts, ks)
+                if not (i or rows.start) and eval_blocks in _POOLED and (n > _ROW_BLOCK or n * sum(
+                        _folded(vals[k]).shape[1] for k in ks) >= _POOL_WORK):
+                    pool = _pool()
+                out.append(reduce(i, rows, vals, ks))
+                del vals  # before the next row block is evaluated
+            except Exception as e:
+                return out + [e]
+        return out
+
+    def take(results):  # False once no block is live
+        nonlocal live, parts, done
+        for part in results:
+            if isinstance(part, Exception):
+                raise part
+            parts.append(part)
+            if len(parts) == per_set:
+                live, parts, done = finish(done, parts, live), [], done + 1
+                if not live:
+                    return False
+        return True
+
+    def flush():
+        nonlocal task
+        items, task = task, []
+        if pool is None:
+            return take(run(items))
+        if len(pending) == _IN_FLIGHT and not take(pending.popleft().result()):
+            return False
+        pending.append(pool.submit(contextvars.copy_context().run, run, items))
+        return True
+
     try:
-        for rows in slices:
-            if len(pending) == _IN_FLIGHT:
-                yield pending.popleft().result()
-            pending.append(pool.submit(contextvars.copy_context().run, reduce, rows, make(rows)))
+        for i, make in enumerate(makers):
+            for lo in range(0, n, _ROW_BLOCK):
+                rows = slice(lo, lo + _ROW_BLOCK)
+                task.append((i, rows, make(rows), list(live)))
+                if (pool is None or sum(len(x[2]) for x in task) >= _ROW_BLOCK) and not flush():
+                    return
+        if task and not flush():
+            return
         while pending:
-            yield pending.popleft().result()
+            if not take(pending.popleft().result()):
+                return
     finally:
         for f in pending:
             if not f.cancel():
-                f.exception()  # wait for a running block; its error, if any, is dropped
+                f.exception()  # wait for a running task; its error, if any, is dropped
+
+
+def _level_sums(w, tags, probes, eval_blocks, blocks, ms, visit, cells=None, worst=None):
+    """Each tag set's sums of one Cousin level, handed to visit(i, {block: sums}) in order.
+
+    The tag sets are the nominal ``tags`` (i = 0), then the block-makers
+    ``probes``; w holds the N widths, and visit returns the blocks to go on
+    with (_level_stream).  Nominal column sums (``cells`` None) are
+    _fsum_columns of the whole (N, m) term array, from the row blocks' pass
+    totals (_extract); past the whole array's _sum_limit (inf, nan), the
+    whole level is evaluated here and summed by _fsum_columns.  A probe's
+    column sums tree-sum its row blocks' tree sums, the whole array's bits:
+    _tree_sum_columns pairs rows 2i and 2i + 1 and carries an odd last row,
+    so an aligned block of 2^k rows pairs up as it would alone, the short
+    last block ends the array and carries its odd last rows as it would
+    alone, and after k steps the array holds the block partials (a
+    broadcast block is reduced as its one column).  Variational sums
+    (``cells`` {block: (N, m) primitive values}) are exact sums of the row
+    max gaps (_gaps); given ``worst`` {block: running worst sum}, a probe
+    that _fsum_at_most shows cannot pass its worst gets that worst.
+    """
+    n = len(w)
+
+    def reduce(i, rows, vals, ks):
+        out = {}
+        for k in ks:
+            v = _folded(vals[k])
+            if cells is not None:
+                out[k] = _gaps(cells[k][rows], vals[k], w[rows])
+            elif i:
+                out[k] = _tree_sum_weighted(v, w[rows])
+            else:
+                out[k] = _extract(v, [], *_sum_limit(n, v.shape[1]), w[rows])
+                if out[k] is None:
+                    return None
+        return out
+
+    def finish(i, parts, ks):
+        if None in parts:  # the nominal's fallback
+            vals = eval_blocks(tags, ks)
+            return visit(i, {k: _widened(_fsum_columns(_folded(vals[k]) * w[:, None]), ms[k])
+                             for k in ks})
+        cols = {k: [x[k] for x in parts] for k in ks}
+        if cells is not None:
+            return visit(i, {k: worst[k] if i and worst and _fsum_at_most(p, worst[k])
+                             else _fsum(*p) for k, p in cols.items()})
+        return visit(i, {k: _widened(_tree_sum_columns(np.array(p)) if i else _fsum_totals(
+            [t for ts in p for t in ts], ms[k]), ms[k]) for k, p in cols.items()})
+
+    _level_stream(n, [lambda rows: tags[rows], *probes], eval_blocks, blocks, reduce, finish)
 
 
 def _new_run(m):
@@ -768,10 +794,9 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None):
         left-first tags, rng salt 7702, and probes that in free mode fall
         back to the nominal free tags.
 
-    Every tag set, the nominal included, is taken in row blocks
-    (_nominal_sums, _streamed_sums).  A level's ``wall_ms`` is that of the
-    whole shared level, recorded on every block that ran it.  Returns one
-    run dict per block.
+    Every tag set is taken in row blocks (_level_sums).  A level's
+    ``wall_ms`` is that of the whole shared level, recorded on every block
+    that ran it.  Returns one run dict per block.
     """
     variational = phis is not None
     runs = [_new_run(m) for m in ms]
@@ -783,38 +808,30 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None):
         P = cousin_build(gauge, tag_order="left" if variational else "mid")
         rng = np.random.default_rng([seed, 7702 if variational else 7701, n])
         tags = P.t if mode == "henstock" else _free_tags(P.a, P.b, P.t, gauge, rng)
-        w = P.widths[:, None]
         # the primitive side of a variational sum depends only on the cells
         cells = {k: phis[k].query_batch(P.a, P.b) for k in live} if variational else None
+        nominal, worst, spreads = {}, {}, {k: np.zeros(ms[k]) for k in live}  # worst: max |sum|
 
-        if variational:
-            nominal = _streamed_sums(lambda rows: tags[rows], w, eval_blocks, live, cells)
-        else:
-            nominal = _nominal_sums(tags, w, eval_blocks, live, ms)
-        worst = {k: abs(v) for k, v in nominal.items()}  # largest |sum| over the tag sets
-        spread_cols = {} if variational else {k: np.zeros(ms[k]) for k in live}
-        active = list(live)
-        for make in _probe_tag_sets(P, tags if variational else P.t, gauge, rng, mode):
-            sums = _streamed_sums(make, w, eval_blocks, active, cells, worst if variational else None)
+        def visit(i, sums):
             for k, s in sums.items():
-                if variational:
+                if not i:
+                    nominal[k], worst[k] = s, abs(s)
+                elif variational:
                     worst[k] = max(worst[k], s)
                 else:
                     np.maximum(worst[k], np.abs(s), out=worst[k])
-                    np.maximum(spread_cols[k], np.abs(s - nominal[k]), out=spread_cols[k])
-            if variational:
-                active = [k for k in active if not worst[k] > runs[k]["bound"]]
-                if not active:
-                    break
+                    np.maximum(spreads[k], np.abs(s - nominal[k]), out=spreads[k])
+            return [k for k in sums if not (variational and i and worst[k] > runs[k]["bound"])]
+
+        probes = _probe_tag_sets(P, tags if variational else P.t, gauge, rng, mode)
+        _level_sums(P.widths, tags, probes, eval_blocks, live, ms, visit, cells, worst)
         wall_ms = (time.perf_counter() - t0) * 1e3
         value = worst if variational else nominal
         for k in list(live):
-            spread = worst[k] - nominal[k] if variational else spread_cols[k]
+            spread = worst[k] - nominal[k] if variational else spreads[k]
             if _record(runs[k], n, len(P), value[k], spread, worst[k], wall_ms):
                 live.remove(k)
-        # free this level's arrays before the next build: the last probe
-        # maker's closure holds the partition's arrays too
-        del P, tags, w, cells, make
+        del P, tags, cells, probes  # this level's arrays go before the next build
     return runs
 
 
@@ -1380,12 +1397,20 @@ def _built_primitives(eval_blocks, grid, gauge, blocks):
     """{block: Primitive} on one cousin partition of [0, 1], from one evaluation.
 
     Cell values are |I| Gamma(t) at the build tags, so variational sums
-    against these primitives measure the integrator's self-consistency.
+    against these primitives measure the integrator's self-consistency;
+    each row block (_level_stream) writes its terms into one (N, m) array.
+    It stays on the calling thread (an unmarked evaluator): pooled, it took no
+    less time, and the workers' malloc arenas kept 12 MiB of block temporaries.
     """
     P = cousin_build(gauge, tag_order="mid")
-    vals = eval_blocks(P.t, blocks)
-    terms = {k: vals[k] * P.widths[:, None] for k in blocks}
-    del vals
+    terms = {k: np.empty((len(P), grid.m)) for k in blocks}
+
+    def reduce(i, rows, vals, ks):
+        for k in ks:
+            np.multiply(vals[k], P.widths[rows, None], out=terms[k][rows])
+
+    _level_stream(len(P), [lambda rows: P.t[rows]], lambda ts, ks: eval_blocks(ts, ks),
+                  blocks, reduce, lambda i, parts, ks: [])
     return {k: Primitive(grid, P.a, P.widths, terms.pop(k)) for k in blocks}
 
 

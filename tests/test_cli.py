@@ -350,6 +350,33 @@ def test_unwritable_out_is_usage_error(runner, tmp_path, args, under):
     assert blocker.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("args", [
+    ["integrate", "G6", "--levels", "2"],
+    ["integrate", "G1", "--method", "vh", "--levels", "2"],
+    ["decompose", "G1", "--theorem", "t55"],
+    ["varmeasure", "G1", "--set", "0", "--levels", "2"],
+    ["riemann-check", "G2", "--trials", "2"],
+])
+def test_unwritable_out_fails_before_any_run(runner, tmp_path, monkeypatch, args):
+    from gaugeset import decomposition, integrators
+
+    def ran(*a, **k):
+        raise AssertionError("an integrator ran")
+
+    for mod, name in [(integrators, "henstock_integrate"), (integrators, "build_primitive"),
+                      (integrators, "vh_check"), (integrators, "variational_measure_estimate"),
+                      (decomposition, "verify_decomposition"),
+                      (decomposition, "riemann_measurability_probe")]:
+        monkeypatch.setattr(mod, name, ran)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    res = runner.invoke(main, args + ["--out", str(blocker / "sub")])
+    assert res.exit_code == 1, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.output.startswith("Error: cannot write reports to ")
+    assert res.output.count("\n") == 1
+
+
 def test_varmeasure_exact_primitive_is_not_budget_checked(runner, tmp_path):
     # G2's primitive is exact, so no level bisects: 60 levels pack as usual
     res = runner.invoke(main, ["varmeasure", "G2", "--set", "0", "--levels", "60",

@@ -27,7 +27,7 @@ from gaugeset.convex_sets import (
 )
 from gaugeset.errors import EmptySupportSet, GridMismatch
 from gaugeset.integrators import build_primitive
-from gaugeset.partitions import cousin_build
+from gaugeset.partitions import Gauge, cousin_build
 
 LINE = DirectionGrid.line()
 CIRCLE = DirectionGrid.circle(64)
@@ -339,11 +339,13 @@ def _query_batch_cases():
 
 @pytest.mark.parametrize("case", sorted(_query_batch_cases()))
 def test_primitive_query_batch_equals_prefix_differences(case, monkeypatch):
-    """Every row is _prefix_at(b) - _prefix_at(a) of the clipped ends, bit for bit."""
+    """Every row is _prefix_at(b) - _prefix_at(a) of the clipped ends, bit for bit,
+    and 0 where the clipped interval is empty or reversed."""
     phi = _built_g1_primitive()
     a, b = _query_batch_cases()[case]
     ca, cb = np.clip(a, 0.0, 1.0), np.clip(b, 0.0, 1.0)
     want = phi._prefix_at(cb) - phi._prefix_at(ca)
+    want[cb <= ca] = 0.0
     calls = []
     prefix_at = phi._prefix_at
     monkeypatch.setattr(phi, "_prefix_at", lambda t: calls.append(len(t)) or prefix_at(t))
@@ -476,6 +478,17 @@ def test_primitive_retains_only_its_cells():
         tracemalloc.stop()
     assert phi.level == 16
     assert retained < 8 * V.nbytes
+
+
+def test_built_and_exact_primitives_agree_on_reversed_and_empty_intervals():
+    G2 = corpus.corpus_get("G2")
+    built = build_primitive(G2, Gauge.constant(0.1))
+    exact = G2.exact_primitive()
+    a = np.array([0.75, 0.5, 0.2, 1.3, -0.2, 0.0, 1.0, 0.25])
+    b = np.array([0.25, 0.5, 0.2, 1.1, -0.5, 0.0, 1.0, 0.75])
+    got_built, got_exact = built.query_batch(a, b), exact.query_batch(a, b)
+    assert not got_built[:-1].any() and not got_exact[:-1].any()
+    np.testing.assert_allclose(got_built[-1], got_exact[-1], atol=1e-12)
 
 
 def test_exact_interval_map_zeroes_degenerate_rows():

@@ -3,7 +3,7 @@
 The traced peaks below are tracemalloc's, so they count what numpy asks
 for, not what the allocator keeps; they are exact and repeat run to run.
 The nominal of a column run is evaluated and summed _ROW_BLOCK rows at a
-time (integrators._nominal_sums); its sums must equal _fsum_columns of the
+time (integrators._level_sums); its sums must equal _fsum_columns of the
 whole term array bit for bit, and where math.fsum decides (inf, nan or a
 value past the extraction limit) it must give math.fsum's value or error.
 """
@@ -15,8 +15,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gaugeset import corpus
+from gaugeset import corpus, decomposition
 from gaugeset import integrators as it
 from gaugeset.partitions import TaggedPartition, cousin_build
 
@@ -81,6 +82,45 @@ def test_henstock_level_loop_peak_is_bounded():
     assert peak <= 3.5 * 3 * 8 * cells
 
 
+def test_two_wide_blocks_at_once_hold_their_values_and_chunks_only(monkeypatch):
+    # G4's Steiner remainder: 64 columns, not broadcast, one 2^15-row block
+    # (16 MiB of values) at level 12.  Weighting a whole block and
+    # subtracting the remainder into a new array took the serial run to 2.9x
+    # the values (46.6 MiB); a block now holds its values and chunk-sized
+    # temporaries only (1.18-1.22x), so a second block at once adds about its
+    # values and no more (1.05-1.10x)
+    G4 = corpus.corpus_get("G4")
+    G, _ = decomposition.subtract_selection(G4, decomposition.steiner_selection(G4))
+    sched = corpus.named_schedule("uniform")
+    values = B * 64 * 8
+    peaks = {}
+    with ThreadPoolExecutor(2) as pool:
+        for name, use in (("serial", None), ("pooled", pool)):
+            monkeypatch.setattr(it, "_pool", lambda: use)
+            rep, peaks[name] = _traced_peak(lambda: it.mcshane_integrate(G, sched, 1e-3))
+            assert rep.levels[-1].n_items == B
+    assert peaks["serial"] <= 1.4 * values
+    assert peaks["pooled"] <= peaks["serial"] + 1.25 * values
+
+
+def _weighted_case(n, m, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-12, 12, size=(n, m))
+    return v, rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-6, 1, size=n)
+
+
+@settings(max_examples=24, deadline=None)
+@given(st.sampled_from([1, 2 ** 12 - 1, 2 ** 12 + 1, 2 ** 15]), st.sampled_from([1, 2, 64]),
+       st.integers(0, 2 ** 32 - 1))
+def test_chunk_weighting_keeps_the_whole_array_bits(n, m, seed):
+    v, w = _weighted_case(n, m, seed)
+    tree = it._tree_sum_weighted(v, w)
+    assert tree.tobytes() == it._tree_sum_columns(it._weighted(v, w)).tobytes()
+    k, limit = it._sum_limit(n, m)
+    exact = it._fsum_totals(it._extract(v, [], k, limit, w), m)
+    assert exact.tobytes() == it._fsum_columns(v * w[:, None]).tobytes()
+
+
 def test_query_batch_peak_is_a_small_multiple_of_its_output():
     G1 = corpus.corpus_get("G1")
     g = corpus.named_schedule("vh-origin").levels[8]
@@ -107,6 +147,13 @@ def _outcome(fn):
         return type(e), str(e)
 
 
+def _nominal(tags, w, eval_blocks, blocks, ms):
+    """The library's exact nominal column sums of one level, {block: sums}."""
+    out = {}
+    it._level_sums(w[:, 0], tags, (), eval_blocks, blocks, ms, lambda i, s: out.update(s) or [])
+    return out
+
+
 def _nominal_outcomes(tags, w, evals, ms):
     """(streamed, whole-array) outcomes of the nominal of ``evals``, one per block."""
     calls = []
@@ -116,7 +163,7 @@ def _nominal_outcomes(tags, w, evals, ms):
         return [f(ts) for f in evals]
 
     blocks = list(range(len(evals)))
-    streamed = _outcome(lambda: list(it._nominal_sums(tags, w, eval_blocks, blocks, ms).values()))
+    streamed = _outcome(lambda: list(_nominal(tags, w, eval_blocks, blocks, ms).values()))
     whole = _outcome(lambda: [it._widened(it._fsum_columns(it._folded(f(tags)) * w), m)
                               for f, m in zip(evals, ms)])
     return streamed, whole, calls
@@ -178,7 +225,8 @@ def test_nominal_with_a_spike_in_its_second_block_keeps_math_fsum(spike, m):
     f = _spiked(m, m - 1, rows, values, tags, w)
     streamed, whole, calls = _nominal_outcomes(tags, w, [f], (m,))
     assert streamed == whole
-    assert calls == [B, B, n]  # the second block meets the spike; the level is evaluated again
+    # the second block meets the spike; once every block is in, the level is evaluated again
+    assert calls == [B, B, B, 7, n]
     if spike == "overflow":
         assert whole == (OverflowError, "intermediate overflow in fsum")
     if spike == "inf-minus-inf":
@@ -193,4 +241,4 @@ def test_nominal_fallback_limit_is_the_whole_levels():
     f = _spiked(1, 0, np.array([B + 5]), np.array([1.5 * 2.0 ** 983]), tags, w)
     streamed, whole, calls = _nominal_outcomes(tags, w, [f], (1,))
     assert streamed == whole
-    assert calls == [B, B, n]
+    assert calls == [B, B, B, 7, n]

@@ -4,7 +4,8 @@ The oracle below is the probe stage as it ran over whole arrays: each
 re-tagging variant made all N tags at once (``rng.uniform`` over every
 cell), and each tag set was evaluated, weighted and reduced in one piece.
 The library makes, evaluates and reduces each tag set _ROW_BLOCK rows at a
-time, so every level sum must equal the oracle's exactly.
+time (integrators._level_sums), so every level sum must equal the oracle's
+exactly.
 """
 
 import numpy as np
@@ -13,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from gaugeset import corpus
 from gaugeset import integrators as it
-from gaugeset.integrators import _fsum, _row_max, _tree_sum_columns, origin_schedule
+from gaugeset.integrators import (_fsum, _fsum_columns, _row_max, _tree_sum_columns,
+                                  origin_schedule)
 from gaugeset.partitions import Gauge, TaggedPartition, _window_fine, cousin_build
 
 B = it._ROW_BLOCK
@@ -53,11 +55,15 @@ def _probe_tag_sets_oracle(P, gauge, rng, mode):
             yield np.where(ok(u), u, t0)
 
 
-def _block_sums_oracle(tags, w, eval_fn, cells):
-    """(column tree sums, variational gap sum) of one tag set, whole-array."""
+def _block_sums_oracle(tags, w, eval_fn, cells, nominal):
+    """(column sums, variational gap sum) of one tag set, whole-array.
+
+    Column sums are exact (_fsum_columns) for the nominal, tree sums for a probe.
+    """
     terms = eval_fn(tags) * w
     d = cells - terms
-    return _tree_sum_columns(terms), _fsum(_row_max(np.abs(d, out=d)))
+    cols = _fsum_columns(terms) if nominal else _tree_sum_columns(terms)
+    return cols, _fsum(_row_max(np.abs(d, out=d)))
 
 
 def _partition(n):
@@ -82,10 +88,16 @@ def _streamed_sums(P, gauge, mode, eval_fn, cells):
     """Library sums of the level's tag sets, nominal first, on one fresh rng."""
     rng = np.random.default_rng(_SEED)
     tags = P.t if mode == "henstock" else it._free_tags(P.a, P.b, P.t, gauge, rng)
-    makers = [lambda rows: tags[rows], *it._probe_tag_sets(P, P.t, gauge, rng, mode)]
     eval_blocks = lambda ts, blocks: [eval_fn(ts)]
-    return [it._streamed_sums(make, P.widths[:, None], eval_blocks, [0], cells)[0]
-            for make in makers]
+    sums = []
+
+    def visit(i, s):
+        sums.append(s[0])
+        return [0]
+
+    it._level_sums(P.widths, tags, it._probe_tag_sets(P, P.t, gauge, rng, mode), eval_blocks,
+                   [0], eval_fn(P.t[:1]).shape[1:], visit, cells)
+    return sums
 
 
 _SEED = [3, 7701, 1]
@@ -103,8 +115,8 @@ def test_streamed_level_sums_equal_whole_array_sums(n, m, mode):
 
     rng = np.random.default_rng(_SEED)
     tags = P.t if mode == "henstock" else _free_tags_oracle(P, gauge, rng)
-    want = [_block_sums_oracle(vt, P.widths[:, None], eval_fn, cells)
-            for vt in [tags, *_probe_tag_sets_oracle(P, gauge, rng, mode)]]
+    want = [_block_sums_oracle(vt, P.widths[:, None], eval_fn, cells, i == 0)
+            for i, vt in enumerate([tags, *_probe_tag_sets_oracle(P, gauge, rng, mode)])]
 
     cols = _streamed_sums(P, gauge, mode, eval_fn, None)
     gaps = _streamed_sums(P, gauge, mode, eval_fn, {0: cells})

@@ -150,10 +150,10 @@ def test_fsum_at_most_never_skips_a_larger_sum(x):
             ref = base
             for _ in range(abs(ulps)):
                 ref = math.nextafter(ref, math.copysign(math.inf, ulps))
-            if _fsum_at_most(x, ref):
+            if _fsum_at_most([x], ref):
                 assert exact <= ref, (base, ulps)
     if exact > 1e-290:  # the bound is not vacuous: twice the sum is shown
-        assert _fsum_at_most(x, 2.0 * exact)
+        assert _fsum_at_most([x], 2.0 * exact)
 
 
 @pytest.mark.parametrize("x, ref", [
@@ -164,4 +164,4 @@ def test_fsum_at_most_never_skips_a_larger_sum(x):
     ([], 0.0),
 ])
 def test_fsum_at_most_takes_the_exact_path_on_nan_and_inf(x, ref):
-    assert _fsum_at_most(np.array(x), ref) is (len(x) == 0)
+    assert _fsum_at_most([np.array(x)], ref) is (len(x) == 0)

@@ -1,12 +1,12 @@
 """Row blocks evaluated on two threads: the same bits, errors and threads as one.
 
-integrators._block_results hands each row block's evaluation, weighting and
+integrators._level_stream hands each row block's evaluation, weighting and
 reduction to a pool of worker threads when the evaluator is one the library
-built (integrators._pooled) and the level spans more than one _ROW_BLOCK;
+built (integrators._pooled) and the level spans more than one _ROW_BLOCK or
+is wide (_POOL_WORK); a small level's tag sets are batched into tasks, and
 the tags are still made on the calling thread, in row order.  The cases
 here run with a pool the test owns (two workers, whatever the CPUs this
-process may use) against the serial loop (_pool patched to give None), at
-levels that span several row blocks.
+process may use) against the serial loop (_pool patched to give None).
 """
 
 import dataclasses
@@ -103,6 +103,34 @@ def test_pooled_reports_equal_serial_reports(monkeypatch, tmp_path, op, reaches_
     assert bool(ex.futures) == reaches_pool
 
 
+# one-block levels reach the pool when wide: G4's Steiner remainder (64 columns,
+# not broadcast) from 2,048 cells on, whose Steiner pick is a BLAS product on a
+# worker thread, and t55's three variational blocks of G2 at 32,768 cells
+@pytest.mark.parametrize("op", ["decompose G4 --selection steiner --theorem t33",
+                                "decompose G2 --selection steiner --theorem t55"])
+def test_pooled_one_block_levels_equal_serial_reports(monkeypatch, tmp_path, op):
+    _use(monkeypatch, None)
+    serial = _report(op.split(), tmp_path / "serial")
+    ex = _Pool()
+    try:
+        _use(monkeypatch, ex)
+        pooled = _report(op.split(), tmp_path / "pooled")
+    finally:
+        ex.shutdown()
+    assert pooled == serial
+    assert ex.futures
+
+
+# G2's levels are at most 32,768 cells of 2 columns, G4's support is one column
+# broadcast to 64: every level is cheap and stays on the calling thread
+@pytest.mark.parametrize("op", ["integrate G2 --method henstock", "integrate G4 --method mcshane",
+                                "integrate G4 --method vh"])
+def test_a_tiny_level_op_makes_no_future(pool, tmp_path, op):
+    code, _ = _report(op.split(), tmp_path)
+    assert code == 0
+    assert not pool.futures
+
+
 def test_wrapped_evaluators_and_user_selections_stay_on_the_calling_thread(pool):
     G1 = corpus.corpus_get("G1")
     seen = set()
@@ -137,36 +165,84 @@ def _level(n):
     return (edges[:-1] + edges[1:]) / 2.0, np.diff(edges)[:, None]
 
 
+def _sums(tags, w, eval_blocks, probes=(), cells=None):
+    """Every tag set's sums of one level, nominal first, for one block of width 2."""
+    sums = []
+
+    def visit(i, s):
+        sums.append(s[0])
+        return [0]
+
+    it._level_sums(w[:, 0], tags, probes, eval_blocks, [0], (2,), visit, cells)
+    return sums
+
+
 @pytest.mark.parametrize("kind", ["nominal", "column", "variational"])
 def test_an_error_in_the_second_of_three_blocks_is_the_serial_one(monkeypatch, kind):
+    # the nominal's second block, or the second block of the probe after it
     n = 3 * B - 5
     tags, w = _level(n)
+    probe = tags + 0.25 / n
+    bad = (tags if kind == "nominal" else probe)[B]
 
     def f(ts):
-        if tags[B] <= ts[0] < tags[2 * B]:
+        if ts[0] == bad:
             raise ValueError(f"no value at t={ts[0]!r}")
         return np.column_stack([ts, 1.0 - ts])
 
     eval_blocks = it._pooled(lambda ts, blocks: (f(ts),))
-
-    def run():
-        if kind == "nominal":
-            return it._nominal_sums(tags, w, eval_blocks, [0], (2,))
-        cells = {0: np.zeros((n, 2))} if kind == "variational" else None
-        return it._streamed_sums(lambda rows: tags[rows], w, eval_blocks, [0], cells)
-
+    probes = [] if kind == "nominal" else [lambda rows: probe[rows]]
+    cells = {0: np.zeros((n, 2))} if kind == "variational" else None
     outcomes, ex = [], _Pool()
     try:
         for use in (None, ex):
             _use(monkeypatch, use)
             with pytest.raises(ValueError) as e:
-                run()
+                _sums(tags, w, eval_blocks, probes, cells)
             outcomes.append((type(e.value), str(e.value)))
             assert not any(f.running() for f in ex.futures)
     finally:
         ex.shutdown()
-    assert outcomes[0] == outcomes[1] == (ValueError, f"no value at t={tags[B]!r}")
-    assert len(ex.futures) == 3 and all(f.done() for f in ex.futures)
+    assert outcomes[0] == outcomes[1] == (ValueError, f"no value at t={bad!r}")
+    assert ex.futures and all(f.done() for f in ex.futures)
+
+
+@pytest.mark.parametrize("kind", ["column", "variational"])
+def test_an_error_mid_stream_in_a_batched_small_level_is_the_serial_one(monkeypatch, kind):
+    # 3,000 rows of 64 columns: pooled, about 11 tag sets to a task; the
+    # 14th probe fails, in the second task
+    n, m = 3000, 64
+    tags, w = _level(n)
+    probes = [tags + j * 1e-7 / n for j in range(1, 21)]
+    bad = probes[13][0]
+    c = np.linspace(0.0, 1.0, m)
+
+    def f(ts):
+        if ts[0] == bad:
+            raise ValueError(f"no value at t={ts[0]!r}")
+        return np.cos(ts[:, None] + c)
+
+    eval_blocks = it._pooled(lambda ts, blocks: (f(ts),))
+    cells = {0: np.zeros((n, m))} if kind == "variational" else None
+    outcomes, seen, ex = [], [], _Pool()
+
+    def visit(i, sums):
+        seen.append(i)
+        return [0]
+
+    try:
+        for use in (None, ex):
+            _use(monkeypatch, use)
+            del seen[:]
+            with pytest.raises(ValueError) as e:
+                it._level_sums(w[:, 0], tags, [lambda rows, p=p: p[rows] for p in probes],
+                               eval_blocks, [0], (m,), visit, cells)
+            outcomes.append((type(e.value), str(e.value), list(seen)))
+            assert not any(f.running() for f in ex.futures)
+    finally:
+        ex.shutdown()
+    assert outcomes[0] == outcomes[1] == (ValueError, f"no value at t={bad!r}", list(range(14)))
+    assert len(ex.futures) >= 2 and all(f.done() for f in ex.futures)
 
 
 def _bits(fn):
@@ -205,12 +281,53 @@ def test_a_nominal_block_with_inf_or_nan_falls_back_as_the_serial_loop(monkeypat
     try:
         for use in (None, ex):
             _use(monkeypatch, use)
-            outcomes.append(_bits(lambda: it._nominal_sums(tags, w, eval_blocks, [0],
-                                                           (2,)).values()))
+            outcomes.append(_bits(lambda: _sums(tags, w, eval_blocks)))
     finally:
         ex.shutdown()
     assert outcomes[0] == outcomes[1] == fsums
     assert ex.futures and whole == [threading.get_ident()] * 2  # the level again, here
+
+
+@pytest.mark.parametrize("spike", [[math.inf], [math.nan], [1.5e308, 1.5e308]])
+def test_the_nominal_fallback_holds_in_a_batched_small_level(monkeypatch, spike):
+    # 3,000 rows of 64 columns: the probes go to the pool in tasks of several tag sets
+    n, m = 3000, 64
+    tags, w = _level(n)
+    rows = 1234 + 97 * np.arange(len(spike))
+    w[rows] = 1.0
+    c = np.linspace(0.0, 1.0, m)
+
+    def f(ts):
+        out = np.cos(ts[:, None] + c)
+        if ts[0] == tags[0]:  # the nominal
+            out[rows, 5] = spike
+        return out
+
+    eval_blocks = it._pooled(lambda ts, blocks: (f(ts),))
+    probes = [lambda rows, j=j: tags[rows] + j * 1e-7 / n for j in range(1, 19)]
+
+    def sums():
+        out = []
+        it._level_sums(w[:, 0], tags, probes, eval_blocks, [0], (m,),
+                       lambda i, s: out.append(s[0]) or [0])
+        return [np.asarray(s).view(np.int64).tolist() for s in out]
+
+    outcomes, ex = [], _Pool()
+    try:
+        for use in (None, ex):
+            _use(monkeypatch, use)
+            try:
+                outcomes.append(sums())
+            except (OverflowError, ValueError) as e:
+                outcomes.append((type(e), str(e)))
+    finally:
+        ex.shutdown()
+    assert outcomes[0] == outcomes[1]
+    fsums = _bits(lambda: [[math.fsum(col.tolist()) for col in (f(tags) * w).T]])
+    if isinstance(fsums, tuple):  # the nominal raises before any probe is made
+        assert outcomes[0] == fsums and not ex.futures
+    else:
+        assert outcomes[0][:1] == fsums and ex.futures
 
 
 # -- the pool's size ---------------------------------------------------------------
