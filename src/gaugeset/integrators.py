@@ -81,10 +81,9 @@ _PACK_MAX_ITEMS = 200_000  # loop guard of one greedy packing component
 _PACK_DRAW_BLOCK = 512  # uniform doubles a packing draws ahead at a time
 _PACK_STEP_CHUNK = 1024  # packing steps whose kept items are joined into one array
 _PACK_WALK_STEPS = 1 << 13  # steps a constant-gauge walk accumulates at a time
-# rows of a tag set evaluated at a time, and the fewest rows of a pooled task.  Sums keep
-# their bits under any block size, but d=2 Steiner points come from a BLAS product per
-# evaluation, whose bits depend on its row count (at 2^12, decompose G4 --selection steiner
-# --theorem t33 moved its probe spreads at levels 10-12); its levels fit in one block.
+# rows of a tag set evaluated at a time, and the fewest rows of a pooled task.  Sums keep their
+# bits under any block size, but d=2 Steiner points come from a BLAS product per evaluation,
+# whose bits move with its row count (at 2^12, G4 steiner t33's levels 10-12); they fit in one.
 _ROW_BLOCK = 1 << 15
 _POOL_WORK = 1 << 17  # rows x folded width below which a one-block level stays serial
 CSV_HEADER = "level,residual,max_dir_residual,wall_ms"
@@ -615,16 +614,16 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's t
 def _level_stream(n, makers, eval_blocks, blocks, reduce, finish):
     """Every tag set of one level of n rows, made, evaluated and reduced in row blocks.
 
-    Each tag set's block-maker in ``makers`` (make(rows): the tags of cells
-    ``rows``) is called here block after block, so rng draws keep order.  A
-    row block of tag set i made while the blocks ``ks`` are live is reduced
-    as reduce(i, rows, eval_blocks(tags, ks), ks); finish(i, parts, live)
-    gets tag set i's reductions in row order and returns the blocks to go on
-    with (none ends the stream).  The first block runs here; with a _pooled
-    evaluator, a level of more than one row block, or whose rows times that
-    block's folded width reach _POOL_WORK, runs the rest on the pool in the
-    caller's context, in tasks of at least _ROW_BLOCK rows across tag sets,
-    at most _IN_FLIGHT at a time.  Results and errors come as in the serial loop.
+    make(rows) in ``makers`` gives a tag set's tags of cells ``rows``; it is
+    called here block after block, so rng draws keep order.  A block of tag set
+    i is reduced as reduce(i, rows, eval_blocks(tags, ks), ks), ks the blocks
+    live as it starts; finish(i, parts, live) gets the set's reductions in row
+    order, or None once one is None (the rest is skipped), and returns the
+    blocks to go on with (none ends the stream).  The first block runs here;
+    with a _pooled evaluator, a level of more than one row block, or whose rows
+    times that block's folded width reach _POOL_WORK, runs the rest on the pool
+    in the caller's context, in tasks of at least _ROW_BLOCK rows across tag
+    sets, at most _IN_FLIGHT at once, with the serial loop's results and errors.
     """
     per_set, live, parts, done = -(-n // _ROW_BLOCK), list(blocks), [], 0
     pool, pending, task = None, deque(), []
@@ -632,37 +631,43 @@ def _level_stream(n, makers, eval_blocks, blocks, reduce, finish):
     def run(items):  # an error is returned, to be raised when taken
         nonlocal pool
         out = []
-        for i, rows, ts, ks in items:
+        for i, rows, ts in items:
+            ks = live
             try:
                 vals = eval_blocks(ts, ks)
                 if not (i or rows.start) and eval_blocks in _POOLED and (n > _ROW_BLOCK or n * sum(
                         _folded(vals[k]).shape[1] for k in ks) >= _POOL_WORK):
                     pool = _pool()
-                out.append(reduce(i, rows, vals, ks))
+                out.append((i, reduce(i, rows, vals, ks)))
                 del vals  # before the next row block is evaluated
             except Exception as e:
-                return out + [e]
+                out.append((i, e))  # later items go on: this one may be of a skipped set
         return out
 
     def take(results):  # False once no block is live
         nonlocal live, parts, done
-        for part in results:
+        for i, part in results:
+            if i < done:  # of a tag set that ended early
+                continue
             if isinstance(part, Exception):
                 raise part
             parts.append(part)
-            if len(parts) == per_set:
-                live, parts, done = finish(done, parts, live), [], done + 1
+            if part is None:  # no block runs beside the whole-level evaluation
+                for f in pending:
+                    f.exception()
+            if part is None or len(parts) == per_set:
+                live, parts, done = finish(i, None if part is None else parts, live), [], i + 1
                 if not live:
                     return False
         return True
 
     def flush():
         nonlocal task
-        items, task = task, []
+        if pool is not None and len(pending) == _IN_FLIGHT and not take(pending.popleft().result()):
+            return False
+        items, task = [x for x in task if x[0] >= done], []  # skip a set that ended early
         if pool is None:
             return take(run(items))
-        if len(pending) == _IN_FLIGHT and not take(pending.popleft().result()):
-            return False
         pending.append(pool.submit(contextvars.copy_context().run, run, items))
         return True
 
@@ -670,7 +675,7 @@ def _level_stream(n, makers, eval_blocks, blocks, reduce, finish):
         for i, make in enumerate(makers):
             for lo in range(0, n, _ROW_BLOCK):
                 rows = slice(lo, lo + _ROW_BLOCK)
-                task.append((i, rows, make(rows), list(live)))
+                task.append((i, rows, make(rows)))
                 if (pool is None or sum(len(x[2]) for x in task) >= _ROW_BLOCK) and not flush():
                     return
         if task and not flush():
@@ -720,7 +725,7 @@ def _level_sums(w, tags, probes, eval_blocks, blocks, ms, visit, cells=None, wor
         return out
 
     def finish(i, parts, ks):
-        if None in parts:  # the nominal's fallback
+        if parts is None:  # the nominal's fallback
             vals = eval_blocks(tags, ks)
             return visit(i, {k: _widened(_fsum_columns(_folded(vals[k]) * w[:, None]), ms[k])
                              for k in ks})
@@ -1394,23 +1399,18 @@ def _lockstep_walk(comps, gauge, draws, n_lanes):
 
 
 def _built_primitives(eval_blocks, grid, gauge, blocks):
-    """{block: Primitive} on one cousin partition of [0, 1], from one evaluation.
+    """{block: Primitive} on one cousin partition of [0, 1], evaluated in row blocks.
 
     Cell values are |I| Gamma(t) at the build tags, so variational sums
-    against these primitives measure the integrator's self-consistency;
-    each row block (_level_stream) writes its terms into one (N, m) array.
-    It stays on the calling thread (an unmarked evaluator): pooled, it took no
-    less time, and the workers' malloc arenas kept 12 MiB of block temporaries.
+    against these primitives measure the integrator's self-consistency.
     """
     P = cousin_build(gauge, tag_order="mid")
     terms = {k: np.empty((len(P), grid.m)) for k in blocks}
-
-    def reduce(i, rows, vals, ks):
-        for k in ks:
+    for lo in range(0, len(P), _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        vals = eval_blocks(P.t[rows], blocks)
+        for k in blocks:
             np.multiply(vals[k], P.widths[rows, None], out=terms[k][rows])
-
-    _level_stream(len(P), [lambda rows: P.t[rows]], lambda ts, ks: eval_blocks(ts, ks),
-                  blocks, reduce, lambda i, parts, ks: [])
     return {k: Primitive(grid, P.a, P.widths, terms.pop(k)) for k in blocks}
 
 
