@@ -27,7 +27,10 @@ growth rule holds; otherwise it is inconclusive.
 
 Nominal, Birkhoff and variational gap sums are exactly rounded
 (_fsum_columns: math.fsum's value bit for bit), hence permutation
-invariant; probe sums use a deterministic pairwise tree reduction.
+invariant; probe sums use a deterministic pairwise tree reduction.  One
+rule makes every exact sum: _extract splits each row block into exact pass
+totals, or keeps the terms of a block past its extraction limit (inf, nan
+or a huge term), and math.fsum of all of them is the sum, or its error.
 
 Two level loops exist.  _run_schedule runs every method over Cousin
 partitions (Henstock, McShane, scalar, directional and variational), each
@@ -51,7 +54,6 @@ from __future__ import annotations
 
 import contextvars
 import functools
-import itertools
 import math
 import os
 import time
@@ -166,7 +168,7 @@ def origin_schedule(h0, h_factor, c0, c_factor, levels=DEFAULT_LEVELS, name="ori
 # -- exact summation helpers -------------------------------------------------
 
 _SUM_BLOCK = 1 << 16  # elements per extraction block, so its passes stay in cache
-_SUM_LIMIT_EXP = 1000  # columns reaching 2^(1000 - k), inf or nan keep math.fsum
+_SUM_LIMIT_EXP = 1000  # blocks reaching 2^(1000 - k), inf or nan join math.fsum as terms
 _NARROW_ROW = 8  # rows of fewer float64s than a 64-byte cache line are reduced column-major
 _PAIRWISE_MAX_WIDTH = 32  # widest rows whose max is taken by pairwise column halves
 
@@ -178,52 +180,32 @@ def _fsum_columns(terms):
     _extract collects each column's exact pass totals and _fsum_totals
     rounds them once, so a caller may feed an array's rows in blocks and
     take math.fsum of all their totals at the end (never of rounded block
-    sums).  A column holding inf, nan or |x| >= 2^(1000-k) (_sum_limit,
-    with k from the whole array's row count) is summed by math.fsum itself,
-    so it gives the same value or raises the same error.
+    sums).  _extract alone decides which blocks it can split (see there).
     """
     x = np.ascontiguousarray(terms, dtype=np.float64)
-    n, m = x.shape
-    out = np.zeros(m)
-    if n == 0 or m == 0:
-        return out
-    k, limit = _sum_limit(n, m)
-    ok = slice(None)
-    if not (x.max() < limit and -x.min() < limit):  # nan compares False
-        ok = np.abs(x).max(axis=0) < limit
-        for j in np.flatnonzero(~ok):
-            out[j] = math.fsum(x[:, j].tolist())
-        if not ok.any():
-            return out
-        x = x[:, ok]
-    out[ok] = _fsum_totals(_extract(x, [], k), x.shape[1])
-    return out
+    if x.size == 0:
+        return np.zeros(x.shape[1])
+    return _fsum_totals(_extract(x, []), x.shape[1])
 
 
-def _sum_limit(n, m):
-    """(k, limit) of an (n, m) array: 2^k >= 2 rows of every _extract block,
-    and 2^(1000-k), the bound below which every |x| must lie."""
-    rows = min(n, max(1, _SUM_BLOCK // m))
-    k = (2 * rows - 1).bit_length()
-    return k, math.ldexp(1.0, _SUM_LIMIT_EXP - k)
-
-
-def _extract(x, totals, k, limit=math.inf, w=None):
+def _extract(x, totals, w=None):
     """Append the exact column totals of each extraction pass over x to ``totals``.
 
-    x is (n, m) with every |x| (|x * w[:, None]|, given widths ``w``, then
-    weighted block by block) below _sum_limit's limit for k; a value not below
-    ``limit`` (inf, nan) returns None.  In a block of at most 2^(k-1) rows
-    with |x| < 2^e, q = (x + s) - s with s = 2^(e+k) is a multiple of
-    2^(e+k-53) with |q| <= 2^e, so every partial sum of q is exact and the
-    block's column sums of q may be taken in any order (numpy sums, free of
-    BLAS).  x - q is exact too and below 2^(e+k-53), so repeating on it until
-    nothing is left splits each column into a few exact pass totals, and
-    math.fsum of those (_fsum_totals) is the correctly rounded column sum:
-    math.fsum's value, independent of the row order and of how the rows were
-    split into calls.
+    x is (n, m), weighted block by block (x * w[:, None]) given widths
+    ``w``.  In a block of at most 2^(k-1) rows with |x| < 2^e, q = (x + s)
+    - s with s = 2^(e+k) is a multiple of 2^(e+k-53) with |q| <= 2^e, so
+    every partial sum of q is exact and the block's column sums of q may be
+    taken in any order (numpy sums, free of BLAS).  x - q is exact too and
+    below 2^(e+k-53), so repeating on it until nothing is left splits each
+    column into a few exact pass totals.  The one rule of every exact sum
+    here: a block holding inf, nan or |x| >= 2^(1000-k), where s would
+    overflow, appends a copy of its rows of terms instead, and math.fsum of
+    all those totals and terms (_fsum_totals) is math.fsum's value of the
+    columns, or its error, independent of the row order and of how the rows
+    were split into calls.
     """
     rows = min(len(x), max(1, _SUM_BLOCK // x.shape[1]))
+    k = (2 * rows - 1).bit_length()
     q_buf, r_buf = np.empty((rows, x.shape[1])), np.empty((rows, x.shape[1]))
     for lo in range(0, len(x), rows):
         src = x[lo:lo + rows]
@@ -232,8 +214,9 @@ def _extract(x, totals, k, limit=math.inf, w=None):
         if w is not None:
             src = np.multiply(src, w[lo:lo + rows, None], out=r)
         big = max(src.max(), -src.min())
-        if not big < limit:  # nan compares False
-            return None
+        if not big < math.ldexp(1.0, _SUM_LIMIT_EXP - k):  # nan compares False
+            totals.extend(src.copy())  # its rows as terms; r_buf is reused
+            continue
         while big:
             s = math.ldexp(1.0, math.frexp(big)[1] + k)
             np.add(src, s, out=q)
@@ -246,7 +229,8 @@ def _extract(x, totals, k, limit=math.inf, w=None):
 
 
 def _fsum_totals(totals, m):
-    """math.fsum of each of m columns of exact pass totals; zeros when there are none."""
+    """math.fsum of each of m columns of pass totals and term rows (_extract), in
+    their order; zeros when there are none."""
     if not totals:
         return np.zeros(m)
     return np.array([math.fsum(col) for col in np.array(totals).T.tolist()])
@@ -254,11 +238,11 @@ def _fsum_totals(totals, m):
 
 def _fsum(*parts):
     """math.fsum of the 1-D arrays ``parts`` as one vector, uncopied (see _fsum_columns)."""
-    k, limit = _sum_limit(sum(map(len, parts)), 1)
     totals = []
-    if all(_extract(p[:, None], totals, k, limit) is not None for p in parts if len(p)):
-        return float(_fsum_totals(totals, 1)[0])
-    return math.fsum(itertools.chain.from_iterable(p.tolist() for p in parts))
+    for p in parts:
+        if len(p):
+            _extract(p[:, None], totals)
+    return float(_fsum_totals(totals, 1)[0])
 
 
 def _tree_sum_columns(terms):
@@ -618,45 +602,41 @@ def _level_stream(n, makers, eval_blocks, blocks, reduce, finish):
     called here block after block, so rng draws keep order.  A block of tag set
     i is reduced as reduce(i, rows, eval_blocks(tags, ks), ks), ks the blocks
     live as it starts; finish(i, parts, live) gets the set's reductions in row
-    order, or None once one is None (the rest is skipped), and returns the
-    blocks to go on with (none ends the stream).  The first block runs here;
-    with a _pooled evaluator, a level of more than one row block, or whose rows
-    times that block's folded width reach _POOL_WORK, runs the rest on the pool
-    in the caller's context, in tasks of at least _ROW_BLOCK rows across tag
-    sets, at most _IN_FLIGHT at once, with the serial loop's results and errors.
+    order and returns the blocks to go on with (none ends the stream).  No
+    block is evaluated twice, and an error ends the stream where the serial
+    loop meets it.  The first block runs here; with a _pooled evaluator, a
+    level of more than one row block, or whose rows times that block's folded
+    width reach _POOL_WORK, runs the rest on the pool in the caller's context,
+    in tasks of at least _ROW_BLOCK rows across tag sets, at most _IN_FLIGHT at
+    once, with the serial loop's results and errors.
     """
-    per_set, live, parts, done = -(-n // _ROW_BLOCK), list(blocks), [], 0
+    per_set, live, parts = -(-n // _ROW_BLOCK), list(blocks), []
     pool, pending, task = None, deque(), []
 
-    def run(items):  # an error is returned, to be raised when taken
+    def run(items):  # an error ends the task, to be raised when taken
         nonlocal pool
         out = []
-        for i, rows, ts in items:
-            ks = live
-            try:
+        try:
+            for i, rows, ts in items:
+                ks = live
                 vals = eval_blocks(ts, ks)
                 if not (i or rows.start) and eval_blocks in _POOLED and (n > _ROW_BLOCK or n * sum(
                         _folded(vals[k]).shape[1] for k in ks) >= _POOL_WORK):
                     pool = _pool()
                 out.append((i, reduce(i, rows, vals, ks)))
                 del vals  # before the next row block is evaluated
-            except Exception as e:
-                out.append((i, e))  # later items go on: this one may be of a skipped set
+        except Exception as e:
+            out.append((None, e))
         return out
 
     def take(results):  # False once no block is live
-        nonlocal live, parts, done
+        nonlocal live, parts
         for i, part in results:
-            if i < done:  # of a tag set that ended early
-                continue
             if isinstance(part, Exception):
                 raise part
             parts.append(part)
-            if part is None:  # no block runs beside the whole-level evaluation
-                for f in pending:
-                    f.exception()
-            if part is None or len(parts) == per_set:
-                live, parts, done = finish(i, None if part is None else parts, live), [], i + 1
+            if len(parts) == per_set:
+                live, parts = finish(i, parts, live), []
                 if not live:
                     return False
         return True
@@ -665,7 +645,7 @@ def _level_stream(n, makers, eval_blocks, blocks, reduce, finish):
         nonlocal task
         if pool is not None and len(pending) == _IN_FLIGHT and not take(pending.popleft().result()):
             return False
-        items, task = [x for x in task if x[0] >= done], []  # skip a set that ended early
+        items, task = task, []
         if pool is None:
             return take(run(items))
         pending.append(pool.submit(contextvars.copy_context().run, run, items))
@@ -695,9 +675,8 @@ def _level_sums(w, tags, probes, eval_blocks, blocks, ms, visit, cells=None, wor
     The tag sets are the nominal ``tags`` (i = 0), then the block-makers
     ``probes``; w holds the N widths, and visit returns the blocks to go on
     with (_level_stream).  Nominal column sums (``cells`` None) are
-    _fsum_columns of the whole (N, m) term array, from the row blocks' pass
-    totals (_extract); past the whole array's _sum_limit (inf, nan), the
-    whole level is evaluated here and summed by _fsum_columns.  A probe's
+    _fsum_columns of the whole (N, m) term array, from what _extract keeps
+    of each row block: its pass totals, or its terms past the limit.  A probe's
     column sums tree-sum its row blocks' tree sums, the whole array's bits:
     _tree_sum_columns pairs rows 2i and 2i + 1 and carries an odd last row,
     so an aligned block of 2^k rows pairs up as it would alone, the short
@@ -719,16 +698,10 @@ def _level_sums(w, tags, probes, eval_blocks, blocks, ms, visit, cells=None, wor
             elif i:
                 out[k] = _tree_sum_weighted(v, w[rows])
             else:
-                out[k] = _extract(v, [], *_sum_limit(n, v.shape[1]), w[rows])
-                if out[k] is None:
-                    return None
+                out[k] = _extract(v, [], w[rows])
         return out
 
     def finish(i, parts, ks):
-        if parts is None:  # the nominal's fallback
-            vals = eval_blocks(tags, ks)
-            return visit(i, {k: _widened(_fsum_columns(_folded(vals[k]) * w[:, None]), ms[k])
-                             for k in ks})
         cols = {k: [x[k] for x in parts] for k in ks}
         if cells is not None:
             return visit(i, {k: worst[k] if i and worst and _fsum_at_most(p, worst[k])

@@ -4,8 +4,9 @@ The traced peaks below are tracemalloc's, so they count what numpy asks
 for, not what the allocator keeps; they are exact and repeat run to run.
 The nominal of a column run is evaluated and summed _ROW_BLOCK rows at a
 time (integrators._level_sums); its sums must equal _fsum_columns of the
-whole term array bit for bit, and where math.fsum decides (inf, nan or a
-value past the extraction limit) it must give math.fsum's value or error.
+whole term array bit for bit; where a row block holds inf, nan or a value
+past the extraction limit, its terms join math.fsum as they are, so it must
+give math.fsum's value or error, and still only row blocks are evaluated.
 """
 
 import math
@@ -118,8 +119,7 @@ def test_chunk_weighting_keeps_the_whole_array_bits(n, m, seed):
     v, w = _weighted_case(n, m, seed)
     tree = it._tree_sum_weighted(v, w)
     assert tree.tobytes() == it._tree_sum_columns(it._weighted(v, w)).tobytes()
-    k, limit = it._sum_limit(n, m)
-    exact = it._fsum_totals(it._extract(v, [], k, limit, w), m)
+    exact = it._fsum_totals(it._extract(v, [], w), m)
     assert exact.tobytes() == it._fsum_columns(v * w[:, None]).tobytes()
 
 
@@ -214,6 +214,11 @@ SPIKES = {
     "1e300": [1e300],
     "1e300-cancelling": [1e300, -1e300],
     "overflow": [1.5e308, 1.5e308],
+    # in [2^983, 2^984): past the extraction limit of a 2^16-row block (k = 17), as
+    # _fsum_columns meets the whole m = 1 array, inside that of a 2^15-row block
+    # (k = 16), as the stream meets it; 2^984 is past both
+    "level-limit": [1.5 * 2.0 ** 983],
+    "block-limit": [2.0 ** 984],
 }
 
 
@@ -226,20 +231,11 @@ def test_nominal_with_a_spike_in_its_second_block_keeps_math_fsum(spike, m):
     rows = B + 11 + 97 * np.arange(len(values))
     f = _spiked(m, m - 1, rows, values, tags, w)
     streamed, whole, calls = _nominal_outcomes(tags, w, [f], (m,))
-    assert streamed == whole
-    assert calls == [B, B, n]  # the second block meets the spike; the level is evaluated again
+    assert streamed == whole == _outcome(lambda: [np.array([math.fsum(c.tolist())
+                                                            for c in (f(tags) * w).T])])
+    assert calls == [B, B, B, 7]  # only row blocks: the spike's joins math.fsum as its terms
     if spike == "overflow":
         assert whole == (OverflowError, "intermediate overflow in fsum")
     if spike == "inf-minus-inf":
         assert whole[0] is ValueError
 
-
-def test_nominal_fallback_limit_is_the_whole_levels():
-    # one weighted term in [2^983, 2^984): past the limit of 2^16 rows (k = 17),
-    # inside that of a 2^15-row block (k = 16), so only the level's own limit falls back
-    n = 3 * B + 7
-    tags, w = _level(n)
-    f = _spiked(1, 0, np.array([B + 5]), np.array([1.5 * 2.0 ** 983]), tags, w)
-    streamed, whole, calls = _nominal_outcomes(tags, w, [f], (1,))
-    assert streamed == whole
-    assert calls == [B, B, n]

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gaugeset import corpus
 from gaugeset.integrators import (
+    _SUM_BLOCK,
     _fsum,
     _fsum_at_most,
     _fsum_columns,
@@ -63,17 +64,32 @@ def test_fsum_columns_equals_math_fsum_bitwise(x):
 
 @settings(max_examples=100, deadline=None)
 @given(_matrices(), st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308, 2.0 ** 990]),
-       st.integers(0, 2 ** 32 - 1))
-def test_fsum_columns_falls_back_on_inf_nan_and_huge(x, special, seed):
-    """A column with inf, nan or a huge value keeps math.fsum: same value, same error."""
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 3]))
+def test_fsum_columns_falls_back_on_inf_nan_and_huge(x, special, seed, blocks):
+    """A column with inf, nan or a huge value keeps math.fsum: same value, same error.
+
+    With ``blocks`` 3, x is tiled over three extraction blocks and more, and
+    the specials land in more than one of them; _fsum of a column split into
+    parts at random cuts must give math.fsum's outcome too.
+    """
     if x.size == 0:
         return
     rng = np.random.default_rng(seed)
+    n, m = x.shape
     x = x.copy()
-    n_special = int(rng.integers(1, min(4, x.shape[0]) + 1))
-    rows = rng.choice(x.shape[0], n_special, replace=False)
-    x[rows, rng.integers(0, x.shape[1])] = special * rng.choice([-1.0, 1.0], n_special)
+    if blocks > 1:
+        per_block = max(1, _SUM_BLOCK // m)
+        x = np.resize(x, (blocks * per_block + 5, m))
+        rows = [int(rng.integers(b * per_block, (b + 1) * per_block)) for b in range(blocks)]
+        rows = rng.choice(rows, int(rng.integers(2, blocks + 1)), replace=False)
+    else:
+        rows = rng.choice(n, int(rng.integers(1, min(4, n) + 1)), replace=False)
+    col = int(rng.integers(0, m))
+    x[rows, col] = special * rng.choice([-1.0, 1.0], len(rows))
     assert _outcome(_fsum_columns, x) == _outcome(_fsum_oracle, x)
+    parts = np.split(x[:, col], np.sort(rng.integers(0, len(x) + 1, 3)))
+    want = _outcome(_fsum_oracle, x[:, col:col + 1])
+    assert _outcome(lambda _: np.array([_fsum(*parts)]), x) == want
 
 
 def test_fsum_columns_named_failures():

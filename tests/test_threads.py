@@ -156,7 +156,7 @@ def test_wrapped_evaluators_and_user_selections_stay_on_the_calling_thread(pool)
     assert pool.futures
 
 
-# -- errors and the exact nominal fallback -----------------------------------------
+# -- errors, and nominal blocks past the extraction limit ---------------------------
 
 def _level(n):
     """n cells of uneven widths tiling [0, 1]: increasing midpoint tags and (n, 1) widths."""
@@ -271,11 +271,10 @@ def test_a_nominal_block_with_inf_or_nan_falls_back_as_the_serial_loop(monkeypat
         out[rows[hit] - lo, 1] = np.array(spike)[hit]
         return out
 
-    whole = []
+    calls = []
 
     def ev(ts, blocks):
-        if len(ts) == n:
-            whole.append(threading.get_ident())
+        calls.append(len(ts))
         return (f(ts),)
 
     eval_blocks = it._pooled(ev)
@@ -288,7 +287,8 @@ def test_a_nominal_block_with_inf_or_nan_falls_back_as_the_serial_loop(monkeypat
     finally:
         ex.shutdown()
     assert outcomes[0] == outcomes[1] == fsums
-    assert ex.futures and whole == [threading.get_ident()] * 2  # the level again, here
+    # only row blocks, serial and pooled: the spike's block joins math.fsum as its terms
+    assert ex.futures and sorted(calls) == sorted([B, B, B, 7] * 2)
 
 
 @pytest.mark.parametrize("spike", [[math.inf], [math.nan], [1.5e308, 1.5e308]])
