@@ -149,15 +149,20 @@ def canonical_values(grid, values):
     return (verts @ grid.dirs.T).max(axis=0)
 
 
+def _line_meets(U, i, j, vi, vj):
+    """det = U[i] x U[j] and the (n, 2) meets of <U[i], x> = vi, <U[j], x> = vj, elementwise."""
+    det = U[i, 0] * U[j, 1] - U[i, 1] * U[j, 0]
+    x = (vi * U[j, 1] - vj * U[i, 1]) / det
+    y = (U[i, 0] * vj - U[j, 0] * vi) / det
+    return det, np.stack([x, y], axis=-1)
+
+
 def _feasible_vertices(grid, v, tol):
     U = grid.dirs
     i, j = np.triu_indices(grid.m, k=1)
-    det = U[i, 0] * U[j, 1] - U[i, 1] * U[j, 0]
-    ok = np.abs(det) > _PAIR_DET_MIN
-    i, j, det = i[ok], j[ok], det[ok]
-    x = (v[i] * U[j, 1] - v[j] * U[i, 1]) / det
-    y = (U[i, 0] * v[j] - U[j, 0] * v[i]) / det
-    pts = np.stack([x, y], axis=1)
+    with np.errstate(all="ignore"):  # the near-parallel pairs' points, dropped next
+        det, pts = _line_meets(U, i, j, v[i], v[j])
+    pts = pts[np.abs(det) > _PAIR_DET_MIN]
     feas = ((pts @ U.T) <= v[None, :] + tol).all(axis=1)
     return pts[feas]
 
@@ -331,15 +336,22 @@ class Primitive:
         Row i is _prefix_at(b[i]) - _prefix_at(a[i]) of the ends clipped to
         [0, 1], or 0 where b[i] <= a[i] then, as ExactIntervalMap gives it.
         _prefix_at works point by point, so when the intervals abut (a[i + 1]
-        == b[i], as Cousin cells do) it is taken once per edge.
+        == b[i], as Cousin cells do) it is taken once per edge.  Rows go into
+        the output about 2^16 values at a time, so one chunk's edges,
+        indices, fractions and gathers are all it holds beside it.
         """
         a = np.clip(np.asarray(a, dtype=np.float64), 0.0, 1.0)
         b = np.clip(np.asarray(b, dtype=np.float64), 0.0, 1.0)
-        if len(a) > 1 and np.array_equal(a[1:], b[:-1]):
-            p = self._prefix_at(np.concatenate((a[:1], b)))
-            out = p[1:] - p[:-1]
-        else:
-            out = self._prefix_at(b) - self._prefix_at(a)
+        abut = len(a) > 1 and np.array_equal(a[1:], b[:-1])
+        out = np.empty((len(a), self.grid.m))
+        step = max(1, (1 << 16) // self.grid.m)
+        for lo in range(0, len(a) or 1, step):  # an empty batch is one empty chunk
+            rows = slice(lo, lo + step)
+            if abut:  # a[lo] is the edge b[lo - 1] that ends the chunk before
+                p = self._prefix_at(np.concatenate((a[lo:lo + 1], b[rows])))
+                np.subtract(p[1:], p[:-1], out=out[rows])
+            else:
+                np.subtract(self._prefix_at(b[rows]), self._prefix_at(a[rows]), out=out[rows])
         out[b <= a] = 0.0
         return out
 

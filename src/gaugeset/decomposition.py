@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convex_sets import hausdorff, translate
+from .convex_sets import _line_meets, hausdorff, translate
 from .errors import NotASelection
 from .corpus import named_parts, named_schedule, recommendation, recommended_schedule
 from .integrators import (
@@ -114,14 +114,6 @@ def steiner_selection(mf):
     return Selection._of_support("steiner", mf, pick)
 
 
-def _vertex_of_pair(U, V, i, j):
-    """Intersection of supporting lines i and j, vectorized over rows of V."""
-    det = U[i, 0] * U[j, 1] - U[i, 1] * U[j, 0]
-    x = (V[:, i] * U[j, 1] - V[:, j] * U[i, 1]) / det
-    y = (U[i, 0] * V[:, j] - U[j, 0] * V[:, i]) / det
-    return np.column_stack([x, y])
-
-
 def argmax_selection(mf, u):
     """t -> a support point of Gamma(t) in direction u.
 
@@ -157,10 +149,10 @@ def argmax_selection(mf, u):
     U = grid.dirs
     m = grid.m
     i_prev, i_next = (k - 1) % m, (k + 1) % m
+    pairs = [(min(i_prev, k), max(i_prev, k)), (min(k, i_next), max(k, i_next))]
 
-    def pick(V):
-        p1 = _vertex_of_pair(U, V, min(i_prev, k), max(i_prev, k))
-        p2 = _vertex_of_pair(U, V, min(k, i_next), max(k, i_next))
+    def pick(V):  # the vertices where line k meets its two neighbours' lines
+        p1, p2 = (_line_meets(U, i, j, V[:, i], V[:, j])[1] for i, j in pairs)
         s1 = p1 @ U[k]
         s2 = p2 @ U[k]
         pick2 = s2 > s1 + 1e-12  # lower pair index wins ties

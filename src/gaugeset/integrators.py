@@ -81,7 +81,6 @@ _BIRKHOFF_TRIALS = 8  # seeded tag draws per Birkhoff level
 _PACK_RESTARTS = 16  # greedy packings per variational-measure level
 _PACK_MAX_ITEMS = 200_000  # loop guard of one greedy packing component
 _PACK_DRAW_BLOCK = 512  # uniform doubles a packing draws ahead at a time
-_PACK_STEP_CHUNK = 1024  # packing steps whose kept items are joined into one array
 _PACK_WALK_STEPS = 1 << 13  # steps a constant-gauge walk accumulates at a time
 # rows of a tag set evaluated at a time, and the fewest rows of a pooled task.  Sums keep their
 # bits under any block size, but d=2 Steiner points come from a BLAS product per evaluation,
@@ -1075,13 +1074,14 @@ def variational_measure_estimate(phi, E, schedule, seed=0):
     to right with seeded extent jitter, 16 times; the best packing is kept.
     Restart r reads default_rng([seed, 55, n, r]) in the order of its own
     scalar walk, whether _pack_values accumulates its steps (a constant
-    gauge, as every uniform schedule has) or steps it in lockstep with the
-    others, so each packing, and the level's estimate, is the one the
-    restarts give run one after another.  Estimates are a lower surrogate for the sup in
-    Var and the sequence's last value a surrogate for the limit; flagged
-    approximate.  A level whose packings the loop guard cuts short has no
-    estimate: PackingTruncated is raised, before level 1 where
-    check_packing can tell.
+    gauge of at least 1e-12, points included, as every uniform schedule
+    has) or walks it one step at a time (any other gauge, a constant one
+    below 1e-12 included), so each packing, and the level's estimate, is
+    the one the restarts give run one after another.  Estimates are a
+    lower surrogate for the sup in Var and the sequence's last value a
+    surrogate for the limit; flagged approximate.  A level whose packings
+    the loop guard cuts short has no estimate: PackingTruncated is raised,
+    before level 1 where check_packing can tell.
     """
     comps = normalize_set(E)
     check_packing(comps, schedule)
@@ -1178,14 +1178,6 @@ class _Draws:
         self._buf = np.stack([rng.random(_PACK_DRAW_BLOCK) for rng in rngs])
         self._pos = np.zeros(len(rngs), dtype=np.intp)
 
-    def uniform(self, lanes, lo, hi):
-        """The next draw of each packing in ``lanes``, mapped to [lo, hi)."""
-        pos = self._pos[lanes]
-        u = self._buf[lanes, pos]
-        self._pos[lanes] = pos + 1
-        self._read_on(lanes, 1)
-        return lo + (hi - lo) * u
-
     def ahead(self, lanes, n):
         """The next n draws of each packing in ``lanes``, one row each, left unread."""
         self._read_on(lanes, n)
@@ -1220,22 +1212,27 @@ def _pack_values(phi, comps, gauge, rngs):
     on by max(dt, 1e-12); a kept one moves the cursor to its right end and
     t to cursor + gauge(cursor) * U(0.5, 0.9), both capped at hi.  The lane
     leaves the component when t reaches hi, an item reaches hi, t does not
-    advance, or after _PACK_MAX_ITEMS steps.  Under a constant gauge of at
-    least 1e-12 each lane's steps through a component are partial sums
-    (_const_walk); any other gauge walks all lanes in lockstep, one step at
-    a time (_lockstep_walk).  Both give each lane the items of its scalar
-    walk, bit for bit.  A lane's value is the sum of d_H(Phi(I), 0) over
-    its items.  Returns the values and the sorted indices of the components
-    that the guard stopped some lane in before their end.
+    advance, or after _PACK_MAX_ITEMS steps; so a point (lo == hi) is one
+    step at tag hi.  Under a constant gauge of at least 1e-12, points
+    included, each lane's steps through a component are partial sums
+    (_const_walk).  Any other gauge, a constant one below 1e-12 included,
+    is walked one lane and one step at a time by this rule (_lane_walk).
+    Both give each lane the items of its scalar walk, bit for bit.  A
+    lane's value is the sum of d_H(Phi(I), 0) over its items.  Returns the
+    values and the sorted indices of the components that the guard stopped
+    some lane in before their end.
     """
-    walk = _const_walk if gauge.const is not None and gauge.const >= 1e-12 else _lockstep_walk
-    lanes, cut = walk(comps, gauge, _Draws(rngs), len(rngs))
+    if gauge.const is not None and gauge.const >= 1e-12:
+        lanes, cut = _const_walk(comps, gauge.const, rngs)
+    else:
+        lanes, cuts = zip(*(_lane_walk(comps, gauge, rng) for rng in rngs))
+        cut = sorted(set().union(*cuts))
     values = [_fsum(_row_max(np.abs(_folded(phi.query_batch(a, b))))) if len(a) else 0.0
               for a, b in lanes]
     return values, cut
 
 
-def _const_walk(comps, gauge, draws, n_lanes):
+def _const_walk(comps, delta, rngs):
     """Each lane's items (a, b) under a constant gauge delta >= 1e-12, and the cut components.
 
     Every step then keeps its item and moves t forward, since f delta and
@@ -1247,25 +1244,17 @@ def _const_walk(comps, gauge, draws, n_lanes):
     each lane's row with the walk's own additions in its order.  The first
     s_j >= hi ends the component: an odd j is the last right end (clipped
     at 1); an even j is the last tag, clipped to hi, whose item takes one
-    more draw.  The lanes in a component accumulate up to _PACK_WALK_STEPS
-    steps at a time, and a lane that does not end in them goes on from
-    s_n; one still in the component after _PACK_MAX_ITEMS steps is cut, as
-    the guard cuts it.  A point component (lo == hi) is one step per lane,
-    at tag hi, with no accumulate.
+    more draw.  A point component (lo == hi) is no exception: its s_0 = hi
+    ends it after one step.  The lanes in a component accumulate up to
+    _PACK_WALK_STEPS steps at a time, and a lane that does not end in them
+    goes on from s_n; one still in the component after _PACK_MAX_ITEMS
+    steps is cut, as the guard cuts it.
     """
-    delta = gauge.const
+    draws, n_lanes = _Draws(rngs), len(rngs)
     cursor = np.zeros(n_lanes)
     items, cut = [], set()
     for i, (lo, hi) in enumerate(comps):
         lane = np.flatnonzero(cursor <= hi)
-        if lo == hi:  # a point: every lane takes the one step at tag hi
-            fdt = draws.uniform(lane, 0.8, 0.98) * delta
-            R = np.minimum(1.0, hi + fdt)
-            L = np.maximum(cursor[lane], hi - fdt)
-            kept = R > L
-            items.append((lane[kept], L[kept], R[kept]))
-            cursor[lane[kept]] = R[kept]
-            continue
         t = np.maximum(lo, cursor[lane])
         steps = 0
         while len(lane):
@@ -1310,65 +1299,41 @@ def _by_lane(items, n_lanes):
     return [(a[s], b[s]) for s in sel]
 
 
-def _lockstep_walk(comps, gauge, draws, n_lanes):
-    """Each lane's items (a, b) under any gauge, and the sorted cut components.
+def _lane_walk(comps, gauge, rng):
+    """One lane's items (a, b) under any gauge, and the components the guard cut.
 
-    All live lanes take each step together: one gauge call on their tags
-    and one on their new cursors.
+    The lane takes _pack_values' steps one at a time, with its draws from
+    its own rng; dt is a constant gauge's value, or any other gauge called
+    at the step's point.
     """
-    # a sentinel component past the last one: no cursor skips it, and a
-    # lane that enters it is finished
-    los = np.array([lo for lo, _ in comps] + [0.0])
-    his = np.array([hi for _, hi in comps] + [np.inf])
-    lane = np.arange(n_lanes)
-    comp = np.full(n_lanes, -1)
-    cursor, t, hi = np.zeros(n_lanes), np.zeros(n_lanes), np.zeros(n_lanes)
-    guard = np.zeros(n_lanes, dtype=np.intp)
-    leave = np.ones(n_lanes, dtype=bool)
-    chunks, items = [], []  # (lanes, L, R) of each step's kept items
-    cut = set()
-    while True:
-        idx = leave.nonzero()[0]
-        if len(idx):
-            c = comp[idx] + 1
-            while True:
-                skip = cursor[idx] > his[c]
-                if not np.count_nonzero(skip):
+    at = (lambda t: gauge.const) if gauge.const is not None else (lambda t: float(gauge(t)))
+    a, b, cut = [], [], []
+    cursor = 0.0
+    for i, (lo, hi) in enumerate(comps):
+        t = max(lo, cursor)
+        if t > hi:
+            continue
+        for _ in range(_PACK_MAX_ITEMS):
+            dt = at(t)
+            fdt = rng.uniform(0.8, 0.98) * dt
+            L, R = max(cursor, t - fdt), min(1.0, t + fdt)
+            if R > L:  # a kept item: t moves on from its right end
+                a.append(L)
+                b.append(R)
+                cursor = R
+                if R >= hi:
                     break
-                c += skip
-            comp[idx], hi[idx], guard[idx] = c, his[c], 0
-            t[idx] = np.maximum(los[c], cursor[idx])
-            live = comp < len(comps)
-            if np.count_nonzero(live) < len(lane):
-                lane, comp, cursor, t, hi, guard = (
-                    x[live] for x in (lane, comp, cursor, t, hi, guard))
-                if not len(lane):
+                t_next = min(hi, cursor + at(cursor) * rng.uniform(0.5, 0.9))
+                if t_next <= t:
                     break
-        dt = gauge(t)
-        fdt = draws.uniform(lane, 0.8, 0.98) * dt
-        guard += 1
-        L = np.maximum(cursor, t - fdt)
-        R = np.minimum(1.0, t + fdt)
-        kept = R > L
-        items.append((lane[kept], L[kept], R[kept]))
-        if len(items) == _PACK_STEP_CHUNK:
-            chunks.append(tuple(map(np.concatenate, zip(*items))))
-            items = []
-        np.copyto(cursor, R, where=kept)
-        t_new = np.minimum(hi, t + np.maximum(dt, 1e-12))
-        leave = np.where(kept, R >= hi, t_new >= hi)
-        step = (kept & ~leave).nonzero()[0]
-        if len(step):
-            gap = gauge(cursor[step]) * draws.uniform(lane[step], 0.5, 0.9)
-            t_new[step] = np.minimum(hi[step], cursor[step] + gap)
-            leave[step] = t_new[step] <= t[step]
-        t = t_new
-        stop = guard >= _PACK_MAX_ITEMS
-        if stop.any():
-            stop &= ~leave  # the lanes the guard stops before hi
-            cut.update(comp[stop].tolist())
-            leave |= stop
-    return _by_lane(chunks + items, n_lanes), sorted(cut)
+            else:  # an empty item: t moves on by dt, at least 1e-12
+                t_next = min(hi, t + max(dt, 1e-12))
+                if t_next >= hi:
+                    break
+            t = t_next
+        else:  # still inside the component after the guard's last step
+            cut.append(i)
+    return (np.array(a), np.array(b)), cut
 
 
 def _built_primitives(eval_blocks, grid, gauge, blocks):

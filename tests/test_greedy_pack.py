@@ -4,9 +4,9 @@ The oracle below is the restart loop that packed one item per Python step:
 each of the 16 restarts of a level walks the set alone, with its own
 default_rng([seed, 55, n, r]) and one gauge call per tag.  The library walks
 each restart through a component with one accumulate under a constant
-gauge, and runs the restarts in lockstep under any other, so every estimate
-must equal the oracle's exactly, and the guard must stop the same
-components short.  A level the guard cuts short has no estimate:
+gauge of at least 1e-12, points included, and one step at a time under any
+other, so every estimate must equal the oracle's exactly, and the guard must
+stop the same components short.  A level the guard cuts short has no estimate:
 variational_measure_estimate raises PackingTruncated.
 """
 
@@ -194,7 +194,6 @@ def test_guard_fires_alike(monkeypatch, max_items):
 def test_draw_blocks_refill_alike(monkeypatch):
     # blocks far shorter than a packing's draws refill many times per level
     monkeypatch.setattr(it, "_PACK_DRAW_BLOCK", 3)
-    monkeypatch.setattr(it, "_PACK_STEP_CHUNK", 2)
     phi, E = _phi("G4"), SETS["mixed"]
     sched = corpus.named_schedule("uniform", levels=5)
     got = variational_measure_estimate(phi, E, sched, seed=4)["estimates"]
@@ -286,7 +285,7 @@ def test_accumulate_walk_equals_lockstep_and_scalar_oracle(gauge_name, set_name)
     assert gauge.const is not None
     phi = _phi("G2")
     assert_packing_equals_oracle(phi, E, GaugeSchedule((gauge,)), 7)
-    # the same widths with no const are walked in lockstep
+    # the same widths with no const are walked one lane and one step at a time
     plain = Gauge.from_callable(lambda ts, c=gauge.const: np.full_like(ts, c))
     rngs = lambda: [np.random.default_rng([7, 55, 1, r]) for r in range(it._PACK_RESTARTS)]
     comps = normalize_set(E)
@@ -324,7 +323,7 @@ def test_accumulate_walk_in_short_blocks(monkeypatch, walk_steps):
         assert_packing_equals_oracle(_phi("G2"), E, sched, 5)
 
 
-# sets of many points, each walked as one step per lane with no accumulate
+# sets of many points, each one step per lane, taken by the accumulate walk
 POINT_SETS = {
     "200-points": list(np.linspace(0.001, 0.999, 200)),
     # closer than one step, so most lanes pass most points by
@@ -341,6 +340,7 @@ def test_point_components_equal_lockstep_and_scalar_oracle(gauge_name, set_name)
     gauge, E = CONST_GAUGES[gauge_name], POINT_SETS[set_name]
     phi = _phi("G2")
     assert_packing_equals_oracle(phi, E, GaugeSchedule((gauge,)), 11)
+    # the same widths with no const are walked one lane and one step at a time
     plain = Gauge.from_callable(lambda ts, c=gauge.const: np.full_like(ts, c))
     rngs = lambda: [np.random.default_rng([11, 55, 1, r]) for r in range(it._PACK_RESTARTS)]
     comps = normalize_set(E)

@@ -132,6 +132,20 @@ def test_query_batch_peak_is_a_small_multiple_of_its_output():
     assert peak - out.nbytes <= 4.0 * out.nbytes
 
 
+def test_query_batch_on_the_finest_vh_level_peaks_within_3x_its_output():
+    # G1's 585,185 left-tagged vh-origin level-12 cells, 8.9 MiB out: with
+    # every edge's index, fraction and gathers alive at once the call peaked
+    # at 4.5x; chunked, it holds the clipped ends and one chunk beside them
+    G1 = corpus.corpus_get("G1")
+    g = corpus.named_schedule("vh-origin").levels[11]
+    phi = it.build_primitive(G1, g)
+    P = cousin_build(g, tag_order="left")
+    out, peak = _traced_peak(lambda: phi.query_batch(P.a, P.b))
+    assert len(P) > 500_000 and peak <= 3.0 * out.nbytes
+    p = phi._prefix_at(np.concatenate((P.a[:1], P.b)))  # the whole level's edges at once
+    assert out.tobytes() == (p[1:] - p[:-1]).tobytes()
+
+
 def _level(n):
     """n cells of uneven widths tiling [0, 1], tagged at their midpoints."""
     widths = np.random.default_rng([n, 5]).uniform(0.5, 1.5, n)

@@ -8,6 +8,10 @@ or test oracle it serves.  Click commands are reached through their group
 and are exempt.  ``__init__.py`` only re-exports, so its imports do not
 count.  Names are matched by spelling: any ``x.name`` reaches every method
 called ``name``.  This is a stdlib ``ast`` check, like test_unused_imports.py.
+
+A private module-level function, class or constant (one leading underscore)
+must be referenced the same way, by the package or ``benchmarks/*.py``, with
+no allowlist: what only a test reads is a leftover.
 """
 
 import ast
@@ -67,6 +71,22 @@ def public_definitions(tree, module):
     return out
 
 
+def private_definitions(tree, module):
+    """{"module.name": (name, node)} of the private module-level defs, classes and constants."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        out.update((f"{module}.{name}", (name, node)) for name in names
+                   if name.startswith("_") and not name.startswith("__"))
+    return out
+
+
 def references(tree, skip):
     """Names and attribute names used in ``tree``, outside the node ``skip``."""
     found = set()
@@ -83,14 +103,15 @@ def references(tree, skip):
     return found
 
 
-def unreached(modules, others=()):
-    """Sorted qualnames defined in ``modules`` ({module: source}) that neither
-    they nor the ``others`` sources use outside the name's own definition."""
+def unreached(modules, others=(), definitions=public_definitions):
+    """Sorted qualnames ``definitions`` finds in ``modules`` ({module: source})
+    that neither they nor the ``others`` sources use outside the name's own
+    definition."""
     trees = {mod: ast.parse(src) for mod, src in modules.items()}
     trees.update((i, ast.parse(src)) for i, src in enumerate(others))
     out = []
     for mod in modules:
-        for qual, (name, node) in public_definitions(trees[mod], mod).items():
+        for qual, (name, node) in definitions(trees[mod], mod).items():
             if not any(name in references(tree, node) for tree in trees.values()):
                 out.append(qual)
     return sorted(out)
@@ -116,6 +137,24 @@ def test_checker_flags_an_unreached_name():
     )
     other = "from m import Box\nBox().read()\n"
     assert unreached({"m": mod}, [other]) == ["m.Box.write", "m.unused"]
+
+
+def test_checker_flags_an_unreferenced_private_name():
+    mod = (
+        "__all__ = ['run']\n"
+        "_USED, _UNUSED = 1, 2\n"
+        "_CHUNK: int = 3\n"  # a leftover constant that only a test patches
+        "def _helper(): return _USED\n"
+        "def _orphan(): return _orphan()\n"  # recursion does not count
+        "class _Box: pass\n"
+        "def run(): return _helper(), _Box\n"
+    )
+    assert unreached({"m": mod}, definitions=private_definitions) == [
+        "m._CHUNK", "m._UNUSED", "m._orphan"]
+
+
+def test_every_private_module_level_name_is_referenced():
+    assert unreached(*_sources(), private_definitions) == []
 
 
 def test_every_public_name_is_reached_or_allowed():
