@@ -261,10 +261,13 @@ class Primitive:
 
     Built from a full partition of [0,1] into dyadic cells (each width 2^-k,
     dyadically aligned, depths may differ across cells) with one value vector
-    per cell; cell values are typically w * h_{Gamma(t)}.  Only the cells are
-    stored.  Exact values are summed in tree order: from the deepest depth
-    up, each left sibling absorbs its right neighbour (the next cell in
-    position order), so for every tree node
+    per cell; cell values are typically w * h_{Gamma(t)}.  It keeps the
+    cells' starts, widths and values (as given where in order, owning their
+    memory and read-only, as a TaggedPartition's are; else copied, sorted by
+    start), int16 depths and prefix sums, all read-only.  Exact values are
+    summed in tree order: from the deepest depth up, each left sibling
+    absorbs its right neighbour (the next cell in position order), so for
+    every tree node
 
         node value == left child value + right child value   (bit exact).
 
@@ -273,35 +276,51 @@ class Primitive:
     """
 
     def __init__(self, grid, starts, widths, cell_values):
-        starts = np.asarray(starts, dtype=np.float64)
-        widths = np.asarray(widths, dtype=np.float64)
-        V = np.asarray(cell_values, dtype=np.float64)
-        order = np.argsort(starts)
-        starts, widths, V = starts[order], widths[order], V[order]
+        starts, widths, V = (np.asarray(x, dtype=np.float64) for x in (starts, widths, cell_values))
         if V.ndim != 2 or V.shape != (len(starts), grid.m):
             raise ValueError("cell_values must be (n_cells, m)")
-        depths = np.round(-np.log2(widths)).astype(int)
-        if np.max(np.abs(widths * 2.0 ** depths.astype(float) - 1.0)) > 1e-12:
-            raise ValueError("cell widths must be dyadic (2^-k)")
-        # alignment in cell units: a start may carry rounding noise (one ulp
-        # near 1 is about 1e-4 of a cell at depth 40), not a shift of the cell
-        scaled = starts * 2.0 ** depths.astype(float)
-        idx = np.round(scaled).astype(np.int64)
-        if np.max(np.abs(scaled - idx)) > 1e-3:
+        if np.all(starts[1:] >= starts[:-1]):  # in order (false at a NaN): no sort, no gather
+            starts, widths, V = (x if x.flags.owndata and not x.flags.writeable else np.array(x)
+                                 for x in (starts, widths, V))
+        else:
+            order = np.argsort(starts)
+            starts, widths, V = starts[order], widths[order], V[order]
+        depths = np.empty(len(starts), dtype=np.int16)
+        chunks = [slice(lo, lo + (1 << 16)) for lo in range(0, len(starts), 1 << 16)]
+
+        def index(rows):  # the starts in cell units, and the nearest integers
+            scaled = starts[rows] * 2.0 ** depths[rows].astype(float)
+            return scaled, np.round(scaled).astype(np.int64)
+
+        # checked 2^16 cells at a time, in order: dyadic widths; alignment in
+        # cell units (a start may carry rounding noise: one ulp near 1 is about
+        # 1e-4 of a cell at depth 40, not a shift of the cell); depth; tiling,
+        # in integer positions at the deepest depth (each cell ends where the next starts)
+        aligned = True
+        for rows in chunks:
+            depths[rows] = np.round(-np.log2(widths[rows])).astype(int)
+            if not np.max(np.abs(widths[rows] * 2.0 ** depths[rows].astype(float) - 1.0)) <= 1e-12:
+                raise ValueError("cell widths must be dyadic (2^-k)")
+            scaled, idx = index(rows)
+            aligned = aligned and np.max(np.abs(scaled - idx)) <= 1e-3
+        if not aligned:
             raise ValueError("cells must be dyadically aligned")
         self.level = int(depths.max())
         if self.level > 62:
             raise ValueError("tilings deeper than 62 levels are not supported")
-        # integer positions at the deepest depth: each cell must end where the next starts
-        pos = idx << (self.level - depths)
-        end = pos + (np.int64(1) << (self.level - depths))
-        if pos[0] != 0 or end[-1] != 1 << self.level or np.any(pos[1:] != end[:-1]):
+        tiled, end = True, 0
+        for rows in chunks:
+            shift = self.level - depths[rows]
+            pos = index(rows)[1] << shift
+            ends = pos + (np.int64(1) << shift)
+            tiled, end = tiled and pos[0] == end and np.array_equal(pos[1:], ends[:-1]), ends[-1]
+        if not (tiled and end == 1 << self.level):
             raise ValueError("cells do not tile [0, 1]")
-        self.grid = grid
-        self._starts = starts
-        self._widths = widths
-        self._depths = depths
-        self._prefix = np.vstack([np.zeros((1, grid.m)), np.cumsum(V, axis=0)])
+        self._prefix = np.zeros((len(V) + 1, grid.m))
+        np.cumsum(V, axis=0, out=self._prefix[1:])
+        for x in (starts, widths, V, depths, self._prefix):
+            x.flags.writeable = False
+        self.grid, self._starts, self._widths, self._depths = grid, starts, widths, depths
         self._cellV = V
 
     @property
@@ -335,24 +354,24 @@ class Primitive:
 
         Row i is _prefix_at(b[i]) - _prefix_at(a[i]) of the ends clipped to
         [0, 1], or 0 where b[i] <= a[i] then, as ExactIntervalMap gives it.
-        _prefix_at works point by point, so when the intervals abut (a[i + 1]
-        == b[i], as Cousin cells do) it is taken once per edge.  Rows go into
-        the output about 2^16 values at a time, so one chunk's edges,
-        indices, fractions and gathers are all it holds beside it.
+        _prefix_at works point by point, so in a chunk whose clipped
+        intervals abut (a[i + 1] == b[i], as Cousin cells do) it is taken once
+        per edge.  Rows go into the output about 2^16 values at a time, so one
+        chunk's clipped ends, edges, indices, fractions and gathers are all it
+        holds beside it.
         """
-        a = np.clip(np.asarray(a, dtype=np.float64), 0.0, 1.0)
-        b = np.clip(np.asarray(b, dtype=np.float64), 0.0, 1.0)
-        abut = len(a) > 1 and np.array_equal(a[1:], b[:-1])
+        a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
         out = np.empty((len(a), self.grid.m))
         step = max(1, (1 << 16) // self.grid.m)
         for lo in range(0, len(a) or 1, step):  # an empty batch is one empty chunk
             rows = slice(lo, lo + step)
-            if abut:  # a[lo] is the edge b[lo - 1] that ends the chunk before
-                p = self._prefix_at(np.concatenate((a[lo:lo + 1], b[rows])))
+            ca, cb = np.clip(a[rows], 0.0, 1.0), np.clip(b[rows], 0.0, 1.0)
+            if len(ca) > 1 and np.array_equal(ca[1:], cb[:-1]):  # abutting: once per edge
+                p = self._prefix_at(np.concatenate((ca[:1], cb)))
                 np.subtract(p[1:], p[:-1], out=out[rows])
             else:
-                np.subtract(self._prefix_at(b[rows]), self._prefix_at(a[rows]), out=out[rows])
-        out[b <= a] = 0.0
+                np.subtract(self._prefix_at(cb), self._prefix_at(ca), out=out[rows])
+            out[rows][cb <= ca] = 0.0
         return out
 
     def _prefix_at(self, t):

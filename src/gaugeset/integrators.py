@@ -460,19 +460,21 @@ def _probe_tag_sets(P, t0, gauge, rng, mode):
 
     Every henstock candidate lies in its cell [a, b], so a row with
     w < gauge.lower(a) keeps it with no gauge call; only the other (open)
-    rows are checked.  The free-mode window rule checks every row.
+    rows (a mask) are checked.  The free-mode window rule checks every row.
     """
     a, b, w = P.a, P.b, P.widths
     henstock = mode == "henstock"
-    open_rows = np.flatnonzero(~(w < gauge.lower(a))) if henstock else None
+    open_rows = np.empty(len(a) if henstock else 0, dtype=bool)
+    for rows in (slice(lo, lo + _ROW_BLOCK) for lo in range(0, len(open_rows), _ROW_BLOCK)):
+        np.logical_not(w[rows] < gauge.lower(a[rows]), out=open_rows[rows])
 
     def fine_or_build_tag(candidates):
         def make(rows):
             u = candidates(rows)
             if not henstock:
                 return np.where(_window_fine(a[rows], b[rows], u, gauge), u, t0[rows])
-            lo, hi, _ = rows.indices(len(a))
-            i = open_rows[np.searchsorted(open_rows, lo):np.searchsorted(open_rows, hi)]
+            lo = rows.indices(len(a))[0]
+            i = lo + np.flatnonzero(open_rows[rows])  # the open rows of the block, in order
             if len(i):
                 bad = i[~(w[i] < np.atleast_1d(gauge(u[i - lo])))]
                 u[bad - lo] = t0[bad]
@@ -1092,7 +1094,7 @@ def variational_measure_estimate(phi, E, schedule, seed=0):
         if cut:
             lo, hi = comps[cut[0]]
             raise PackingTruncated(
-                f"level {n}: a greedy packing of [{lo:g}, {hi:g}] took "
+                f"level {n}: a greedy packing of [{lo!r}, {hi!r}] took "
                 f"{_PACK_MAX_ITEMS} steps without reaching its end", level=n)
         estimates.append(max(0.0, *values))
     return {
@@ -1108,24 +1110,25 @@ def variational_measure_estimate(phi, E, schedule, seed=0):
 def check_packing(E, schedule):
     """Raise the PackingTruncated that the guard is certain to cause, before level 1.
 
-    Only a constant gauge delta >= 1e-12 is decided here.  Every step then
-    moves a packing's t forward, by at most 0.98 delta + 0.9 delta, or by
-    delta on an empty item; 2 delta also covers rounding.  A lane enters a
-    component [lo, hi] at t <= max(lo, H + delta), where H is the largest
-    end of the components before it (its cursor passes no end by more than
-    0.98 delta), so if hi - t exceeds 2 delta _PACK_MAX_ITEMS, every lane is
-    cut by the guard.  Any other gauge passes, and _pack_values reports the
-    cut when it happens.
+    Only a constant gauge delta >= 2^-52 is decided here.  Every step then
+    moves a packing's t forward (f delta, g delta >= 2^-53 exceed half an ulp
+    of t < 1), by at most 0.98 delta + 0.9 delta, or max(delta, 1e-12) on an
+    empty item; s = 2 max(delta, 1e-12) also covers rounding.  A lane enters
+    [lo, hi] at t <= max(lo, H + s / 2), where H is the largest end of the
+    components before it (its cursor passes no end by more than 0.98 delta),
+    so if hi - t exceeds s _PACK_MAX_ITEMS, the guard cuts every lane.  Any
+    other gauge passes (below 2^-52 t may stop, ending a lane's walk), and
+    _pack_values reports a cut when it happens.
     """
     comps = normalize_set(E)
     for n, gauge in enumerate(schedule.levels, start=1):
-        if gauge.const is None or not gauge.const >= 1e-12:
+        if gauge.const is None or not gauge.const >= 2.0 ** -52:
             continue
-        reach = -np.inf
+        step, reach = 2.0 * max(gauge.const, 1e-12), -np.inf
         for lo, hi in comps:
-            if hi - max(lo, reach + gauge.const) > 2.0 * gauge.const * _PACK_MAX_ITEMS:
+            if hi - max(lo, reach + step / 2.0) > step * _PACK_MAX_ITEMS:
                 raise PackingTruncated(
-                    f"level {n}: a greedy packing of [{lo:g}, {hi:g}] cannot reach its "
+                    f"level {n}: a greedy packing of [{lo!r}, {hi!r}] cannot reach its "
                     f"end in {_PACK_MAX_ITEMS} steps of gauge {gauge.const:g}", level=n)
             reach = max(reach, hi)
 
@@ -1341,6 +1344,8 @@ def _built_primitives(eval_blocks, grid, gauge, blocks):
 
     Cell values are |I| Gamma(t) at the build tags, so variational sums
     against these primitives measure the integrator's self-consistency.
+    The terms are made read-only, so each Primitive keeps P.a, P.widths
+    (computed once) and its terms without a copy.
     """
     P = cousin_build(gauge, tag_order="mid")
     terms = {k: np.empty((len(P), grid.m)) for k in blocks}
@@ -1349,6 +1354,8 @@ def _built_primitives(eval_blocks, grid, gauge, blocks):
         vals = eval_blocks(P.t[rows], blocks)
         for k in blocks:
             np.multiply(vals[k], P.widths[rows, None], out=terms[k][rows])
+    for V in terms.values():
+        V.flags.writeable = False
     return {k: Primitive(grid, P.a, P.widths, terms.pop(k)) for k in blocks}
 
 

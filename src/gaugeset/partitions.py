@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -175,9 +176,12 @@ class TaggedPartition:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "t", t)
 
-    @property
+    @cached_property
     def widths(self):
-        return self.b - self.a
+        """b - a, computed at the first read and read-only."""
+        w = self.b - self.a
+        w.flags.writeable = False
+        return w
 
     def __len__(self):
         return len(self.a)

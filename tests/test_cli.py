@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
 
+from gaugeset import integrators
 from gaugeset.cli import main
 
 
@@ -327,6 +329,25 @@ def test_levels_too_fine_is_usage_error(runner, tmp_path, args, message):
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert res.output.startswith("Error: ") and res.output.count("\n") == 1
     assert message in res.output
+    assert not list(tmp_path.iterdir())
+
+
+def test_packing_too_fine_below_1e_12_fails_before_any_walk(runner, tmp_path, monkeypatch):
+    # delta_38 = 2^-40 < 1e-12 moves t by at most 2e-12 a step, so 200000 steps
+    # stop short of 5e-7; undecided, the run walked 16 x 200000 steps at level
+    # 38 (about 20 s) before failing.  The ends print by repr, not as [0.5, 0.5]
+    def walk(*args):
+        raise AssertionError("a packing was walked")
+
+    monkeypatch.setattr(integrators, "_pack_values", walk)
+    t0 = time.perf_counter()
+    res = runner.invoke(main, ["varmeasure", "G2", "--set", "0.5:0.5000005", "--levels", "38",
+                               "--out", str(tmp_path)])
+    assert time.perf_counter() - t0 < 3.0
+    assert res.exit_code == 1 and res.output.count("\n") == 1
+    assert res.output == ("Error: the schedule is too fine for greedy packing: level 38: a greedy "
+                          "packing of [0.5, 0.5000005] cannot reach its end in 200000 steps of "
+                          "gauge 9.09495e-13\n")
     assert not list(tmp_path.iterdir())
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -464,6 +465,103 @@ def test_primitive_accepts_ulp_noise_in_deep_starts_near_one():
     phi = Primitive(LINE, noisy, widths, np.ones((depth + 1, 2)))
     assert phi.level == depth
     np.testing.assert_array_equal(phi.node_value(0, 0), [depth + 1.0, depth + 1.0])
+
+
+CHUNK = 1 << 16  # cells per chunk of Primitive's checks
+
+
+def whole_array_check(starts, widths):
+    """The message of the first check the cells fail, each check run over the
+    whole sorted arrays at once, or None when they tile [0, 1]."""
+    order = np.argsort(starts)
+    starts, widths = starts[order], widths[order]
+    depths = np.round(-np.log2(widths)).astype(int)
+    if np.max(np.abs(widths * 2.0 ** depths - 1.0)) > 1e-12:
+        return "cell widths must be dyadic (2^-k)"
+    scaled = starts * 2.0 ** depths
+    idx = np.round(scaled).astype(np.int64)
+    if np.max(np.abs(scaled - idx)) > 1e-3:
+        return "cells must be dyadically aligned"
+    level = int(depths.max())
+    if level > 62:
+        return "tilings deeper than 62 levels are not supported"
+    pos = idx << (level - depths)
+    end = pos + (np.int64(1) << (level - depths))
+    if pos[0] != 0 or end[-1] != 1 << level or np.any(pos[1:] != end[:-1]):
+        return "cells do not tile [0, 1]"
+    return None
+
+
+def _two_chunks(case):
+    """2^17 cells of depth 17, two chunks, with the defect ``case``."""
+    n = 2 * CHUNK
+    starts, widths = np.arange(n) / n, np.full(n, 1.0 / n)
+    if case == "unsorted":
+        order = np.random.default_rng(9).permutation(n)
+        starts, widths = starts[order], widths[order]
+    elif case == "non-dyadic":
+        widths[CHUNK + 3] *= 1.3
+    elif case == "misaligned":
+        starts[CHUNK + 3] += 0.4 / n
+    elif case == "misaligned-then-non-dyadic":  # the dyadic check still comes first
+        starts[3] += 0.4 / n
+        widths[CHUNK + 3] *= 1.3
+    elif case == "too-deep":  # cell 0 halved down to depth 63, a gap in the next chunk
+        deep = [2.0 ** -k for k in range(63, 17, -1)]
+        starts = np.concatenate(([0.0], deep, np.delete(starts[1:], CHUNK)))
+        widths = np.concatenate(([2.0 ** -63], deep, np.delete(widths[1:], CHUNK)))
+    elif case == "gap-at-chunk-edge":  # cell 2^16 - 1 ends where no cell starts
+        starts, widths = np.delete(starts, CHUNK), np.delete(widths, CHUNK)
+    elif case == "overlap-at-chunk-edge":  # cell 2^16 - 1 again, as the next chunk's first
+        starts = np.insert(starts, CHUNK, starts[CHUNK - 1])
+        widths = np.insert(widths, CHUNK, widths[0])
+    elif case == "late-start":
+        starts, widths = starts[1:], widths[1:]
+    elif case == "early-end":
+        starts, widths = starts[:-1], widths[:-1]
+    return starts, widths
+
+
+@pytest.mark.parametrize("case", [
+    "unsorted", "non-dyadic", "misaligned", "misaligned-then-non-dyadic", "too-deep",
+    "gap-at-chunk-edge", "overlap-at-chunk-edge", "late-start", "early-end",
+])
+def test_chunked_checks_raise_the_whole_array_message(case):
+    starts, widths = _two_chunks(case)
+    V = np.ones((len(starts), 2))
+    message = whole_array_check(starts, widths)
+    if case == "unsorted":
+        assert message is None
+        phi = Primitive(LINE, starts, widths, V)
+        assert np.array_equal(phi.cells[0], np.sort(starts)) and phi.level == 17
+    else:
+        assert message is not None
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Primitive(LINE, starts, widths, V)
+
+
+@pytest.mark.parametrize("sort", [False, True])
+def test_primitive_copies_unless_in_order_owned_and_read_only(sort):
+    n = 2 * CHUNK + 5
+    # [0, 1/2] in depth-18 cells, then [1/2, 1] in five coarser ones
+    widths = np.concatenate((np.full(2 * CHUNK, 0.5 / (2 * CHUNK)),
+                             [1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 32]))
+    starts = np.concatenate(([0.0], np.cumsum(widths)[:-1]))
+    V = np.random.default_rng(4).normal(size=(n, 2))
+    prefix = np.vstack([np.zeros((1, 2)), np.cumsum(V, axis=0)])  # as one cumsum stacked
+    order = np.random.default_rng(5).permutation(n) if sort else np.arange(n)
+    given = [x[order] for x in (starts, widths, V)]
+    phi = Primitive(LINE, *given)
+    assert phi._prefix.tobytes() == prefix.tobytes()
+    assert phi.cells[0] is not given[0] and phi._cellV is not given[2]  # writeable: copied
+    kept = [x.copy() for x in given]
+    for x in kept:
+        x.flags.writeable = False
+    phi = Primitive(LINE, *kept)
+    assert [x is y for x, y in zip((*phi.cells, phi._cellV), kept)] == [not sort] * 3
+    view = kept[0][:]  # read-only, but not the owner of its memory: copied
+    assert Primitive(LINE, view, kept[1], kept[2]).cells[0] is not view
+    assert not any(x.flags.writeable for x in (*phi.cells, phi._cellV, phi._prefix, phi._depths))
 
 
 def test_primitive_retains_only_its_cells():

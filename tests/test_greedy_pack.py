@@ -238,6 +238,40 @@ def test_guard_truncation_is_raised_not_reported():
     assert exc.value.level == 18
 
 
+SHORT = (0.5, 0.5 + 1e-10)  # crossed in no fewer than 50 steps of at most 2e-12
+
+
+@pytest.mark.parametrize("delta", [9e-13, 1e-13, 1e-15, 2.0 ** -52])
+def test_check_packing_decides_constant_gauges_below_1e_12(monkeypatch, delta):
+    # a step moves t forward by at most 2 max(delta, 1e-12), so 40 steps stop short
+    monkeypatch.setattr(it, "_PACK_MAX_ITEMS", 40)
+    gauge = Gauge.constant(delta)
+    with pytest.raises(PackingTruncated, match=r"\[0.5, 0.5000000001\] cannot reach its end"):
+        check_packing(SHORT, GaugeSchedule((gauge,)))
+    rngs = [np.random.default_rng([0, 55, 1, r]) for r in range(it._PACK_RESTARTS)]
+    assert it._pack_values(_phi("G2"), normalize_set(SHORT), gauge, rngs)[1] == [0]
+
+
+def test_check_packing_leaves_gauges_below_2_to_the_minus_52_to_the_walk(monkeypatch):
+    # at 0.5, 4e-17 is under half an ulp: a kept item ends at t and the next
+    # tag rounds back to t, so the lane leaves [0.5, 0.5000000001] uncut
+    monkeypatch.setattr(it, "_PACK_MAX_ITEMS", 40)
+    gauge = Gauge.constant(4e-17)
+    check_packing(SHORT, GaugeSchedule((gauge,)))
+    rngs = [np.random.default_rng([0, 55, 1, r]) for r in range(it._PACK_RESTARTS)]
+    assert it._pack_values(_phi("G2"), normalize_set(SHORT), gauge, rngs)[1] == []
+
+
+def test_a_cut_walk_names_its_component_by_repr(monkeypatch):
+    # a gauge with no constant is left to the walk; "{:g}" printed [0.5, 0.5]
+    monkeypatch.setattr(it, "_PACK_MAX_ITEMS", 5)
+    gauge = Gauge.from_callable(lambda ts: np.full(len(ts), 1e-12))
+    with pytest.raises(PackingTruncated, match=r"level 1: a greedy packing of "
+                                               r"\[0.5, 0.5000000001\] took 5 steps") as exc:
+        variational_measure_estimate(_phi("G2"), SHORT, GaugeSchedule((gauge,)))
+    assert exc.value.level == 1
+
+
 @pytest.mark.parametrize("E", [[float("nan")], [(0.2, float("nan"))],
                                {"intervals": [(float("nan"), 0.5)]}])
 def test_nan_endpoint_is_rejected_not_clipped(E):

@@ -1,4 +1,5 @@
-"""Level memory: Cousin builds and exact nominal sums hold no whole-level temporaries.
+"""Level memory: Cousin builds, built primitives and exact nominal sums hold no
+whole-level temporaries.
 
 The traced peaks below are tracemalloc's, so they count what numpy asks
 for, not what the allocator keeps; they are exact and repeat run to run.
@@ -20,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from gaugeset import corpus, decomposition
 from gaugeset import integrators as it
+from gaugeset.convex_sets import Primitive
 from gaugeset.partitions import TaggedPartition, cousin_build
 
 B = it._ROW_BLOCK
@@ -74,13 +76,15 @@ def test_each_level_is_freed_before_the_next_build(monkeypatch, entry, run):
 
 def test_henstock_level_loop_peak_is_bounded():
     # G1's finest level is 1,075,912 cells (24.6 MiB of a, b, t); evaluating
-    # the nominal over the whole level takes the run to 4.3x that
+    # the nominal over the whole level takes the run to 4.3x that, and a
+    # width array per read of P.widths plus a whole-level index of the
+    # probes' open rows to 2.1x (1.6x now)
     G1 = corpus.corpus_get("G1")
     sched = corpus.named_schedule("henstock-origin")
     rep, peak = _traced_peak(lambda: it.henstock_integrate(G1, sched, 1e-3))
     cells = rep.levels[-1].n_items
     assert cells > 1_000_000
-    assert peak <= 3.5 * 3 * 8 * cells
+    assert peak <= 2.0 * 3 * 8 * cells
 
 
 def test_a_wide_block_holds_its_values_and_chunks_only(monkeypatch):
@@ -132,18 +136,47 @@ def test_query_batch_peak_is_a_small_multiple_of_its_output():
     assert peak - out.nbytes <= 4.0 * out.nbytes
 
 
-def test_query_batch_on_the_finest_vh_level_peaks_within_3x_its_output():
+def _finest_vh_level():
+    return corpus.corpus_get("G1"), corpus.named_schedule("vh-origin").levels[11]
+
+
+def test_query_batch_on_the_finest_vh_level_peaks_within_1_5x_its_output():
     # G1's 585,185 left-tagged vh-origin level-12 cells, 8.9 MiB out: with
     # every edge's index, fraction and gathers alive at once the call peaked
-    # at 4.5x; chunked, it holds the clipped ends and one chunk beside them
-    G1 = corpus.corpus_get("G1")
-    g = corpus.named_schedule("vh-origin").levels[11]
+    # at 4.5x, and with whole clipped copies of both ends at 2.25x; it now
+    # holds one chunk's ends, edges and gathers beside its output (1.31x)
+    G1, g = _finest_vh_level()
     phi = it.build_primitive(G1, g)
     P = cousin_build(g, tag_order="left")
     out, peak = _traced_peak(lambda: phi.query_batch(P.a, P.b))
-    assert len(P) > 500_000 and peak <= 3.0 * out.nbytes
+    assert len(P) > 500_000 and peak <= 1.5 * out.nbytes
     p = phi._prefix_at(np.concatenate((P.a[:1], P.b)))  # the whole level's edges at once
     assert out.tobytes() == (p[1:] - p[:-1]).tobytes()
+
+
+def _primitive_bytes(phi):
+    return sum(x.nbytes for x in (*phi.cells, phi._depths, phi._prefix, phi._cellV))
+
+
+def test_build_primitive_peaks_within_1_6x_its_arrays():
+    # sorting sorted cells, gathering copies of them and checking whole-array
+    # temporaries took the level-12 build to 2.87x the primitive (89.7 MiB);
+    # the Primitive now keeps the partition's a and widths and the terms (1.41x)
+    G1, g = _finest_vh_level()
+    phi, peak = _traced_peak(lambda: it.build_primitive(G1, g))
+    assert len(phi.cells[0]) > 500_000
+    assert peak <= 1.6 * _primitive_bytes(phi)
+
+
+def test_primitive_keeps_read_only_cells_and_peaks_within_1_3x_its_new_arrays():
+    # its new arrays are the int16 depths and the prefix sums (1.20x)
+    G1, g = _finest_vh_level()
+    P = cousin_build(g, tag_order="mid")
+    V = G1.eval_support(P.t) * P.widths[:, None]
+    V.flags.writeable = False
+    phi, peak = _traced_peak(lambda: Primitive(G1.grid, P.a, P.widths, V))
+    assert phi.cells[0] is P.a and phi.cells[1] is P.widths and phi._cellV is V
+    assert peak <= 1.3 * (phi._depths.nbytes + phi._prefix.nbytes)
 
 
 def _level(n):
@@ -152,7 +185,7 @@ def _level(n):
     edges = np.concatenate([[0.0], np.cumsum(widths)]) / widths.sum()
     edges[-1] = 1.0
     P = TaggedPartition(edges[:-1], edges[1:], (edges[:-1] + edges[1:]) / 2.0)
-    return P.t, P.widths[:, None]
+    return P.t, P.widths[:, None].copy()  # _spiked writes into the widths
 
 
 def _outcome(fn):
