@@ -43,11 +43,13 @@ loop over measurable partitions.  Both loops hand each level to _record,
 the one place a level becomes a LevelStat and meets the run's divergence
 bound, and _assemble builds every report.
 
-All tag sets of a Cousin level are made, evaluated and reduced in row
-blocks through one stream (_level_stream), with the bits of the whole-array
-sums.  On a level that is not cheap, blocks of an evaluator the library
-marked (_pooled) run on two worker threads while the calling thread makes
-tags in row order; results are taken in order, so no bit depends on them.
+A Cousin level is its cousin_build codes, two bytes a cell, read in row
+blocks only; the other whole-level arrays are a variational run's primitive
+side and a vms run's nominal free tags.  Every tag set of a level is made,
+evaluated and reduced in row blocks through one stream (_level_stream), with
+the bits of whole-array sums.  On a level that is not cheap, blocks of an
+evaluator the library marked (_pooled) run on two worker threads, which make
+the tags from draws taken in row order; results are taken in order too.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ import numpy as np
 from .convex_sets import Primitive, SupportSet, canonical_values
 from .errors import PackingTruncated
 from .partitions import (
+    _ROW_BLOCK,
     Gauge,
     _window_fine,
     cousin_build,
@@ -82,10 +85,10 @@ _PACK_RESTARTS = 16  # greedy packings per variational-measure level
 _PACK_MAX_ITEMS = 200_000  # loop guard of one greedy packing component
 _PACK_DRAW_BLOCK = 512  # uniform doubles a packing draws ahead at a time
 _PACK_WALK_STEPS = 1 << 13  # steps a constant-gauge walk accumulates at a time
-# rows of a tag set evaluated at a time, and the fewest rows of a pooled task.  Sums keep their
-# bits under any block size, but d=2 Steiner points come from a BLAS product per evaluation,
-# whose bits move with its row count (at 2^12, G4 steiner t33's levels 10-12); they fit in one.
-_ROW_BLOCK = 1 << 15
+# _ROW_BLOCK (partitions) is the rows of a tag set evaluated at a time, and the fewest rows of a
+# pooled task.  Sums keep their bits under any block size, but d=2 Steiner points come from a
+# BLAS product per evaluation, whose bits move with its row count (at 2^12, G4 steiner t33's
+# levels 10-12); they fit in one.
 _POOL_WORK = 1 << 17  # rows x folded width below which a one-block level stays serial
 CSV_HEADER = "level,residual,max_dir_residual,wall_ms"
 
@@ -429,72 +432,85 @@ def _verdict(effs, tol, fired):
 
 # -- shared Riemann-sum engine -----------------------------------------------
 
-def _uniform(rng, lo, hi):
-    """rng.uniform(lo, hi) bit for bit: numpy computes it as lo + (hi - lo) * u."""
-    return lo + (hi - lo) * rng.random(len(lo))
+def _uniform(u, lo, hi):
+    """rng.uniform(lo, hi) bit for bit, given u = rng.random(len(lo))."""
+    return lo + (hi - lo) * u
 
 
-def _free_tags(a, b, t, gauge, rng):
-    """Seeded free tags of cells [a, b], each validity-checked for fineness.
-
-    A candidate that is not fine falls back to the cell's tag in ``t``.
-    """
+def _free_tags(a, b, gauge, u):
+    """Free candidate tags of cells [a, b] from draws u: uniform in each midpoint
+    m's window (m - delta(m), m + delta(m)), clipped to [0, 1]."""
     mid = (a + b) / 2.0
     radius = np.atleast_1d(gauge(mid))
-    lo = np.maximum(0.0, mid - radius)
-    hi = np.minimum(1.0, mid + radius)
-    tau = _uniform(rng, lo, hi)
-    return np.where(_window_fine(a, b, tau, gauge), tau, t)
+    return _uniform(u, np.maximum(0.0, mid - radius), np.minimum(1.0, mid + radius))
 
 
-def _probe_tag_sets(P, t0, gauge, rng, mode):
-    """Re-tagging variants for the tag-robustness probe and divergence hunt.
+def _probe_tag_sets(P, gauge, rng, mode, keep=False):
+    """Every tag set of one Cousin level P: the nominal, then the re-tagging probes.
 
-    Every variant keeps the cells and replaces tags cellwise, falling back
-    to the caller's tag ``t0`` where a candidate violates fineness, so each
-    variant is itself a valid delta-fine partition of the right kind.  A variant is
-    yielded as a block-maker: ``make(rows)`` gives its tags on the cells of
-    the slice ``rows``.  The makers share ``rng``, so each must be called on
-    the row blocks in order before the next one is taken; the seeded draws
-    then come in the order whole-array draws would.
+    A tag set is a block-maker: ``make(rows)`` takes the seeded draws of
+    the row block ``rows`` and returns a function making its tags from them
+    and the block's ends, tags and widths (P.block) where it is evaluated.
+    The makers share ``rng``, so each must be called on the row blocks in
+    order before the next one; chunked rng.random draws equal a whole
+    draw.  The nominal is P's own tags in henstock mode, else seeded free
+    tags (_free_tags).  A probe replaces tags cellwise, falling back where a
+    candidate violates fineness to the build tag, or with ``keep`` to the
+    nominal free tag (then made at once and kept whole), so each variant is
+    a valid delta-fine partition of the right kind.
 
     Every henstock candidate lies in its cell [a, b], so a row with
-    w < gauge.lower(a) keeps it with no gauge call; only the other (open)
-    rows (a mask) are checked.  The free-mode window rule checks every row.
+    w < gauge.lower(a) keeps it with no gauge call; only a block's other
+    (open) rows are checked, found by its first probe and kept where at
+    most a sixteenth of its rows.  The free-mode window rule checks all.
     """
-    a, b, w = P.a, P.b, P.widths
     henstock = mode == "henstock"
-    open_rows = np.empty(len(a) if henstock else 0, dtype=bool)
-    for rows in (slice(lo, lo + _ROW_BLOCK) for lo in range(0, len(open_rows), _ROW_BLOCK)):
-        np.logical_not(w[rows] < gauge.lower(a[rows]), out=open_rows[rows])
+    kept = np.empty(len(P)) if keep and not henstock else None
+    opened = {}  # each row block's open rows where few; a race only finds them twice
 
-    def fine_or_build_tag(candidates):
+    def fine_or(candidates, draws=False, fallback=kept):
         def make(rows):
-            u = candidates(rows)
-            if not henstock:
-                return np.where(_window_fine(a[rows], b[rows], u, gauge), u, t0[rows])
-            lo = rows.indices(len(a))[0]
-            i = lo + np.flatnonzero(open_rows[rows])  # the open rows of the block, in order
-            if len(i):
-                bad = i[~(w[i] < np.atleast_1d(gauge(u[i - lo])))]
-                u[bad - lo] = t0[bad]
-            return u
+            u = rng.random(len(range(*rows.indices(len(P))))) if draws else None
+
+            def tags():
+                a, b, t, w = P.block(rows)
+                x = candidates(a, b, w, u)
+                if not henstock:
+                    return np.where(_window_fine(a, b, x, gauge), x,
+                                    t() if fallback is None else fallback[rows])
+                i = opened.get(rows.start)
+                if i is None:
+                    i = np.flatnonzero(~(w < gauge.lower(a))).astype(np.uint16)
+                    if 16 * len(i) <= len(w):
+                        opened[rows.start] = i
+                if len(i):
+                    bad = i[~(w[i] < np.atleast_1d(gauge(x[i])))]
+                    x[bad] = t(bad)
+                return x
+            return tags
         return make
 
-    for _ in range(8):  # seeded in-cell / in-window re-tags
+    def nominal(rows):
         if henstock:
-            yield fine_or_build_tag(lambda rows: _uniform(rng, a[rows], b[rows]))
-        else:  # _free_tags applies the window rule and falls back to t0
-            yield lambda rows: _free_tags(a[rows], b[rows], t0[rows], gauge, rng)
+            return lambda: P.block(rows)[2]()
+        if kept is None:
+            return free(rows)
+        kept[rows] = tags = free(rows)()  # the probes' fallback, made before them
+        return tags
 
+    free = fine_or(lambda a, b, w, u: _free_tags(a, b, gauge, u), True, None)
+    yield nominal
+    for _ in range(8):  # seeded in-cell / in-window re-tags
+        yield fine_or(lambda a, b, w, u: _uniform(u, a, b) if henstock
+                      else _free_tags(a, b, gauge, u), True)
     # deterministic near-edge ladder; geometric approach to the left edge
     for i in (1, 2, 3, 4, 6, 8):
-        yield fine_or_build_tag(lambda rows, s=4.0 ** (-i): a[rows] + w[rows] * s)
+        yield fine_or(lambda a, b, w, u, s=4.0 ** (-i): a + w * s)
     for i in (1, 2, 4, 8):
-        yield fine_or_build_tag(lambda rows, s=4.0 ** (-i): b[rows] - w[rows] * s)
+        yield fine_or(lambda a, b, w, u, s=4.0 ** (-i): b - w * s)
     if not henstock:
         for i in (2, 4, 6, 8):  # free tags may leave the cell toward 0
-            yield fine_or_build_tag(lambda rows, s=4.0 ** (-i): a[rows] * s)
+            yield fine_or(lambda a, b, w, u, s=4.0 ** (-i): a * s)
 
 
 def _weighted(v, w):
@@ -558,7 +574,9 @@ def _fsum_at_most(parts, ref):
 # -- the evaluation pool -----------------------------------------------------
 
 _POOLED = weakref.WeakSet()  # evaluators the library built: effect-free and thread-safe
-_IN_FLIGHT = 2  # row blocks handed to the pool and not yet taken back
+# tasks handed to the pool and not yet taken back: a pooled level holds its own arrays, at most
+# _IN_FLIGHT tasks' work (each the serial loop's, tags made in the task) and the next task's draws
+_IN_FLIGHT = 2
 
 
 def _pooled(fn, *parts):
@@ -599,8 +617,9 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's t
 def _level_stream(n, makers, eval_blocks, blocks, reduce, finish):
     """Every tag set of one level of n rows, made, evaluated and reduced in row blocks.
 
-    make(rows) in ``makers`` gives a tag set's tags of cells ``rows``; it is
-    called here block after block, so rng draws keep order.  A block of tag set
+    make(rows) in ``makers`` gives a tag set's tags of cells ``rows``, or a
+    function that makes them where the block is evaluated; make is called
+    here block after block, so rng draws keep order.  A block of tag set
     i is reduced as reduce(i, rows, eval_blocks(tags, ks), ks), ks the blocks
     live as it starts; finish(i, parts, live) gets the set's reductions in row
     order and returns the blocks to go on with (none ends the stream).  No
@@ -620,7 +639,7 @@ def _level_stream(n, makers, eval_blocks, blocks, reduce, finish):
         try:
             for i, rows, ts in items:
                 ks = live
-                vals = eval_blocks(ts, ks)
+                vals = eval_blocks(ts() if callable(ts) else ts, ks)
                 if not (i or rows.start) and eval_blocks in _POOLED and (n > _ROW_BLOCK or n * sum(
                         _folded(vals[k]).shape[1] for k in ks) >= _POOL_WORK):
                     pool = _pool()
@@ -657,7 +676,8 @@ def _level_stream(n, makers, eval_blocks, blocks, reduce, finish):
             for lo in range(0, n, _ROW_BLOCK):
                 rows = slice(lo, lo + _ROW_BLOCK)
                 task.append((i, rows, make(rows)))
-                if (pool is None or sum(len(x[2]) for x in task) >= _ROW_BLOCK) and not flush():
+                if (pool is None or sum(min(n, x[1].stop) - x[1].start for x in task) >= _ROW_BLOCK
+                        ) and not flush():
                     return
         if task and not flush():
             return
@@ -670,12 +690,12 @@ def _level_stream(n, makers, eval_blocks, blocks, reduce, finish):
                 f.exception()  # wait for a running task; its error, if any, is dropped
 
 
-def _level_sums(w, tags, probes, eval_blocks, blocks, ms, visit, cells=None, worst=None):
+def _level_sums(n, widths, makers, eval_blocks, blocks, ms, visit, cells=None, worst=None):
     """Each tag set's sums of one Cousin level, handed to visit(i, {block: sums}) in order.
 
-    The tag sets are the nominal ``tags`` (i = 0), then the block-makers
-    ``probes``; w holds the N widths, and visit returns the blocks to go on
-    with (_level_stream).  Nominal column sums (``cells`` None) are
+    The tag sets are the block-makers ``makers``, the nominal (i = 0) first,
+    over n rows; widths(rows) gives a row block's widths, and visit returns
+    the blocks to go on with (_level_stream).  Nominal column sums (``cells`` None) are
     _fsum_columns of the whole (N, m) term array, from what _extract keeps
     of each row block: its pass totals, or its terms past the limit.  A probe's
     column sums tree-sum its row blocks' tree sums, the whole array's bits:
@@ -688,18 +708,16 @@ def _level_sums(w, tags, probes, eval_blocks, blocks, ms, visit, cells=None, wor
     max gaps (_gaps); given ``worst`` {block: running worst sum}, a probe
     that _fsum_at_most shows cannot pass its worst gets that worst.
     """
-    n = len(w)
-
     def reduce(i, rows, vals, ks):
-        out = {}
+        out, w = {}, widths(rows)
         for k in ks:
             v = _folded(vals[k])
             if cells is not None:
-                out[k] = _gaps(cells[k][rows], vals[k], w[rows])
+                out[k] = _gaps(cells[k][rows], vals[k], w)
             elif i:
-                out[k] = _tree_sum_weighted(v, w[rows])
+                out[k] = _tree_sum_weighted(v, w)
             else:
-                out[k] = _extract(v, [], w[rows])
+                out[k] = _extract(v, [], w)
         return out
 
     def finish(i, parts, ks):
@@ -710,7 +728,7 @@ def _level_sums(w, tags, probes, eval_blocks, blocks, ms, visit, cells=None, wor
         return visit(i, {k: _widened(_tree_sum_columns(np.array(p)) if i else _fsum_totals(
             [t for ts in p for t in ts], ms[k]), ms[k]) for k, p in cols.items()})
 
-    _level_stream(n, [lambda rows: tags[rows], *probes], eval_blocks, blocks, reduce, finish)
+    _level_stream(n, makers, eval_blocks, blocks, reduce, finish)
 
 
 def _new_run(m):
@@ -773,9 +791,11 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None):
         left-first tags, rng salt 7702, and probes that in free mode fall
         back to the nominal free tags.
 
-    Every tag set is taken in row blocks (_level_sums).  A level's
-    ``wall_ms`` is that of the whole shared level, recorded on every block
-    that ran it.  Returns one run dict per block.
+    A level is built as codes (cousin_build) and read in row blocks only:
+    tag sets (_probe_tag_sets), their sums (_level_sums) and a variational
+    block's primitive side (_primitive_side).  A level's ``wall_ms`` is that
+    of the whole shared level, recorded on every block that ran it.
+    Returns one run dict per block.
     """
     variational = phis is not None
     runs = [_new_run(m) for m in ms]
@@ -786,9 +806,8 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None):
         t0 = time.perf_counter()
         P = cousin_build(gauge, tag_order="left" if variational else "mid")
         rng = np.random.default_rng([seed, 7702 if variational else 7701, n])
-        tags = P.t if mode == "henstock" else _free_tags(P.a, P.b, P.t, gauge, rng)
         # the primitive side of a variational sum depends only on the cells
-        cells = {k: phis[k].query_batch(P.a, P.b) for k in live} if variational else None
+        cells = {k: _primitive_side(phis[k], P, ms[k]) for k in live} if variational else None
         nominal, worst, spreads = {}, {}, {k: np.zeros(ms[k]) for k in live}  # worst: max |sum|
 
         def visit(i, sums):
@@ -802,16 +821,28 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None):
                     np.maximum(spreads[k], np.abs(s - nominal[k]), out=spreads[k])
             return [k for k in sums if not (variational and i and worst[k] > runs[k]["bound"])]
 
-        probes = _probe_tag_sets(P, tags if variational else P.t, gauge, rng, mode)
-        _level_sums(P.widths, tags, probes, eval_blocks, live, ms, visit, cells, worst)
+        makers = _probe_tag_sets(P, gauge, rng, mode, keep=variational)
+        _level_sums(len(P), P.widths_at, makers, eval_blocks, live, ms, visit, cells, worst)
         wall_ms = (time.perf_counter() - t0) * 1e3
         value = worst if variational else nominal
         for k in list(live):
             spread = worst[k] - nominal[k] if variational else spreads[k]
             if _record(runs[k], n, len(P), value[k], spread, worst[k], wall_ms):
                 live.remove(k)
-        del P, tags, cells, probes  # this level's arrays go before the next build
+        del P, cells, makers  # this level's arrays go before the next build
     return runs
+
+
+def _primitive_side(phi, P, m):
+    """phi.query_batch(P.a, P.b), (N, m), queried a row block at a time (each row is
+    its own query); a broadcast (_folded) first block keeps one column."""
+    out = None
+    for lo in range(0, len(P), _ROW_BLOCK):
+        q = phi.query_batch(*P.block(slice(lo, lo + _ROW_BLOCK))[:2])
+        if out is None or _folded(q).shape[1] > out.shape[1]:  # first, or wider than it
+            out = np.empty((len(P), _folded(q).shape[1])) if out is None else np.repeat(out, m, 1)
+        out[lo:lo + _ROW_BLOCK] = q[:, :out.shape[1]]
+    return out if out.shape[1] == m else np.broadcast_to(out, (len(P), m))
 
 
 def _one_block(eval_fn):
@@ -1082,20 +1113,22 @@ def variational_measure_estimate(phi, E, schedule, seed=0):
     the one the restarts give run one after another.  Estimates are a
     lower surrogate for the sup in Var and the sequence's last value a
     surrogate for the limit; flagged approximate.  A level whose packings
-    the loop guard cuts short has no estimate: PackingTruncated is raised,
-    before level 1 where check_packing can tell.
+    the loop guard cuts short, or where some lane's t stops advancing (a
+    gauge below half an ulp of t), has no estimate: PackingTruncated is
+    raised, before level 1 where check_packing can tell.
     """
     comps = normalize_set(E)
     check_packing(comps, schedule)
     estimates = []
     for n, gauge in enumerate(schedule.levels, start=1):
         rngs = [np.random.default_rng([seed, 55, n, r]) for r in range(_PACK_RESTARTS)]
-        values, cut = _pack_values(phi, comps, gauge, rngs)
-        if cut:
-            lo, hi = comps[cut[0]]
-            raise PackingTruncated(
-                f"level {n}: a greedy packing of [{lo!r}, {hi!r}] took "
-                f"{_PACK_MAX_ITEMS} steps without reaching its end", level=n)
+        values, cut, stop = _pack_values(phi, comps, gauge, rngs)
+        for short, why in ((stop, "stopped short: its gauge no longer moves t forward"),
+                           (cut, f"took {_PACK_MAX_ITEMS} steps without reaching its end")):
+            if short:
+                lo, hi = comps[short[0]]
+                raise PackingTruncated(
+                    f"level {n}: a greedy packing of [{lo!r}, {hi!r}] {why}", level=n)
         estimates.append(max(0.0, *values))
     return {
         "set": [(float(lo), float(hi)) for lo, hi in comps],
@@ -1214,25 +1247,26 @@ def _pack_values(phi, comps, gauge, rngs):
     t - f dt), min(1, t + f dt)] with dt = gauge(t).  An empty item moves t
     on by max(dt, 1e-12); a kept one moves the cursor to its right end and
     t to cursor + gauge(cursor) * U(0.5, 0.9), both capped at hi.  The lane
-    leaves the component when t reaches hi, an item reaches hi, t does not
-    advance, or after _PACK_MAX_ITEMS steps; so a point (lo == hi) is one
+    leaves the component when t reaches hi or an item reaches hi; it stops
+    short where t does not advance, or after _PACK_MAX_ITEMS steps; so a point (lo == hi) is one
     step at tag hi.  Under a constant gauge of at least 1e-12, points
     included, each lane's steps through a component are partial sums
     (_const_walk).  Any other gauge, a constant one below 1e-12 included,
     is walked one lane and one step at a time by this rule (_lane_walk).
     Both give each lane the items of its scalar walk, bit for bit.  A
     lane's value is the sum of d_H(Phi(I), 0) over its items.  Returns the
-    values and the sorted indices of the components that the guard stopped
-    some lane in before their end.
+    values and the sorted indices of the components that the guard cut some
+    lane in before their end, and of those where some lane's t stopped.
     """
+    stop = []  # t always advances under a constant gauge of at least 1e-12
     if gauge.const is not None and gauge.const >= 1e-12:
         lanes, cut = _const_walk(comps, gauge.const, rngs)
     else:
-        lanes, cuts = zip(*(_lane_walk(comps, gauge, rng) for rng in rngs))
-        cut = sorted(set().union(*cuts))
+        lanes, cuts, stops = zip(*(_lane_walk(comps, gauge, rng) for rng in rngs))
+        cut, stop = sorted(set().union(*cuts)), sorted(set().union(*stops))
     values = [_fsum(_row_max(np.abs(_folded(phi.query_batch(a, b))))) if len(a) else 0.0
               for a, b in lanes]
-    return values, cut
+    return values, cut, stop
 
 
 def _const_walk(comps, delta, rngs):
@@ -1303,14 +1337,15 @@ def _by_lane(items, n_lanes):
 
 
 def _lane_walk(comps, gauge, rng):
-    """One lane's items (a, b) under any gauge, and the components the guard cut.
+    """One lane's items (a, b) under any gauge, the components the guard cut, and
+    those where the lane stopped short: a kept item's next t did not advance.
 
     The lane takes _pack_values' steps one at a time, with its draws from
     its own rng; dt is a constant gauge's value, or any other gauge called
     at the step's point.
     """
     at = (lambda t: gauge.const) if gauge.const is not None else (lambda t: float(gauge(t)))
-    a, b, cut = [], [], []
+    a, b, cut, stop = [], [], [], []
     cursor = 0.0
     for i, (lo, hi) in enumerate(comps):
         t = max(lo, cursor)
@@ -1328,6 +1363,7 @@ def _lane_walk(comps, gauge, rng):
                     break
                 t_next = min(hi, cursor + at(cursor) * rng.uniform(0.5, 0.9))
                 if t_next <= t:
+                    stop.append(i)
                     break
             else:  # an empty item: t moves on by dt, at least 1e-12
                 t_next = min(hi, t + max(dt, 1e-12))
@@ -1336,7 +1372,7 @@ def _lane_walk(comps, gauge, rng):
             t = t_next
         else:  # still inside the component after the guard's last step
             cut.append(i)
-    return (np.array(a), np.array(b)), cut
+    return (np.array(a), np.array(b)), cut, stop
 
 
 def _built_primitives(eval_blocks, grid, gauge, blocks):

@@ -351,6 +351,18 @@ def test_packing_too_fine_below_1e_12_fails_before_any_walk(runner, tmp_path, mo
     assert not list(tmp_path.iterdir())
 
 
+def test_packing_whose_t_stops_is_an_error_not_a_zero(runner, tmp_path):
+    # from level 52 (delta 2^-54) the gauge is within half an ulp of 0.5: a lane's t stops at its
+    # first kept item.  This printed final: 0.000000e+00 and exited 0
+    res = runner.invoke(main, ["varmeasure", "G2", "--set", "0.5:0.50000000000001",
+                               "--levels", "56", "--out", str(tmp_path)])
+    assert res.exit_code == 1 and res.output.count("\n") == 1
+    assert res.output == ("Error: the schedule is too fine for greedy packing: level 52: a "
+                          "greedy packing of [0.5, 0.50000000000001] stopped short: its gauge "
+                          "no longer moves t forward\n")
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("args", [
     ["integrate", "G6", "--levels", "2"],
     ["decompose", "G6"],

@@ -26,8 +26,9 @@ from gaugeset.partitions import Gauge
 
 
 def _greedy_pack_value(phi, comps, gauge, rng):
-    """One packing's value and the components its guard stopped it in before their end."""
-    items_a, items_b, cut = [], [], []
+    """One packing's value, the components its guard stopped it in before their end,
+    and those where its t stopped advancing."""
+    items_a, items_b, cut, stop = [], [], [], []
     cursor = 0.0
     for i, (lo, hi) in enumerate(comps):
         t = max(lo, cursor)
@@ -66,50 +67,53 @@ def _greedy_pack_value(phi, comps, gauge, rng):
             step = float(gauge(cursor)) * rng.uniform(0.5, 0.9)
             t_next = min(hi, cursor + step)
             if t_next <= t:
+                stop.append(i)
                 break
             t = t_next
         else:  # t <= hi throughout, so the guard ended the walk
             cut.append(i)
     if not items_a:
-        return 0.0, cut
+        return 0.0, cut, stop
     V = phi.query_batch(np.asarray(items_a), np.asarray(items_b))
-    return it._fsum(it._row_max(np.abs(V))), cut
+    return it._fsum(it._row_max(np.abs(V))), cut, stop
 
 
 def oracle_levels(phi, E, schedule, seed):
-    """Per level: the best packing value and the components any restart was cut in."""
+    """Per level: the best packing value, the components any restart was cut in,
+    and those where any restart's t stopped."""
     comps = normalize_set(E)
     levels = []
     for n, gauge in enumerate(schedule.levels, start=1):
-        best, cut = 0.0, set()
+        best, cut, stop = 0.0, set(), set()
         for r in range(it._PACK_RESTARTS):
             rng = np.random.default_rng([seed, 55, n, r])
-            value, lane_cut = _greedy_pack_value(phi, comps, gauge, rng)
+            value, lane_cut, lane_stop = _greedy_pack_value(phi, comps, gauge, rng)
             best = max(best, value)
             cut.update(lane_cut)
-        levels.append((best, sorted(cut)))
+            stop.update(lane_stop)
+        levels.append((best, sorted(cut), sorted(stop)))
     return levels
 
 
 def oracle_estimates(phi, E, schedule, seed):
-    return [best for best, _ in oracle_levels(phi, E, schedule, seed)]
+    return [best for best, _, _ in oracle_levels(phi, E, schedule, seed)]
 
 
 def assert_packing_equals_oracle(phi, E, schedule, seed):
-    """_pack_values level by level equals the oracle, guard cuts included.
+    """_pack_values level by level equals the oracle, guard cuts and stops included.
 
     variational_measure_estimate then gives the oracle's estimates, or
-    raises PackingTruncated when some level was cut.
+    raises PackingTruncated when some level was cut or stopped short.
     """
     want = oracle_levels(phi, E, schedule, seed)
     comps = normalize_set(E)
     got = []
     for n, gauge in enumerate(schedule.levels, start=1):
         rngs = [np.random.default_rng([seed, 55, n, r]) for r in range(it._PACK_RESTARTS)]
-        values, cut = it._pack_values(phi, comps, gauge, rngs)
-        got.append((max(0.0, *values), cut))
+        values, cut, stop = it._pack_values(phi, comps, gauge, rngs)
+        got.append((max(0.0, *values), cut, stop))
     assert got == want
-    cut_levels = [n for n, (_, cut) in enumerate(want, start=1) if cut]
+    cut_levels = [n for n, (_, cut, stop) in enumerate(want, start=1) if cut or stop]
     if cut_levels:
         with pytest.raises(PackingTruncated) as exc:
             variational_measure_estimate(phi, E, schedule, seed=seed)
@@ -117,7 +121,7 @@ def assert_packing_equals_oracle(phi, E, schedule, seed):
         assert exc.value.level in cut_levels
     else:
         got = variational_measure_estimate(phi, E, schedule, seed=seed)["estimates"]
-        assert got == [best for best, _ in want]
+        assert got == [best for best, _, _ in want]
     return cut_levels
 
 
@@ -170,7 +174,7 @@ def test_tiny_gauge_takes_the_empty_item_path(monkeypatch):
     [(0.45, 0.45 + 2e-11), (0.7, 0.9)],
     # at t = 0.5, t + f dt rounds to t but t - f dt does not: the item
     # [0.5 - ulp/2, 0.5] is kept, the next tag rounds back to 0.5, and the
-    # component ends because t did not advance
+    # lane stops short because t did not advance: the level is an error
     [(0.5, 0.55), (0.7, 0.9)],
 ])
 def test_rounding_paths_alike(monkeypatch, E):
@@ -222,7 +226,7 @@ def test_check_packing_flags_only_levels_the_guard_cuts(monkeypatch, max_items, 
         except PackingTruncated:
             flagged += 1
             rngs = [np.random.default_rng([0, 55, 1, r]) for r in range(it._PACK_RESTARTS)]
-            _, cut = it._pack_values(phi, comps, gauge, rngs)
+            _, cut, _ = it._pack_values(phi, comps, gauge, rngs)
             assert cut
     assert flagged  # the finest levels are flagged for every set here
 
@@ -260,6 +264,17 @@ def test_check_packing_leaves_gauges_below_2_to_the_minus_52_to_the_walk(monkeyp
     check_packing(SHORT, GaugeSchedule((gauge,)))
     rngs = [np.random.default_rng([0, 55, 1, r]) for r in range(it._PACK_RESTARTS)]
     assert it._pack_values(_phi("G2"), normalize_set(SHORT), gauge, rngs)[1] == []
+
+
+def test_a_lane_whose_t_stops_is_reported_stopped_short():
+    # at 0.5, 4e-17 is under half an ulp: a kept item ends at t and the next
+    # tag rounds back to t.  The lane stops there, and says so
+    rng = np.random.default_rng([0, 55, 1, 0])
+    (a, b), cut, stop = it._lane_walk([(0.5, 0.5 + 1e-10)], Gauge.constant(4e-17), rng)
+    assert cut == [] and stop == [0] and len(a) == len(b) == 1
+    with pytest.raises(PackingTruncated, match=r"^level 1: a greedy packing of \[0.5, "
+                       r"0.5000000001\] stopped short: its gauge no longer moves t forward$"):
+        variational_measure_estimate(_phi("G2"), SHORT, GaugeSchedule((Gauge.constant(4e-17),)))
 
 
 def test_a_cut_walk_names_its_component_by_repr(monkeypatch):

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from gaugeset import corpus, decomposition
 from gaugeset import integrators as it
 from gaugeset.convex_sets import Primitive
-from gaugeset.partitions import TaggedPartition, cousin_build
+from gaugeset.partitions import Gauge, TaggedPartition, cousin_build
 
 B = it._ROW_BLOCK
 
@@ -39,13 +39,14 @@ def _traced_peak(fn):
 
 
 def test_cousin_build_peak_is_a_small_multiple_of_its_output():
-    # 1,075,912 cells, 24.6 MiB of a, b and t; a width array per depth, with
-    # the per-depth lists alive through the final concatenation, takes this
-    # to 3.8x, and merging the depths' runs by an argsort and gathers to 2.5x
+    # 1,075,912 cells.  Building a, b and t as whole arrays peaked at 1.35
+    # times their 24 bytes a cell (32.8 MiB); the build now keeps 2 bytes a
+    # cell, and its runs' codes and their concatenation beside bounded run
+    # arrays take it to 9.3 bytes a cell
     g = corpus.named_schedule("henstock-origin").levels[-1]
     P, peak = _traced_peak(lambda: cousin_build(g))
-    assert len(P) > 1_000_000
-    assert peak <= 1.5 * (P.a.nbytes + P.b.nbytes + P.t.nbytes)
+    assert len(P) > 1_000_000 and P.codes.nbytes == 2 * len(P)
+    assert peak <= 12 * len(P)
 
 
 @pytest.mark.parametrize("entry, run", [
@@ -57,14 +58,14 @@ def test_cousin_build_peak_is_a_small_multiple_of_its_output():
         mf, mf.exact_primitive(), corpus.named_schedule("uniform", levels=13), mode="free")),
 ], ids=["henstock", "vh", "vms"])
 def test_each_level_is_freed_before_the_next_build(monkeypatch, entry, run):
-    # the last probe maker's closure holds the partition's arrays; with the
-    # pool on, nor may a block's future or closure outlive its level
+    # the last probe maker's closure holds the partition and its codes; with
+    # the pool on, nor may a block's future or closure outlive its level
     build, refs, alive = it.cousin_build, [], []
 
     def hooked(*args, **kwargs):
         alive.append(sum(r() is not None for r in refs))
         P = build(*args, **kwargs)
-        refs[:] = [weakref.ref(x) for x in (P.a, P.b, P.t)]
+        refs[:] = [weakref.ref(x) for x in (P, P.codes)]
         return P
 
     monkeypatch.setattr(it, "cousin_build", hooked)
@@ -75,16 +76,39 @@ def test_each_level_is_freed_before_the_next_build(monkeypatch, entry, run):
 
 
 def test_henstock_level_loop_peak_is_bounded():
-    # G1's finest level is 1,075,912 cells (24.6 MiB of a, b, t); evaluating
-    # the nominal over the whole level takes the run to 4.3x that, and a
-    # width array per read of P.widths plus a whole-level index of the
-    # probes' open rows to 2.1x (1.6x now)
+    # G1's finest level is 1,075,912 cells.  Evaluating the nominal over the
+    # whole level took the run to 103 bytes a cell, and whole-level a, b, t,
+    # widths and open rows to 38; the level is now its 2-byte codes, read in
+    # row blocks, and the run peaks at 12.5 bytes a cell, most of it bounded
     G1 = corpus.corpus_get("G1")
     sched = corpus.named_schedule("henstock-origin")
     rep, peak = _traced_peak(lambda: it.henstock_integrate(G1, sched, 1e-3))
     cells = rep.levels[-1].n_items
     assert cells > 1_000_000
-    assert peak <= 2.0 * 3 * 8 * cells
+    assert peak <= 16 * cells
+
+
+def _cubic(c):
+    """A cubic origin branch: delta(0) = 0.03, delta(t) = c t^3, bounded on cells."""
+    return Gauge("callable", fn=lambda ts: np.where(ts <= 0.0, 0.03, c * ts * ts * ts),
+                 name=f"cubic({c:g})", lower=lambda a: c * a * a * a,
+                 upper=lambda a, b: np.where(a > 0.0, c * b * b * b, np.inf))
+
+
+def test_henstock_peak_grows_by_a_few_bytes_per_finest_cell():
+    # two G1 runs of two cubic-gauge levels, 297,682 and 1,444,597 cells at
+    # the finest: with whole-level arrays the peak grew by 33 bytes a cell;
+    # with 2-byte codes read in row blocks it grows by about 4.6, the build's
+    # codes and their concatenation
+    G1 = corpus.corpus_get("G1")
+    runs = []
+    for cs in ((2e-2, 1e-2), (4e-3, 2e-3)):
+        sched = it.GaugeSchedule(tuple(_cubic(c) for c in cs), name="cubic")
+        rep, peak = _traced_peak(lambda: it.henstock_integrate(G1, sched, 1e-3))
+        runs.append((rep.levels[-1].n_items, peak))
+    (small, p_small), (big, p_big) = runs
+    assert big - small > 1_000_000
+    assert p_big - p_small <= 6 * (big - small)
 
 
 def test_a_wide_block_holds_its_values_and_chunks_only(monkeypatch):
@@ -93,9 +117,18 @@ def test_a_wide_block_holds_its_values_and_chunks_only(monkeypatch):
     # subtracting the remainder into a new array took the serial run to 2.9x
     # the values (46.6 MiB); a block now holds its values and chunk-sized
     # temporaries only (1.18-1.22x).  Pooled, _IN_FLIGHT such blocks run at
-    # once, so the run peaks at 1.86x its serial peak, not within 1.1x: a
-    # block's rows cannot be split without moving the BLAS bits of its
-    # Steiner pick (ROADMAP item 8)
+    # once: a block's rows cannot be split without moving the BLAS bits of
+    # its Steiner pick (ROADMAP item 8).  The serial peak is the level's own
+    # arrays L plus one task's work E: its tags, made in the task, and its
+    # block's evaluation and sums.  Pooled, at most _IN_FLIGHT tasks run, and
+    # the calling thread holds beside them only the next task's seeded
+    # draws D, 8 bytes a row of fewer than 2 _ROW_BLOCK rows, so the peak is
+    # at most L + _IN_FLIGHT E + D <= _IN_FLIGHT (L + E) + D.  The bound
+    # asserted was _IN_FLIGHT (L + E) alone, which held only while L covered
+    # what the calling thread made meanwhile: the next block's whole tags
+    # and their temporaries, about 1.5 MiB against an L of 0.9 MiB, so it
+    # failed when they met two tasks' peaks.  The tags are now made in the
+    # task; the run peaks at 1.94x its serial peak
     G4 = corpus.corpus_get("G4")
     G, _ = decomposition.subtract_selection(G4, decomposition.steiner_selection(G4))
     sched = corpus.named_schedule("uniform")
@@ -107,7 +140,7 @@ def test_a_wide_block_holds_its_values_and_chunks_only(monkeypatch):
             rep, peaks[name] = _traced_peak(lambda: it.mcshane_integrate(G, sched, 1e-3))
             assert rep.levels[-1].n_items == B
     assert peaks["serial"] <= 1.4 * values
-    assert peaks["pooled"] <= it._IN_FLIGHT * peaks["serial"]
+    assert peaks["pooled"] <= it._IN_FLIGHT * peaks["serial"] + 8 * 2 * B
 
 
 def _weighted_case(n, m, seed):
@@ -132,7 +165,8 @@ def test_query_batch_peak_is_a_small_multiple_of_its_output():
     g = corpus.named_schedule("vh-origin").levels[8]
     phi = it.build_primitive(G1, g)
     P = cousin_build(g, tag_order="left")
-    out, peak = _traced_peak(lambda: phi.query_batch(P.a, P.b))
+    a, b = P.a, P.b  # made before the trace
+    out, peak = _traced_peak(lambda: phi.query_batch(a, b))
     assert peak - out.nbytes <= 4.0 * out.nbytes
 
 
@@ -148,7 +182,8 @@ def test_query_batch_on_the_finest_vh_level_peaks_within_1_5x_its_output():
     G1, g = _finest_vh_level()
     phi = it.build_primitive(G1, g)
     P = cousin_build(g, tag_order="left")
-    out, peak = _traced_peak(lambda: phi.query_batch(P.a, P.b))
+    a, b = P.a, P.b  # made before the trace
+    out, peak = _traced_peak(lambda: phi.query_batch(a, b))
     assert len(P) > 500_000 and peak <= 1.5 * out.nbytes
     p = phi._prefix_at(np.concatenate((P.a[:1], P.b)))  # the whole level's edges at once
     assert out.tobytes() == (p[1:] - p[:-1]).tobytes()
@@ -161,7 +196,8 @@ def _primitive_bytes(phi):
 def test_build_primitive_peaks_within_1_6x_its_arrays():
     # sorting sorted cells, gathering copies of them and checking whole-array
     # temporaries took the level-12 build to 2.87x the primitive (89.7 MiB);
-    # the Primitive now keeps the partition's a and widths and the terms (1.41x)
+    # the Primitive now keeps the partition's a and widths and the terms (1.49x;
+    # 1.41x before the partition's whole arrays were expanded from its codes)
     G1, g = _finest_vh_level()
     phi, peak = _traced_peak(lambda: it.build_primitive(G1, g))
     assert len(phi.cells[0]) > 500_000
@@ -199,7 +235,8 @@ def _outcome(fn):
 def _nominal(tags, w, eval_blocks, blocks, ms):
     """The library's exact nominal column sums of one level, {block: sums}."""
     out = {}
-    it._level_sums(w[:, 0], tags, (), eval_blocks, blocks, ms, lambda i, s: out.update(s) or [])
+    it._level_sums(len(w), lambda rows: w[rows, 0], [lambda rows: tags[rows]], eval_blocks,
+                   blocks, ms, lambda i, s: out.update(s) or [])
     return out
 
 

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,8 @@ from gaugeset.corpus import named_schedule
 from gaugeset.errors import DepthExceeded, GaugeNotPositive
 from gaugeset.integrators import origin_schedule
 from gaugeset.partitions import (
+    _MAX_DEPTH,
+    _ROW_BLOCK,
     Gauge,
     MeasurablePartition,
     TaggedPartition,
@@ -86,31 +89,14 @@ def test_schedule_monotonicity_check_is_exact():
         origin_schedule(1.0, 1.0, 0.1, 1.0 + 2.0 ** -50, levels=3)
 
 
-def _raw_builds(monkeypatch, build):
-    """The (a, b, t) arrays each cousin_build in ``build()`` hands TaggedPartition."""
-    raw = []
-
-    def record(a, b, t):
-        raw.append((a.copy(), b.copy(), t.copy()))
-        return TaggedPartition(a, b, t)
-
-    monkeypatch.setattr(partitions, "TaggedPartition", record)
-    build()
-    monkeypatch.undo()
-    return raw
-
-
 @pytest.mark.parametrize("schedule_id", ["uniform", "henstock-origin", "vh-origin"])
 @pytest.mark.parametrize("tag_order", ["mid", "left"])
-def test_cousin_build_emits_each_depth_in_order(monkeypatch, schedule_id, tag_order):
+def test_cousin_build_emits_each_depth_in_order(schedule_id, tag_order):
     levels = named_schedule(schedule_id, levels=9).levels
-    raw = _raw_builds(monkeypatch, lambda: [cousin_build(g, tag_order=tag_order)
-                                            for g in levels])
-    assert len(raw) == len(levels)
-    for a, b, t in raw:
+    for P in (cousin_build(g, tag_order=tag_order) for g in levels):
         # the depths' runs come merged: each cell abuts the next, so every
         # depth's cells, and all of them, are in increasing order
-        assert np.all(b > a) and np.array_equal(a[1:], b[:-1])
+        assert np.all(P.b > P.a) and np.array_equal(P.a[1:], P.b[:-1])
 
 
 def _per_depth_build(g, tag_order):
@@ -300,6 +286,149 @@ def test_gauge_bounds_keep_every_cousin_cell(schedule_id, tag_order):
         bare = cousin_build(Gauge.from_callable(g), tag_order=tag_order)
         for x, y in ((P.a, bare.a), (P.b, bare.b), (P.t, bare.t)):
             assert x.tobytes() == y.tobytes()
+
+
+# -- pins of the build: its cells, tags and errors --------------------------------
+
+def _cubic(c):
+    """A cubic origin branch: delta(0) = 0.03, delta(t) = c t^3, bounded on cells."""
+    return Gauge("callable", fn=lambda ts: np.where(ts <= 0.0, 0.03, c * ts * ts * ts),
+                 name=f"cubic({c:g})", lower=lambda a: c * a * a * a,
+                 upper=lambda a, b: np.where(a > 0.0, c * b * b * b, np.inf))
+
+
+def _pinned_builds():
+    levels = {k: named_schedule(k).levels for k in ("uniform", "henstock-origin", "vh-origin")}
+    return {
+        "uniform-1": (levels["uniform"][0], "mid"),
+        "uniform-12": (levels["uniform"][11], "mid"),
+        "step-one": (Gauge.step([0.0, 1.0], [0.01]), "mid"),
+        "step-multi": (Gauge.step([0.0, 0.2, 0.55, 0.6, 1.0], [0.05, 0.003, 1e-4, 0.02]), "left"),
+        "henstock-origin-12": (levels["henstock-origin"][11], "mid"),
+        "vh-origin-12": (levels["vh-origin"][11], "left"),
+        "cubic-1e-3": (_cubic(1e-3), "mid"),
+        "callable": (Gauge.from_callable(lambda ts: 1e-8 + 1e-4 * np.abs(np.sin(7.0 * ts))), "mid"),
+    }
+
+
+# cells and SHA-256 of the bytes of a, b and t, as the whole-array build gave them
+PINNED_BUILDS = {
+    "uniform-1": (16, "9edec0dd4324a60bd1a110f98d2530c22aab1f8ea789d2915b3c1a796689b211",
+                  "02d6a3839ab1b53196a272b7ab14e30fe00fea18de3d14c0e4dae640758578fa",
+                  "ca68f2380e6c984b8e39442838183eb84aeac0c3e258003339610d67a6f1a45b"),
+    "uniform-12": (32768, "8cedff4e562eed26e453c89a2b65420d5acc5ecc3dae3de666f0ffe989b016e0",
+                   "281c845a8784e00c5fcd05bf59b77ff9aa1a19c2eec33919666942704fa0767f",
+                   "29eefb63c7acff9614004854ef72d2fe8ca1e6b6a54a8a051bac285dbc60e776"),
+    "step-one": (128, "8e8e12b57dacd06f3d7aa29ac17d71bfc048d769d9a6d06ed36ecfa8f4b4ebcb",
+                 "eb7e27356ab21c41babf8c17152efbbc9f61e17bb30496214692248405b70ebd",
+                 "367d5f9c60b1a9bed56e4f32999867708671fbc7f16852b810283178628ac90c"),
+    "step-multi": (907, "18528b45896a4bc8d99dbf5cbb2a661719ce9ef7bac3047c0f6e5c5d291abf8f",
+                   "92352fdb6c05864116a3e8b717d9f60740913259ec55e87d42a66d89e0fedfde",
+                   "e830a8349e4186f75efcaef455b61391c0f4e24b73b63ccd284a415120444e75"),
+    "henstock-origin-12": (1075912,
+                           "966c66f6149c52354230e97d84cb168b1605c4591f21ec7471a2cb86063154be",
+                           "4419842e78e02ed999ead2649864dee8d5e0376a3d8c1166f74e01baf6053cb2",
+                           "70d67305c81d20dcb27518e0326dd5daa6928ccfdde55713fd12cbfe5d3961cd"),
+    "vh-origin-12": (585185, "e61b37b37998e6d426ddb406b61b8ef2476a18912d6c1642b6429e7aae55aa24",
+                     "bdc33714ecb41d3cb6afce6ae5d6e10150ef717100ea07caed35582320b01f06",
+                     "70ccde876365ec1debc60602426f1f0a1b5b5ad2b6a8300211143ab7e1e39456"),
+    "cubic-1e-3": (2889200, "5456219c5ca5dcbced9aa5e92433657a207456ba3e2a33ace064c1e198b2f0a2",
+                   "1231c1834571b86e3d05afb001232ece5e9d51dd60b915910acc9f45db2c7af5",
+                   "d8b61e88b32db1d36432ac4a8fe20f3a3bb4b2d4848e74c54977af76c766d4c7"),
+    "callable": (100320, "f8814e1ac680ae40d64bdb528912ba9ebe638ae794d781c5a1929078a170c047",
+                 "8ce2323c5f658d108e5a19f8c42f64cd01729136650cdd73f01ea5ad0da597f2",
+                 "2817f7a844033b4de06cd61b569df3bb6b9528dc653794f137b63cdd1bc84ae5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BUILDS))
+def test_cousin_build_keeps_its_pinned_bits(name):
+    g, tag_order = _pinned_builds()[name]
+    P = cousin_build(g, tag_order=tag_order)
+    got = (len(P), *(hashlib.sha256(x.tobytes()).hexdigest() for x in (P.a, P.b, P.t)))
+    assert got == PINNED_BUILDS[name]
+    assert len(P.codes) == len(P) and P.codes.nbytes == 2 * len(P)
+
+
+def _deep(depth):
+    """A gauge of 1.5 2^-depth at 0.7, growing as |t - 0.7| / 4 away from it: the
+    cells about 0.7 bisect down to ``depth``, where they are accepted."""
+    return Gauge.from_callable(lambda ts: np.maximum(1.5 * 2.0 ** -depth, np.abs(ts - 0.7) / 4.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["uniform-12", "step-multi", "vh-origin-12", "callable", "deepest"]),
+       st.one_of(st.just(_ROW_BLOCK), st.integers(0, 2 ** 20)), st.integers(0, 2 ** 16))
+def test_row_blocks_expand_to_the_whole_arrays_bits(name, split, length):
+    # the deepest build holds cells of depth _MAX_DEPTH, the deepest the build accepts
+    g, tag_order = (_deep(_MAX_DEPTH), "mid") if name == "deepest" else _pinned_builds()[name]
+    P = cousin_build(g, tag_order=tag_order)
+    lo, hi = min(split, len(P)), min(split + length, len(P))
+    whole = (P.a, P.b, P.t, P.widths)
+    for rows in (slice(0, lo), slice(lo, hi), slice(hi, len(P))):
+        a, b, tags, w = P.block(rows)
+        for x, y in zip((a, b, tags(), w), whole):
+            assert x.tobytes() == y[rows].tobytes()
+        some = np.arange(len(a))[::7]  # the tags of some of the block's rows alone
+        assert tags(some).tobytes() == P.t[rows][some].tobytes()
+    if name == "deepest":
+        assert P.widths.min() == 2.0 ** -_MAX_DEPTH and is_delta_fine(P, g, require_perron=True)
+    assert tiles(P) and np.all(P.widths == 2.0 ** -(P.codes >> 8).astype(float))
+
+
+# (str, depth, active_cells) of the DepthExceeded that the whole-depth build raised, by
+# schedule (level 12) and (max_depth, cell_budget); the tag order and the gauge's bounds
+# change none.  The budgets of 10^5 and more are passed by depths of several runs
+PINNED_ERRORS = {
+    "henstock-origin": {
+        (5, 16): ("active cell count 32 exceeds budget at depth 5", 5, 32),
+        (5, 1000): ("no acceptance after depth 5 (64 cells active)", 5, 64),
+        (5, 100000): ("no acceptance after depth 5 (64 cells active)", 5, 64),
+        (12, 16): ("active cell count 32 exceeds budget at depth 5", 5, 32),
+        (12, 1000): ("active cell count 1020 exceeds budget at depth 10", 10, 1020),
+        (12, 100000): ("no acceptance after depth 12 (6856 cells active)", 12, 6856),
+        (20, 16): ("active cell count 32 exceeds budget at depth 5", 5, 32),
+        (20, 1000): ("active cell count 1020 exceeds budget at depth 10", 10, 1020),
+        (20, 100000): ("no acceptance after depth 20 (102024 cells active)", 20, 102024),
+        (40, 100000): ("active cell count 102024 exceeds budget at depth 21", 21, 102024),
+        (40, 300000): ("active cell count 309798 exceeds budget at depth 25", 25, 309798),
+    },
+    "vh-origin": {
+        (5, 16): ("active cell count 32 exceeds budget at depth 5", 5, 32),
+        (5, 1000): ("no acceptance after depth 5 (64 cells active)", 5, 64),
+        (5, 100000): ("no acceptance after depth 5 (64 cells active)", 5, 64),
+        (12, 16): ("active cell count 32 exceeds budget at depth 5", 5, 32),
+        (12, 1000): ("active cell count 1008 exceeds budget at depth 10", 10, 1008),
+        (12, 100000): ("no acceptance after depth 12 (8064 cells active)", 12, 8064),
+        (20, 16): ("active cell count 32 exceeds budget at depth 5", 5, 32),
+        (20, 1000): ("active cell count 1008 exceeds budget at depth 10", 10, 1008),
+        (20, 100000): ("no acceptance after depth 20 (131070 cells active)", 20, 131070),
+        (40, 100000): ("active cell count 131070 exceeds budget at depth 21", 21, 131070),
+    },
+}
+
+
+@pytest.mark.parametrize("schedule_id", sorted(PINNED_ERRORS))
+@pytest.mark.parametrize("tag_order", ["mid", "left"])
+def test_cousin_build_raises_its_pinned_errors(schedule_id, tag_order):
+    g = named_schedule(schedule_id).levels[11]
+    for gauge in (g, Gauge.from_callable(g)):
+        for (max_depth, cell_budget), want in PINNED_ERRORS[schedule_id].items():
+            assert _raised(lambda: cousin_build(gauge, max_depth=max_depth, tag_order=tag_order,
+                                                cell_budget=cell_budget)) == want
+
+
+def test_a_gauge_that_turns_non_positive_deep_in_a_build_is_named():
+    # positive at every construction probe, negative on a slit about the midpoint of
+    # one width-2^-22 cell; that depth holds 2^16 cells, two runs, and the slit is in the second
+    lo, hi, slit = 0.25, 0.25 + 2.0 ** -6, 0.25 + 2.0 ** -7 + 2.0 ** -23
+
+    def fn(ts):  # 2^-21 on [lo, hi], growing away from it
+        out = 2.0 ** -21 + np.maximum(0.0, np.maximum(lo - ts, ts - hi)) / 4.0
+        return np.where(np.abs(ts - slit) < 2.0 ** -30, -1.0, out)
+
+    with pytest.raises(GaugeNotPositive, match=f"^gauge evaluated to -1.0 at t={slit!r}$"):
+        cousin_build(Gauge.from_callable(fn))
 
 
 # -- the bisection budget before a build ------------------------------------------

@@ -43,6 +43,9 @@ ALLOWED = {
                                       "and probe checks the bounded ones must equal",
     "partitions.is_delta_fine": "claim: Cousin's lemma, every cousin_build partition "
                                 "is delta-fine and Perron",
+    "partitions.TaggedPartition": "claim: a tagged partition {(I_i, t_i)} of explicit cells "
+                                  "and tags, which is_delta_fine checks; oracle: the "
+                                  "whole-array levels that row-block sums must equal",
 }
 
 

@@ -173,7 +173,8 @@ def _sums(tags, w, eval_blocks, probes=(), cells=None):
         sums.append(s[0])
         return [0]
 
-    it._level_sums(w[:, 0], tags, probes, eval_blocks, [0], (2,), visit, cells)
+    it._level_sums(len(w), lambda rows: w[rows, 0], [lambda rows: tags[rows], *probes],
+                   eval_blocks, [0], (2,), visit, cells)
     return sums
 
 
@@ -238,7 +239,8 @@ def test_an_error_mid_stream_in_a_batched_small_level_is_the_serial_one(monkeypa
             _use(monkeypatch, use)
             del seen[:]
             with pytest.raises(ValueError) as e:
-                it._level_sums(w[:, 0], tags, [lambda rows, p=p: p[rows] for p in probes],
+                it._level_sums(len(w), lambda rows: w[rows, 0],
+                               [lambda rows, p=p: p[rows] for p in [tags, *probes]],
                                eval_blocks, [0], (m,), visit, cells)
             outcomes.append((type(e.value), str(e.value), list(seen)))
             assert not any(f.running() for f in ex.futures)
@@ -311,8 +313,8 @@ def test_the_nominal_fallback_holds_in_a_batched_small_level(monkeypatch, spike)
 
     def sums():
         out = []
-        it._level_sums(w[:, 0], tags, probes, eval_blocks, [0], (m,),
-                       lambda i, s: out.append(s[0]) or [0])
+        it._level_sums(len(w), lambda rows: w[rows, 0], [lambda rows: tags[rows], *probes],
+                       eval_blocks, [0], (m,), lambda i, s: out.append(s[0]) or [0])
         return [np.asarray(s).view(np.int64).tolist() for s in out]
 
     outcomes, ex = [], _Pool()
