@@ -43,13 +43,11 @@ loop over measurable partitions.  Both loops hand each level to _record,
 the one place a level becomes a LevelStat and meets the run's divergence
 bound, and _assemble builds every report.
 
-A Cousin level is its cousin_build codes, two bytes a cell, read in row
-blocks only; the other whole-level arrays are a variational run's primitive
-side and a vms run's nominal free tags.  Every tag set of a level is made,
-evaluated and reduced in row blocks through one stream (_level_stream), with
-the bits of whole-array sums.  On a level that is not cheap, blocks of an
-evaluator the library marked (_pooled) run on two worker threads, which make
-the tags from draws taken in row order; results are taken in order too.
+A Cousin level is read in row blocks of its codes (two bytes a cell), and
+every tag set is made, evaluated and reduced in them through one stream
+(_level_stream), with the bits of whole-array sums.  On a level that is not
+cheap, blocks of an evaluator the library marked (_pooled) run on two worker
+threads, from draws taken in row order; results are taken in order too.
 """
 
 from __future__ import annotations
@@ -67,13 +65,7 @@ import numpy as np
 
 from .convex_sets import Primitive, SupportSet, canonical_values
 from .errors import PackingTruncated
-from .partitions import (
-    _ROW_BLOCK,
-    Gauge,
-    _window_fine,
-    cousin_build,
-    measurable_partition,
-)
+from .partitions import _ROW_BLOCK, _WIDTHS, Gauge, _window_fine, cousin_build, measurable_partition
 
 DIVERGENCE_BOUND = 1e3
 DEFAULT_LEVELS = 12
@@ -85,10 +77,9 @@ _PACK_RESTARTS = 16  # greedy packings per variational-measure level
 _PACK_MAX_ITEMS = 200_000  # loop guard of one greedy packing component
 _PACK_DRAW_BLOCK = 512  # uniform doubles a packing draws ahead at a time
 _PACK_WALK_STEPS = 1 << 13  # steps a constant-gauge walk accumulates at a time
-# _ROW_BLOCK (partitions) is the rows of a tag set evaluated at a time, and the fewest rows of a
-# pooled task.  Sums keep their bits under any block size, but d=2 Steiner points come from a
-# BLAS product per evaluation, whose bits move with its row count (at 2^12, G4 steiner t33's
-# levels 10-12); they fit in one.
+# _ROW_BLOCK: rows of a tag set evaluated at a time, and the fewest of a pooled task.  Sums keep
+# their bits under any block size, but d=2 Steiner points come from a BLAS product whose bits
+# move with its row count (at 2^12, G4 steiner t33's levels 10-12); they fit in one.
 _POOL_WORK = 1 << 17  # rows x folded width below which a one-block level stays serial
 CSV_HEADER = "level,residual,max_dir_residual,wall_ms"
 
@@ -438,8 +429,7 @@ def _uniform(u, lo, hi):
 
 
 def _free_tags(a, b, gauge, u):
-    """Free candidate tags of cells [a, b] from draws u: uniform in each midpoint
-    m's window (m - delta(m), m + delta(m)), clipped to [0, 1]."""
+    """Free tags of cells [a, b] from draws u: uniform in the midpoints' windows, in [0, 1]."""
     mid = (a + b) / 2.0
     radius = np.atleast_1d(gauge(mid))
     return _uniform(u, np.maximum(0.0, mid - radius), np.minimum(1.0, mid + radius))
@@ -449,20 +439,15 @@ def _probe_tag_sets(P, gauge, rng, mode, keep=False):
     """Every tag set of one Cousin level P: the nominal, then the re-tagging probes.
 
     A tag set is a block-maker: ``make(rows)`` takes the seeded draws of
-    the row block ``rows`` and returns a function making its tags from them
-    and the block's ends, tags and widths (P.block) where it is evaluated.
-    The makers share ``rng``, so each must be called on the row blocks in
-    order before the next one; chunked rng.random draws equal a whole
-    draw.  The nominal is P's own tags in henstock mode, else seeded free
-    tags (_free_tags).  A probe replaces tags cellwise, falling back where a
-    candidate violates fineness to the build tag, or with ``keep`` to the
-    nominal free tag (then made at once and kept whole), so each variant is
-    a valid delta-fine partition of the right kind.
-
-    Every henstock candidate lies in its cell [a, b], so a row with
-    w < gauge.lower(a) keeps it with no gauge call; only a block's other
-    (open) rows are checked, found by its first probe and kept where at
-    most a sixteenth of its rows.  The free-mode window rule checks all.
+    the row block ``rows`` (chunked rng.random draws equal a whole draw, so
+    each maker is called on the blocks in order before the next) and returns
+    a function making the block's tags from them and P.block(rows).  The
+    nominal is P's own tags in henstock mode, else seeded free tags.  A
+    probe falls back cellwise, where a candidate is not fine, to the build
+    tag, or with ``keep`` to the nominal free tag (then kept whole).  A
+    henstock row with w < gauge.lower(a) keeps any in-cell candidate with
+    no gauge call, and a block's other (open) rows are found once where
+    few; the free-mode window rule checks every row.
     """
     henstock = mode == "henstock"
     kept = np.empty(len(P)) if keep and not henstock else None
@@ -479,7 +464,7 @@ def _probe_tag_sets(P, gauge, rng, mode, keep=False):
                     return np.where(_window_fine(a, b, x, gauge), x,
                                     t() if fallback is None else fallback[rows])
                 i = opened.get(rows.start)
-                if i is None:
+                if i is None:  # the open rows, kept where at most a sixteenth of the block's
                     i = np.flatnonzero(~(w < gauge.lower(a))).astype(np.uint16)
                     if 16 * len(i) <= len(w):
                         opened[rows.start] = i
@@ -490,12 +475,10 @@ def _probe_tag_sets(P, gauge, rng, mode, keep=False):
             return tags
         return make
 
-    def nominal(rows):
-        if henstock:
-            return lambda: P.block(rows)[2]()
-        if kept is None:
-            return free(rows)
-        kept[rows] = tags = free(rows)()  # the probes' fallback, made before them
+    def nominal(rows):  # in keep mode made at once, the probes' fallback
+        tags = (lambda: P.block(rows)[2]()) if henstock else free(rows)
+        if kept is not None:
+            kept[rows] = tags = tags()
         return tags
 
     free = fine_or(lambda a, b, w, u: _free_tags(a, b, gauge, u), True, None)
@@ -574,9 +557,7 @@ def _fsum_at_most(parts, ref):
 # -- the evaluation pool -----------------------------------------------------
 
 _POOLED = weakref.WeakSet()  # evaluators the library built: effect-free and thread-safe
-# tasks handed to the pool and not yet taken back: a pooled level holds its own arrays, at most
-# _IN_FLIGHT tasks' work (each the serial loop's, tags made in the task) and the next task's draws
-_IN_FLIGHT = 2
+_IN_FLIGHT = 2  # tasks handed to the pool and not yet taken back; each makes its own tags
 
 
 def _pooled(fn, *parts):
@@ -791,11 +772,9 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None):
         left-first tags, rng salt 7702, and probes that in free mode fall
         back to the nominal free tags.
 
-    A level is built as codes (cousin_build) and read in row blocks only:
-    tag sets (_probe_tag_sets), their sums (_level_sums) and a variational
-    block's primitive side (_primitive_side).  A level's ``wall_ms`` is that
-    of the whole shared level, recorded on every block that ran it.
-    Returns one run dict per block.
+    A level's codes (cousin_build) are read in row blocks only.  A level's
+    ``wall_ms`` is that of the whole shared level, recorded on every block
+    that ran it.  Returns one run dict per block.
     """
     variational = phis is not None
     runs = [_new_run(m) for m in ms]
@@ -822,7 +801,8 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None):
             return [k for k in sums if not (variational and i and worst[k] > runs[k]["bound"])]
 
         makers = _probe_tag_sets(P, gauge, rng, mode, keep=variational)
-        _level_sums(len(P), P.widths_at, makers, eval_blocks, live, ms, visit, cells, worst)
+        _level_sums(len(P), lambda rows: _WIDTHS.take(P.codes[rows] >> 8), makers, eval_blocks,
+                    live, ms, visit, cells, worst)
         wall_ms = (time.perf_counter() - t0) * 1e3
         value = worst if variational else nominal
         for k in list(live):
@@ -834,15 +814,15 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None):
 
 
 def _primitive_side(phi, P, m):
-    """phi.query_batch(P.a, P.b), (N, m), queried a row block at a time (each row is
-    its own query); a broadcast (_folded) first block keeps one column."""
+    """phi.query_batch(P.a, P.b) a row block at a time (a row is its own query),
+    kept as one column broadcast to m while every block is broadcast (_folded)."""
     out = None
     for lo in range(0, len(P), _ROW_BLOCK):
-        q = phi.query_batch(*P.block(slice(lo, lo + _ROW_BLOCK))[:2])
-        if out is None or _folded(q).shape[1] > out.shape[1]:  # first, or wider than it
-            out = np.empty((len(P), _folded(q).shape[1])) if out is None else np.repeat(out, m, 1)
-        out[lo:lo + _ROW_BLOCK] = q[:, :out.shape[1]]
-    return out if out.shape[1] == m else np.broadcast_to(out, (len(P), m))
+        q = _folded(phi.query_batch(*P.block(slice(lo, lo + _ROW_BLOCK))[:2]))
+        if out is None or q.shape[1] > out.shape[1]:  # the first block, or a wider one
+            out = np.empty((len(P), q.shape[1])) if out is None else np.repeat(out, m, 1)
+        out[lo:lo + _ROW_BLOCK] = q
+    return np.broadcast_to(out, (len(P), m))
 
 
 def _one_block(eval_fn):
@@ -1258,9 +1238,8 @@ def _pack_values(phi, comps, gauge, rngs):
     values and the sorted indices of the components that the guard cut some
     lane in before their end, and of those where some lane's t stopped.
     """
-    stop = []  # t always advances under a constant gauge of at least 1e-12
-    if gauge.const is not None and gauge.const >= 1e-12:
-        lanes, cut = _const_walk(comps, gauge.const, rngs)
+    if gauge.const is not None and gauge.const >= 1e-12:  # where t always advances
+        (lanes, cut), stop = _const_walk(comps, gauge.const, rngs), []
     else:
         lanes, cuts, stops = zip(*(_lane_walk(comps, gauge, rng) for rng in rngs))
         cut, stop = sorted(set().union(*cuts)), sorted(set().union(*stops))

@@ -208,7 +208,7 @@ _ROW_BLOCK = 1 << 15  # cells a Cousin level is built, expanded and read in at a
 _WIDTHS = np.ldexp(1.0, -np.arange(256))  # a cell's width by its depth
 _LATER = 0xFFFF  # the slot of a cell that a later run finishes
 _RAMP = np.arange(1.0, _ROW_BLOCK + 1.0)  # the multiples j of a run's width
-_FEW_RUNS = 16  # runs of one depth below which a row block's ends are j w past a run's start
+_FEW_RUNS = 32  # runs of one depth in a block below which j w past a run's start beats np.cumsum
 
 
 def _check_limits(depth, active, max_depth, cell_budget):
@@ -241,99 +241,55 @@ def check_budget(g, max_depth=_MAX_DEPTH, cell_budget=_CELL_BUDGET):
         depth += 1
 
 
-def _children(rest):
-    """The two children of each of the cells ``rest``, in order."""
-    return np.stack((2 * rest, 2 * rest + 1), axis=1).ravel()
-
-
 class CousinPartition:
     """A cousin_build partition of [0, 1]: two bytes a cell, in row order.
 
-    ``codes`` holds each cell's depth (high byte) and the index in the
-    build's offsets of its accepted candidate (low byte); the left end of
-    every _ROW_BLOCK-th cell is kept beside them.  block(rows) expands any
-    rows bit for bit as the whole arrays: a width is 2^-depth, b the block's
-    start plus the running sum of its widths (np.cumsum's sequential sum),
-    a is b shifted by a row and t = a + w * offsets[choice], the build's own
-    expression.  Every end is j 2^-depth, exact up to depth 53, so a run of
-    one depth in a block of fewer than _FEW_RUNS runs has the ends start +
-    j w, the same values.  The whole a, b, t and widths are made together
-    at the first read of any, read-only; a one-block level reads them.
+    ``codes`` holds each cell's depth (high byte) and the index of its tag
+    in the build's offsets (low byte).  block(rows) expands any rows bit for
+    bit: w = 2^-depth, ends by np.cumsum from the block's kept start or, all
+    ends exact, j w past each run of one depth; t = a + w * offsets[choice].
+    The whole a, b, t and widths are made at the first read, read-only.
     """
 
     def __init__(self, codes, offsets):
         self.codes, self._offsets = codes, np.array(offsets)
-        exact = len(codes) == 0 or int(codes.max()) >> 8 <= 53  # every end j 2^-depth
-        self._starts, self._runs = np.zeros(len(codes) // _ROW_BLOCK + 1), []
-        for k, lo in enumerate(range(0, len(codes), _ROW_BLOCK)):
-            depth = codes[lo:lo + _ROW_BLOCK] >> 8
-            first = np.flatnonzero(depth[1:] != depth[:-1]) + 1  # where a run of one depth starts
-            self._runs.append(None if not exact or len(first) >= _FEW_RUNS else [
-                (r0, r1, _WIDTHS[depth[r0]]) for r0, r1 in zip((0, *first), (*first, len(depth)))])
-            if k + 1 < len(self._starts):  # the block's running sum, on from its start
-                w = _WIDTHS.take(depth)
-                w[0] += self._starts[k]
-                self._starts[k + 1] = np.cumsum(w)[-1]
+        self._exact = len(codes) == 0 or int(codes.max()) >> 8 <= 53  # j 2^-depth, j < 2^53
+        self._starts = np.zeros(len(codes) // _ROW_BLOCK + 1)
+        for k in range(1, len(self._starts)):  # each block's start is the last one's end
+            self._starts[k] = self.block(slice(k * _ROW_BLOCK - _ROW_BLOCK, k * _ROW_BLOCK))[1][-1]
 
     def __len__(self):
         return len(self.codes)
 
-    def widths_at(self, rows):
-        """The widths of the cells ``rows`` (a slice)."""
-        if len(self.codes) <= _ROW_BLOCK:
-            return self._whole[3][rows]
-        return self._expand(*rows.indices(len(self.codes))[:2], ends=False)[3]
-
     def block(self, rows):
-        """(a, b, tags, widths) of the cells ``rows`` (a slice), and tags(i) the tags
-        of the block's rows i (an index; all of them by default)."""
+        """(a, b, tags, widths) of the cells ``rows`` (a slice); tags(i) makes rows i's."""
         lo, hi, _ = rows.indices(len(self.codes))
-        if len(self.codes) <= _ROW_BLOCK:  # a level of one block expands once
-            a, b, t, w = self._whole
-            return a[lo:hi], b[lo:hi], lambda i=slice(None): t[lo:hi][i], w[lo:hi]
-        return self._expand(lo, hi)
-
-    def _expand(self, lo, hi, ends=True):
-        """block(slice(lo, hi)) from the codes; a and b are views of one buffer."""
-        if hi <= lo:
-            none = np.empty(0)
-            return none, none, lambda i=slice(None): none[i], none
-        k = lo // _ROW_BLOCK
-        base, start = k * _ROW_BLOCK, self._starts[k]
-        runs = self._runs[k] if hi - base <= _ROW_BLOCK else None
-        x = np.empty(hi - base + 1 if ends else 0)  # x[j] and x[j + 1]: row j's ends
-        if runs is None:
-            w = _WIDTHS.take(self.codes[base:hi] >> 8)
-            if ends:
-                x[0], x[1:] = start, w
-                x[1] += start
-                np.cumsum(x[1:], out=x[1:])
-        else:
-            w = np.empty(hi - base)
-            x[:1] = start
-            for r0, r1, width in runs:
-                r1 = min(r1, hi - base)
-                w[r0:r1] = width
-                if ends and r1 > r0:
-                    np.multiply(_RAMP[:r1 - r0], width, out=x[r0 + 1:r1 + 1])
-                    x[r0 + 1:r1 + 1] += start
-                    start = x[r1]
+        base = lo - lo % _ROW_BLOCK
+        depth = self.codes[base:max(lo, hi)] >> 8
+        x, w = np.empty(len(depth) + 1), np.empty(len(depth))  # x[j], x[j + 1]: row base + j's ends
+        x[0] = self._starts[base // _ROW_BLOCK]
+        runs = np.flatnonzero(depth[1:] != depth[:-1]) + 1  # where a run of one depth starts
+        if self._exact and len(runs) < _FEW_RUNS and 0 < len(w) <= _ROW_BLOCK:  # exact ends
+            for r0, r1 in zip((0, *runs), (*runs, len(w))):
+                w[r0:r1] = _WIDTHS[depth[r0]]
+                np.multiply(_RAMP[:r1 - r0], w[r0], out=x[r0 + 1:r1 + 1])  # j w past its start
+                x[r0 + 1:r1 + 1] += x[r0]
+        else:  # np.cumsum's sequential sum
+            x[1:] = w = _WIDTHS.take(depth)
+            np.cumsum(x, out=x)
         a, b, codes = x[lo - base:-1], x[lo - base + 1:], self.codes[lo:hi]
         w = w[lo - base:] if lo > base else w  # the whole widths stay their own array
         return a, b, lambda i=slice(None): a[i] + w[i] * self._offsets.take(codes[i] & 0xFF), w
 
     @cached_property
     def _whole(self):
-        a, b, tags, w = self._expand(0, len(self))
+        a, b, tags, w = self.block(slice(None))
         arrays = a.copy(), b.copy(), tags(), w  # the ends, each its own array
         for x in arrays:
             x.flags.writeable = False
         return arrays
 
-    a = property(lambda self: self._whole[0])
-    b = property(lambda self: self._whole[1])
-    t = property(lambda self: self._whole[2])
-    widths = property(lambda self: self._whole[3])
+    a, b, t, widths = (property(lambda self, i=i: self._whole[i]) for i in range(4))
 
 
 def cousin_build(g, max_depth=_MAX_DEPTH, tag_order="mid", cell_budget=_CELL_BUDGET):
@@ -348,38 +304,30 @@ def cousin_build(g, max_depth=_MAX_DEPTH, tag_order="mid", cell_budget=_CELL_BUD
 
     A cell whose width the gauge's bounds decide (Gauge.lower, Gauge.upper)
     is accepted at its first candidate, or bisected, with no gauge call.
-    The build is breadth first over runs of at most _ROW_BLOCK active
-    cells, each depth keeping which cells it accepted and at which
-    candidate, until the next depth would hold more; those are split into
-    runs of consecutive cells, finished one by one in row order.  Counting
-    up from the deepest depth gives the slots under each cell (a cell left
-    to a later run counts one), and going down each cell's slot is its
-    parent's, plus the left child's count for a right child: the codes fall
-    in row order with no sort, and the slots between a later run's cells go
-    down with it.  Active counts are summed per depth over the runs, no run
-    goes below the shallowest depth whose sum passes a limit, and the limits
-    are checked depth by depth at the end: the whole-depth build's error.  A
-    gauge turning non-positive is met run by run, so its point may differ.
-    The build holds about 4 bytes a cell beside bounded run arrays.
+    The build is breadth first over runs of consecutive active cells, a run
+    whose next depth would hold more than _ROW_BLOCK being split into later
+    runs, finished in row order; its codes fall in row order with no sort.
+    Active counts are summed per depth over the runs, no run goes below the
+    shallowest depth whose sum passes a limit, and the limits are checked
+    depth by depth at the end (the whole-depth build's error).  A gauge
+    turning non-positive is met run by run, so its point may differ.
     """
     if tag_order not in ("mid", "left"):
         raise ValueError(f"unknown tag_order {tag_order!r}")
     # a + w * c is a + w / 2, a and a + w exactly at c = 0.5, 0 and 1
     offsets = ((0.5, 0.0, 1.0) if tag_order == "mid" else (0.0, 0.5, 1.0)) + _WEYL8
-    counts, pieces, stop = [], [], [math.inf]  # active cells per depth; codes in row order
+    counts, pieces, stop = {}, [], [math.inf]  # active cells per depth; codes in row order
 
     def segment(idx, depth, held, gaps):
-        """A run's slots, the parents and depth of its later runs' cells and those
-        runs' first and last slots; None past a limit.  ``held`` codes go before
-        the top cells ``gaps``."""
-        top, accepted, chosen = depth, [], []
+        """A run's slots (``held`` codes before its cells ``gaps``; none past a limit), its
+        later runs' cells and depth, and each later run's first and last slots."""
+        accepted, chosen = [], []
         while True:
-            counts.extend([0] * (depth + 1 - len(counts)))
-            counts[depth] += len(idx)
+            counts[depth] = counts.get(depth, 0) + len(idx)
             if depth > max_depth or counts[depth] > cell_budget:
                 stop[0] = min(stop[0], depth)
             if depth >= stop[0]:
-                return None
+                return np.zeros(0, np.uint16), idx, depth, []
             w = 2.0 ** (-depth)
             a = idx * w
             choice = np.zeros(len(idx), dtype=np.int64)  # the first candidate
@@ -404,12 +352,12 @@ def cousin_build(g, max_depth=_MAX_DEPTH, tag_order="mid", cell_budget=_CELL_BUD
             accepted.append(have)
             chosen.append((depth << 8) | choice[have])
             rest = idx[~have]
+            idx = np.stack((2 * rest, 2 * rest + 1), axis=1).ravel()  # the children, in order
             depth += 1
-            if not len(rest) or 2 * len(rest) > _ROW_BLOCK:
+            if not len(idx) or len(idx) > _ROW_BLOCK:
                 break
-            idx = _children(rest)
         # up: the slots under each cell; keep each bisected cell's left child's
-        lefts, under = [None] * len(accepted), np.ones(2 * len(rest), dtype=np.int64)
+        lefts, under = [None] * len(accepted), np.ones(len(idx), dtype=np.int64)
         for d in range(len(accepted) - 1, -1, -1):
             lefts[d] = under[0::2]
             n = accepted[d].astype(np.int64)
@@ -425,28 +373,22 @@ def cousin_build(g, max_depth=_MAX_DEPTH, tag_order="mid", cell_budget=_CELL_BUD
             rank = np.repeat(rank[~accepted[d]], 2)
             rank[1::2] += lefts[d]
         slots[rank] = _LATER
-        bounds = [(rank[lo], rank[min(lo + _ROW_BLOCK, len(rank)) - 1])
-                  for lo in range(0, len(rank), _ROW_BLOCK)]
-        return slots, rest, depth, bounds
+        return slots, idx, depth, [(rank[lo], rank[min(lo + _ROW_BLOCK, len(idx)) - 1])
+                                   for lo in range(0, len(idx), _ROW_BLOCK)]
 
     def finish(idx, depth, held, gaps):
-        run = segment(idx, depth, held, gaps)
-        if run is None:
-            return
-        slots, rest, depth, bounds = run
-        done, half = 0, _ROW_BLOCK // 2
-        for k, (first, last) in enumerate(bounds):
+        """Append to pieces a run's codes and those of the later runs it splits into."""
+        (slots, idx, depth, later), done = segment(idx, depth, held, gaps), 0
+        for lo, (first, last) in zip(range(0, len(idx), _ROW_BLOCK), later):  # in order
             pieces.append(slots[done:first].copy())
             span = slots[first:last + 1]
             mine = span == _LATER  # the later run's own cells; the rest go down with it
-            finish(_children(rest[k * half:(k + 1) * half]), depth, span[~mine],
-                   np.cumsum(mine)[~mine])
+            finish(idx[lo:lo + _ROW_BLOCK], depth, span[~mine], np.cumsum(mine)[~mine])
             done = last + 1
         pieces.append(slots[done:].copy())
 
-    finish(np.zeros(1, dtype=np.int64), 0, np.zeros(0, dtype=np.uint16),
-           np.zeros(0, dtype=np.int64))
-    for depth, active in enumerate(counts):
+    finish(np.zeros(1, np.int64), 0, np.zeros(0, np.uint16), np.zeros(0, np.int64))
+    for depth, active in sorted(counts.items()):
         _check_limits(depth, active, max_depth, cell_budget)
     return CousinPartition(np.concatenate(pieces), offsets)
 

@@ -42,7 +42,7 @@ def test_cousin_build_peak_is_a_small_multiple_of_its_output():
     # 1,075,912 cells.  Building a, b and t as whole arrays peaked at 1.35
     # times their 24 bytes a cell (32.8 MiB); the build now keeps 2 bytes a
     # cell, and its runs' codes and their concatenation beside bounded run
-    # arrays take it to 9.3 bytes a cell
+    # arrays take it to 9.7 bytes a cell
     g = corpus.named_schedule("henstock-origin").levels[-1]
     P, peak = _traced_peak(lambda: cousin_build(g))
     assert len(P) > 1_000_000 and P.codes.nbytes == 2 * len(P)
@@ -79,7 +79,7 @@ def test_henstock_level_loop_peak_is_bounded():
     # G1's finest level is 1,075,912 cells.  Evaluating the nominal over the
     # whole level took the run to 103 bytes a cell, and whole-level a, b, t,
     # widths and open rows to 38; the level is now its 2-byte codes, read in
-    # row blocks, and the run peaks at 12.5 bytes a cell, most of it bounded
+    # row blocks, and the run peaks at 10.9 bytes a cell, most of it bounded
     G1 = corpus.corpus_get("G1")
     sched = corpus.named_schedule("henstock-origin")
     rep, peak = _traced_peak(lambda: it.henstock_integrate(G1, sched, 1e-3))
@@ -98,7 +98,7 @@ def _cubic(c):
 def test_henstock_peak_grows_by_a_few_bytes_per_finest_cell():
     # two G1 runs of two cubic-gauge levels, 297,682 and 1,444,597 cells at
     # the finest: with whole-level arrays the peak grew by 33 bytes a cell;
-    # with 2-byte codes read in row blocks it grows by about 4.6, the build's
+    # with 2-byte codes read in row blocks it grows by about 4.2, the build's
     # codes and their concatenation
     G1 = corpus.corpus_get("G1")
     runs = []
@@ -128,7 +128,7 @@ def test_a_wide_block_holds_its_values_and_chunks_only(monkeypatch):
     # what the calling thread made meanwhile: the next block's whole tags
     # and their temporaries, about 1.5 MiB against an L of 0.9 MiB, so it
     # failed when they met two tasks' peaks.  The tags are now made in the
-    # task; the run peaks at 1.94x its serial peak
+    # task; the run peaks at 1.91x its serial peak
     G4 = corpus.corpus_get("G4")
     G, _ = decomposition.subtract_selection(G4, decomposition.steiner_selection(G4))
     sched = corpus.named_schedule("uniform")

@@ -356,13 +356,30 @@ def _deep(depth):
     return Gauge.from_callable(lambda ts: np.maximum(1.5 * 2.0 ** -depth, np.abs(ts - 0.7) / 4.0))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["uniform-12", "step-multi", "vh-origin-12", "callable", "deepest"]),
+def _expanded_build(name):
+    """(gauge, partition) of a pinned build, or of one that only the expansion property reads:
+    the deepest holds cells of depth _MAX_DEPTH, the deepest the build accepts; the stripes'
+    blocks hold hundreds of runs of one depth, and deep-0's cells reach depth 60, past 53,
+    so their blocks expand by np.cumsum, not by a run's start plus j w."""
+    if name == "deepest":
+        return _deep(_MAX_DEPTH), cousin_build(_deep(_MAX_DEPTH))
+    if name == "stripes":  # depth 15 on even stripes of width 2^-12, 17 on odd ones
+        g = Gauge.from_callable(
+            lambda ts: np.where(np.floor(ts * 4096.0) % 2.0 == 0.0, 2.0 ** -14.5, 2.0 ** -16.5))
+        return g, cousin_build(g)
+    if name == "deep-0":
+        g = Gauge.from_callable(lambda ts: np.maximum(1.5 * 2.0 ** -60, np.abs(ts) / 4.0))
+        return g, cousin_build(g, max_depth=60, tag_order="left")
+    g, tag_order = _pinned_builds()[name]
+    return g, cousin_build(g, tag_order=tag_order)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["uniform-12", "step-multi", "vh-origin-12", "callable", "deepest",
+                        "stripes", "deep-0"]),
        st.one_of(st.just(_ROW_BLOCK), st.integers(0, 2 ** 20)), st.integers(0, 2 ** 16))
 def test_row_blocks_expand_to_the_whole_arrays_bits(name, split, length):
-    # the deepest build holds cells of depth _MAX_DEPTH, the deepest the build accepts
-    g, tag_order = (_deep(_MAX_DEPTH), "mid") if name == "deepest" else _pinned_builds()[name]
-    P = cousin_build(g, tag_order=tag_order)
+    g, P = _expanded_build(name)
     lo, hi = min(split, len(P)), min(split + length, len(P))
     whole = (P.a, P.b, P.t, P.widths)
     for rows in (slice(0, lo), slice(lo, hi), slice(hi, len(P))):
@@ -371,8 +388,9 @@ def test_row_blocks_expand_to_the_whole_arrays_bits(name, split, length):
             assert x.tobytes() == y[rows].tobytes()
         some = np.arange(len(a))[::7]  # the tags of some of the block's rows alone
         assert tags(some).tobytes() == P.t[rows][some].tobytes()
-    if name == "deepest":
-        assert P.widths.min() == 2.0 ** -_MAX_DEPTH and is_delta_fine(P, g, require_perron=True)
+    if name in ("deepest", "deep-0"):
+        depth = 60 if name == "deep-0" else _MAX_DEPTH
+        assert P.widths.min() == 2.0 ** -depth and is_delta_fine(P, g, require_perron=True)
     assert tiles(P) and np.all(P.widths == 2.0 ** -(P.codes >> 8).astype(float))
 
 
@@ -429,6 +447,24 @@ def test_a_gauge_that_turns_non_positive_deep_in_a_build_is_named():
 
     with pytest.raises(GaugeNotPositive, match=f"^gauge evaluated to -1.0 at t={slit!r}$"):
         cousin_build(Gauge.from_callable(fn))
+
+
+def test_a_deep_region_in_the_first_run_of_a_failing_build_costs_little():
+    # every cell bisects to depth 17, whose 2^17 cells (four runs of 2^15) pass a budget of 10^5;
+    # about 0.001, in the first run, cells bisect on to depth 30.  The whole-depth build raised at
+    # depth 17 after 1,441,781 gauge points.  The runs raise the same error; beyond those points
+    # they evaluate the first three runs' depth-17 cells, one point each, and the deep region
+    points = [0]
+
+    def fn(ts):
+        points[0] += len(ts)
+        return np.minimum(2.0 ** -16.5, np.maximum(1.5 * 2.0 ** -30, np.abs(ts - 0.001) / 4.0))
+
+    g = Gauge.from_callable(fn)
+    points[0] = 0
+    assert _raised(lambda: cousin_build(g, cell_budget=100_000)) == (
+        "active cell count 131072 exceeds budget at depth 17", 17, 131072)
+    assert points[0] <= 1_441_781 + 3 * _ROW_BLOCK + 2_000
 
 
 # -- the bisection budget before a build ------------------------------------------

@@ -31,9 +31,6 @@ class _Rows:
     def __len__(self):
         return len(self.P)
 
-    def widths_at(self, rows):
-        return self.P.widths[rows]
-
     def block(self, rows):
         P = self.P
         return P.a[rows], P.b[rows], lambda i=slice(None): P.t[rows][i], P.widths[rows]
@@ -113,8 +110,8 @@ def _streamed_sums(P, gauge, mode, eval_fn, cells):
         return [0]
 
     L = _Rows(P)
-    it._level_sums(len(L), L.widths_at, it._probe_tag_sets(L, gauge, rng, mode), eval_blocks,
-                   [0], eval_fn(P.t[:1]).shape[1:], visit, cells)
+    it._level_sums(len(L), lambda rows: P.widths[rows], it._probe_tag_sets(L, gauge, rng, mode),
+                   eval_blocks, [0], eval_fn(P.t[:1]).shape[1:], visit, cells)
     return sums
 
 
