@@ -43,11 +43,12 @@ loop over measurable partitions.  Both loops hand each level to _record,
 the one place a level becomes a LevelStat and meets the run's divergence
 bound, and _assemble builds every report.
 
-A Cousin level is read in row blocks of its codes (two bytes a cell), and
-every tag set is made, evaluated and reduced in them through one stream
-(_level_stream), with the bits of whole-array sums.  On a level that is not
-cheap, blocks of an evaluator the library marked (_pooled) run on two worker
-threads, from draws taken in row order; results are taken in order too.
+A Cousin level is kept as its codes (two bytes a cell) and read through
+one block-major stream (_level_stream): each row block is expanded once,
+and every tag set is made, evaluated and reduced in it, with the bits of
+whole-array sums.  On a level that is not cheap, blocks of an evaluator the
+library marked (_pooled) run on two worker threads, from draws taken on the
+calling thread; results are taken in order too.
 """
 
 from __future__ import annotations
@@ -60,12 +61,13 @@ import time
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from .convex_sets import Primitive, SupportSet, canonical_values
 from .errors import PackingTruncated
-from .partitions import _ROW_BLOCK, _WIDTHS, Gauge, _window_fine, cousin_build, measurable_partition
+from .partitions import _ROW_BLOCK, Gauge, _window_fine, cousin_build, measurable_partition
 
 DIVERGENCE_BOUND = 1e3
 DEFAULT_LEVELS = 12
@@ -435,65 +437,63 @@ def _free_tags(a, b, gauge, u):
     return _uniform(u, np.maximum(0.0, mid - radius), np.minimum(1.0, mid + radius))
 
 
-def _probe_tag_sets(P, gauge, rng, mode, keep=False):
-    """Every tag set of one Cousin level P: the nominal, then the re-tagging probes.
+def _probe_tag_sets(P, gauge, key, mode):
+    """The row-block expander of one Cousin level P, and its tag sets, nominal first.
 
-    A tag set is a block-maker: ``make(rows)`` takes the seeded draws of
-    the row block ``rows`` (chunked rng.random draws equal a whole draw, so
-    each maker is called on the blocks in order before the next) and returns
-    a function making the block's tags from them and P.block(rows).  The
-    nominal is P's own tags in henstock mode, else seeded free tags.  A
-    probe falls back cellwise, where a candidate is not fine, to the build
-    tag, or with ``keep`` to the nominal free tag (then kept whole).  A
-    henstock row with w < gauge.lower(a) keeps any in-cell candidate with
-    no gauge call, and a block's other (open) rows are found once where
-    few; the free-mode window rule checks every row.
+    expand(rows) makes row block ``rows`` once for every tag set: its ends,
+    build tags and widths (P.block), the tags a probe falls back to (``back``,
+    the build tags), its nominal tags (P's own in henstock mode, else seeded
+    free tags) and in henstock mode its open rows, those w < gauge.lower(a)
+    leaves unsettled.  A tag set is a block-maker: make(blk) takes the
+    block's draws and returns its tags, or a function making them where the
+    block is evaluated.  A drawing set's generator is default_rng(key)
+    advanced past the N draws of each drawing set before it, so, made in
+    row order, its draws are those of one generator drawn set after set.  A
+    probe falls back cellwise, where a candidate is not fine, to blk.back; a
+    settled henstock row keeps any in-cell candidate with no gauge call.
     """
-    henstock = mode == "henstock"
-    kept = np.empty(len(P)) if keep and not henstock else None
-    opened = {}  # each row block's open rows where few; a race only finds them twice
+    henstock, drawn = mode == "henstock", iter(range(9))
 
-    def fine_or(candidates, draws=False, fallback=kept):
-        def make(rows):
-            u = rng.random(len(range(*rows.indices(len(P))))) if draws else None
+    def fine_or(candidates, draws=False):
+        if draws:  # the next drawing set's generator: the free nominal's, then 8 probes'
+            rng = np.random.default_rng(key)
+            rng.bit_generator.advance(next(drawn) * len(P))
+
+        def make(blk):
+            u = rng.random(len(blk.a)) if draws else None
 
             def tags():
-                a, b, t, w = P.block(rows)
-                x = candidates(a, b, w, u)
+                x = candidates(blk.a, blk.b, blk.w, u)
                 if not henstock:
-                    return np.where(_window_fine(a, b, x, gauge), x,
-                                    t() if fallback is None else fallback[rows])
-                i = opened.get(rows.start)
-                if i is None:  # the open rows, kept where at most a sixteenth of the block's
-                    i = np.flatnonzero(~(w < gauge.lower(a))).astype(np.uint16)
-                    if 16 * len(i) <= len(w):
-                        opened[rows.start] = i
-                if len(i):
-                    bad = i[~(w[i] < np.atleast_1d(gauge(x[i])))]
-                    x[bad] = t(bad)
+                    return np.where(_window_fine(blk.a, blk.b, x, gauge), x, blk.back)
+                if len(blk.open):
+                    bad = blk.open[~(blk.w[blk.open] < np.atleast_1d(gauge(x[blk.open])))]
+                    x[bad] = blk.back[bad]
                 return x
             return tags
         return make
 
-    def nominal(rows):  # in keep mode made at once, the probes' fallback
-        tags = (lambda: P.block(rows)[2]()) if henstock else free(rows)
-        if kept is not None:
-            kept[rows] = tags = tags()
-        return tags
+    free = None if henstock else fine_or(lambda a, b, w, u: _free_tags(a, b, gauge, u), True)
 
-    free = fine_or(lambda a, b, w, u: _free_tags(a, b, gauge, u), True, None)
-    yield nominal
-    for _ in range(8):  # seeded in-cell / in-window re-tags
-        yield fine_or(lambda a, b, w, u: _uniform(u, a, b) if henstock
-                      else _free_tags(a, b, gauge, u), True)
+    def expand(rows):
+        a, b, t, w = P.block(rows)
+        blk = SimpleNamespace(a=a, b=b, w=w, back=t)
+        if henstock:
+            blk.open, blk.nominal = np.flatnonzero(~(w < gauge.lower(a))), t
+        else:
+            blk.nominal = free(blk)()
+        return blk
+
+    makers = [lambda blk: blk.nominal]
+    makers += [fine_or(lambda a, b, w, u: _uniform(u, a, b) if henstock
+                       else _free_tags(a, b, gauge, u), True)
+               for _ in range(8)]  # seeded in-cell / in-window re-tags
     # deterministic near-edge ladder; geometric approach to the left edge
-    for i in (1, 2, 3, 4, 6, 8):
-        yield fine_or(lambda a, b, w, u, s=4.0 ** (-i): a + w * s)
-    for i in (1, 2, 4, 8):
-        yield fine_or(lambda a, b, w, u, s=4.0 ** (-i): b - w * s)
-    if not henstock:
-        for i in (2, 4, 6, 8):  # free tags may leave the cell toward 0
-            yield fine_or(lambda a, b, w, u, s=4.0 ** (-i): a * s)
+    makers += [fine_or(lambda a, b, w, u, s=4.0 ** (-i): a + w * s) for i in (1, 2, 3, 4, 6, 8)]
+    makers += [fine_or(lambda a, b, w, u, s=4.0 ** (-i): b - w * s) for i in (1, 2, 4, 8)]
+    if not henstock:  # free tags may leave the cell toward 0
+        makers += [fine_or(lambda a, b, w, u, s=4.0 ** (-i): a * s) for i in (2, 4, 6, 8)]
+    return expand, makers
 
 
 def _weighted(v, w):
@@ -595,49 +595,50 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's t
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
-def _level_stream(n, makers, eval_blocks, blocks, reduce, finish):
+def _level_stream(n, expand, makers, eval_blocks, blocks, reduce, finish):
     """Every tag set of one level of n rows, made, evaluated and reduced in row blocks.
 
-    make(rows) in ``makers`` gives a tag set's tags of cells ``rows``, or a
-    function that makes them where the block is evaluated; make is called
-    here block after block, so rng draws keep order.  A block of tag set
-    i is reduced as reduce(i, rows, eval_blocks(tags, ks), ks), ks the blocks
-    live as it starts; finish(i, parts, live) gets the set's reductions in row
-    order and returns the blocks to go on with (none ends the stream).  No
-    block is evaluated twice, and an error ends the stream where the serial
-    loop meets it.  The first block runs here; with a _pooled evaluator, a
-    level of more than one row block, or whose rows times that block's folded
-    width reach _POOL_WORK, runs the rest on the pool in the caller's context,
-    in tasks of at least _ROW_BLOCK rows across tag sets, at most _IN_FLIGHT at
-    once, with the serial loop's results and errors.
+    Block-major: expand(rows) makes each row block once, here, and make(blk)
+    in ``makers`` then gives a tag set's tags of it, or a function that makes
+    them where the block is evaluated.  A block of tag set i is reduced as
+    reduce(i, blk, eval_blocks(tags, ks), ks), ks the blocks live as it
+    starts; after its last row block, finish(i, parts, live) gets the set's
+    reductions in row order and returns the blocks to go on with (none ends
+    the stream).  No block is evaluated twice, and an error ends the stream
+    where the serial loop meets it.  The first block runs here; with a
+    _pooled evaluator, a level of more than one row block, or whose rows
+    times that block's folded width reach _POOL_WORK, runs the rest on the
+    pool in the caller's context, in tasks of at least _ROW_BLOCK rows across
+    tag sets, at most _IN_FLIGHT at once, with the serial loop's results and
+    errors.
     """
-    per_set, live, parts = -(-n // _ROW_BLOCK), list(blocks), []
+    per_set, live, parts = -(-n // _ROW_BLOCK), list(blocks), [[] for _ in makers]
     pool, pending, task = None, deque(), []
 
     def run(items):  # an error ends the task, to be raised when taken
         nonlocal pool
         out = []
         try:
-            for i, rows, ts in items:
+            for i, rows, blk, ts in items:
                 ks = live
                 vals = eval_blocks(ts() if callable(ts) else ts, ks)
                 if not (i or rows.start) and eval_blocks in _POOLED and (n > _ROW_BLOCK or n * sum(
                         _folded(vals[k]).shape[1] for k in ks) >= _POOL_WORK):
                     pool = _pool()
-                out.append((i, reduce(i, rows, vals, ks)))
+                out.append((i, reduce(i, blk, vals, ks)))
                 del vals  # before the next row block is evaluated
         except Exception as e:
             out.append((None, e))
         return out
 
     def take(results):  # False once no block is live
-        nonlocal live, parts
+        nonlocal live
         for i, part in results:
             if isinstance(part, Exception):
                 raise part
-            parts.append(part)
-            if len(parts) == per_set:
-                live, parts = finish(i, parts, live), []
+            parts[i].append(part)
+            if len(parts[i]) == per_set:
+                live, parts[i] = finish(i, parts[i], live), None
                 if not live:
                     return False
         return True
@@ -653,10 +654,11 @@ def _level_stream(n, makers, eval_blocks, blocks, reduce, finish):
         return True
 
     try:
-        for i, make in enumerate(makers):
-            for lo in range(0, n, _ROW_BLOCK):
-                rows = slice(lo, lo + _ROW_BLOCK)
-                task.append((i, rows, make(rows)))
+        for lo in range(0, n, _ROW_BLOCK):
+            rows = slice(lo, lo + _ROW_BLOCK)
+            blk = expand(rows)
+            for i, make in enumerate(makers):
+                task.append((i, rows, blk, make(blk)))
                 if (pool is None or sum(min(n, x[1].stop) - x[1].start for x in task) >= _ROW_BLOCK
                         ) and not flush():
                     return
@@ -671,12 +673,12 @@ def _level_stream(n, makers, eval_blocks, blocks, reduce, finish):
                 f.exception()  # wait for a running task; its error, if any, is dropped
 
 
-def _level_sums(n, widths, makers, eval_blocks, blocks, ms, visit, cells=None, worst=None):
+def _level_sums(n, expand, makers, eval_blocks, blocks, ms, visit, worst=None):
     """Each tag set's sums of one Cousin level, handed to visit(i, {block: sums}) in order.
 
     The tag sets are the block-makers ``makers``, the nominal (i = 0) first,
-    over n rows; widths(rows) gives a row block's widths, and visit returns
-    the blocks to go on with (_level_stream).  Nominal column sums (``cells`` None) are
+    over the row blocks expand(rows) makes, each with its widths ``w``; visit
+    returns the blocks to go on with (_level_stream).  Nominal column sums are
     _fsum_columns of the whole (N, m) term array, from what _extract keeps
     of each row block: its pass totals, or its terms past the limit.  A probe's
     column sums tree-sum its row blocks' tree sums, the whole array's bits:
@@ -684,32 +686,37 @@ def _level_sums(n, widths, makers, eval_blocks, blocks, ms, visit, cells=None, w
     so an aligned block of 2^k rows pairs up as it would alone, the short
     last block ends the array and carries its odd last rows as it would
     alone, and after k steps the array holds the block partials (a
-    broadcast block is reduced as its one column).  Variational sums
-    (``cells`` {block: (N, m) primitive values}) are exact sums of the row
-    max gaps (_gaps); given ``worst`` {block: running worst sum}, a probe
-    that _fsum_at_most shows cannot pass its worst gets that worst.
+    broadcast block is reduced as its one column).  Variational sums (given
+    ``worst``, {block: running worst sum}, and row blocks with ``cells``,
+    {block: primitive values}) are exact sums of the row max gaps (_gaps).
+    A level of one row block keeps its gaps, and a probe that _fsum_at_most
+    shows cannot pass its worst gets that worst; a longer level, where no
+    tag set finishes before its last row block, keeps exact totals only.
     """
-    def reduce(i, rows, vals, ks):
-        out, w = {}, widths(rows)
+    one = n <= _ROW_BLOCK
+
+    def reduce(i, blk, vals, ks):
+        out = {}
         for k in ks:
             v = _folded(vals[k])
-            if cells is not None:
-                out[k] = _gaps(cells[k][rows], vals[k], w)
+            if worst is not None:
+                g = _gaps(blk.cells[k], vals[k], blk.w)
+                out[k] = g if one else np.ravel(_extract(g[:, None], []))
             elif i:
-                out[k] = _tree_sum_weighted(v, w)
+                out[k] = _tree_sum_weighted(v, blk.w)
             else:
-                out[k] = _extract(v, [], w)
+                out[k] = _extract(v, [], blk.w)
         return out
 
     def finish(i, parts, ks):
         cols = {k: [x[k] for x in parts] for k in ks}
-        if cells is not None:
-            return visit(i, {k: worst[k] if i and worst and _fsum_at_most(p, worst[k])
+        if worst is not None:
+            return visit(i, {k: worst[k] if i and one and _fsum_at_most(p, worst[k])
                              else _fsum(*p) for k, p in cols.items()})
         return visit(i, {k: _widened(_tree_sum_columns(np.array(p)) if i else _fsum_totals(
             [t for ts in p for t in ts], ms[k]), ms[k]) for k, p in cols.items()})
 
-    _level_stream(n, makers, eval_blocks, blocks, reduce, finish)
+    _level_stream(n, expand, makers, eval_blocks, blocks, reduce, finish)
 
 
 def _new_run(m):
@@ -772,9 +779,9 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None):
         left-first tags, rng salt 7702, and probes that in free mode fall
         back to the nominal free tags.
 
-    A level's codes (cousin_build) are read in row blocks only.  A level's
-    ``wall_ms`` is that of the whole shared level, recorded on every block
-    that ran it.  Returns one run dict per block.
+    A level's codes (cousin_build) are read in row blocks only, each
+    expanded once.  A level's ``wall_ms`` is that of the whole shared level,
+    recorded on every block that ran it.  Returns one run dict per block.
     """
     variational = phis is not None
     runs = [_new_run(m) for m in ms]
@@ -784,10 +791,15 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None):
             break
         t0 = time.perf_counter()
         P = cousin_build(gauge, tag_order="left" if variational else "mid")
-        rng = np.random.default_rng([seed, 7702 if variational else 7701, n])
-        # the primitive side of a variational sum depends only on the cells
-        cells = {k: _primitive_side(phis[k], P, ms[k]) for k in live} if variational else None
+        tags, makers = _probe_tag_sets(P, gauge, [seed, 7702 if variational else 7701, n], mode)
         nominal, worst, spreads = {}, {}, {k: np.zeros(ms[k]) for k in live}  # worst: max |sum|
+
+        def expand(rows):
+            blk = tags(rows)
+            if variational:  # the probes fall back to the nominal tags
+                blk.back = blk.nominal
+                blk.cells = {k: phis[k].query_batch(blk.a, blk.b) for k in live}
+            return blk
 
         def visit(i, sums):
             for k, s in sums.items():
@@ -800,29 +812,16 @@ def _run_schedule(eval_blocks, ms, schedule, seed, mode, phis=None):
                     np.maximum(spreads[k], np.abs(s - nominal[k]), out=spreads[k])
             return [k for k in sums if not (variational and i and worst[k] > runs[k]["bound"])]
 
-        makers = _probe_tag_sets(P, gauge, rng, mode, keep=variational)
-        _level_sums(len(P), lambda rows: _WIDTHS.take(P.codes[rows] >> 8), makers, eval_blocks,
-                    live, ms, visit, cells, worst)
+        _level_sums(len(P), expand, makers, eval_blocks, live, ms, visit,
+                    worst if variational else None)
         wall_ms = (time.perf_counter() - t0) * 1e3
         value = worst if variational else nominal
         for k in list(live):
             spread = worst[k] - nominal[k] if variational else spreads[k]
             if _record(runs[k], n, len(P), value[k], spread, worst[k], wall_ms):
                 live.remove(k)
-        del P, cells, makers  # this level's arrays go before the next build
+        del P, tags, makers, expand  # this level's arrays go before the next build
     return runs
-
-
-def _primitive_side(phi, P, m):
-    """phi.query_batch(P.a, P.b) a row block at a time (a row is its own query),
-    kept as one column broadcast to m while every block is broadcast (_folded)."""
-    out = None
-    for lo in range(0, len(P), _ROW_BLOCK):
-        q = _folded(phi.query_batch(*P.block(slice(lo, lo + _ROW_BLOCK))[:2]))
-        if out is None or q.shape[1] > out.shape[1]:  # the first block, or a wider one
-            out = np.empty((len(P), q.shape[1])) if out is None else np.repeat(out, m, 1)
-        out[lo:lo + _ROW_BLOCK] = q
-    return np.broadcast_to(out, (len(P), m))
 
 
 def _one_block(eval_fn):

@@ -207,8 +207,6 @@ _CELL_BUDGET = 1 << 22
 _ROW_BLOCK = 1 << 15  # cells a Cousin level is built, expanded and read in at a time
 _WIDTHS = np.ldexp(1.0, -np.arange(256))  # a cell's width by its depth
 _LATER = 0xFFFF  # the slot of a cell that a later run finishes
-_RAMP = np.arange(1.0, _ROW_BLOCK + 1.0)  # the multiples j of a run's width
-_FEW_RUNS = 32  # runs of one depth in a block below which j w past a run's start beats np.cumsum
 
 
 def _check_limits(depth, active, max_depth, cell_budget):
@@ -246,14 +244,13 @@ class CousinPartition:
 
     ``codes`` holds each cell's depth (high byte) and the index of its tag
     in the build's offsets (low byte).  block(rows) expands any rows bit for
-    bit: w = 2^-depth, ends by np.cumsum from the block's kept start or, all
-    ends exact, j w past each run of one depth; t = a + w * offsets[choice].
+    bit: w = 2^-depth, ends by np.cumsum from their row block's kept start,
+    t = a + w * offsets[choice]; the level loop expands each row block once.
     The whole a, b, t and widths are made at the first read, read-only.
     """
 
     def __init__(self, codes, offsets):
         self.codes, self._offsets = codes, np.array(offsets)
-        self._exact = len(codes) == 0 or int(codes.max()) >> 8 <= 53  # j 2^-depth, j < 2^53
         self._starts = np.zeros(len(codes) // _ROW_BLOCK + 1)
         for k in range(1, len(self._starts)):  # each block's start is the last one's end
             self._starts[k] = self.block(slice(k * _ROW_BLOCK - _ROW_BLOCK, k * _ROW_BLOCK))[1][-1]
@@ -262,29 +259,21 @@ class CousinPartition:
         return len(self.codes)
 
     def block(self, rows):
-        """(a, b, tags, widths) of the cells ``rows`` (a slice); tags(i) makes rows i's."""
+        """(a, b, t, widths) of the cells ``rows`` (a slice)."""
         lo, hi, _ = rows.indices(len(self.codes))
         base = lo - lo % _ROW_BLOCK
-        depth = self.codes[base:max(lo, hi)] >> 8
-        x, w = np.empty(len(depth) + 1), np.empty(len(depth))  # x[j], x[j + 1]: row base + j's ends
-        x[0] = self._starts[base // _ROW_BLOCK]
-        runs = np.flatnonzero(depth[1:] != depth[:-1]) + 1  # where a run of one depth starts
-        if self._exact and len(runs) < _FEW_RUNS and 0 < len(w) <= _ROW_BLOCK:  # exact ends
-            for r0, r1 in zip((0, *runs), (*runs, len(w))):
-                w[r0:r1] = _WIDTHS[depth[r0]]
-                np.multiply(_RAMP[:r1 - r0], w[r0], out=x[r0 + 1:r1 + 1])  # j w past its start
-                x[r0 + 1:r1 + 1] += x[r0]
-        else:  # np.cumsum's sequential sum
-            x[1:] = w = _WIDTHS.take(depth)
-            np.cumsum(x, out=x)
-        a, b, codes = x[lo - base:-1], x[lo - base + 1:], self.codes[lo:hi]
+        w = _WIDTHS.take(self.codes[base:max(lo, hi)] >> 8)
+        x = np.empty(len(w) + 1)  # x[j], x[j + 1]: row base + j's ends
+        x[0], x[1:] = self._starts[base // _ROW_BLOCK], w
+        np.cumsum(x, out=x)
+        a, b = x[lo - base:-1], x[lo - base + 1:]
         w = w[lo - base:] if lo > base else w  # the whole widths stay their own array
-        return a, b, lambda i=slice(None): a[i] + w[i] * self._offsets.take(codes[i] & 0xFF), w
+        return a, b, a + w * self._offsets.take(self.codes[lo:hi] & 0xFF), w
 
     @cached_property
     def _whole(self):
-        a, b, tags, w = self.block(slice(None))
-        arrays = a.copy(), b.copy(), tags(), w  # the ends, each its own array
+        a, b, t, w = self.block(slice(None))
+        arrays = a.copy(), b.copy(), t, w  # the ends, each its own array
         for x in arrays:
             x.flags.writeable = False
         return arrays
@@ -307,16 +296,18 @@ def cousin_build(g, max_depth=_MAX_DEPTH, tag_order="mid", cell_budget=_CELL_BUD
     The build is breadth first over runs of consecutive active cells, a run
     whose next depth would hold more than _ROW_BLOCK being split into later
     runs, finished in row order; its codes fall in row order with no sort.
-    Active counts are summed per depth over the runs, no run goes below the
-    shallowest depth whose sum passes a limit, and the limits are checked
-    depth by depth at the end (the whole-depth build's error).  A gauge
-    turning non-positive is met run by run, so its point may differ.
+    Active counts are summed per depth over the runs; no run goes below the
+    shallowest depth whose sum passes a limit, or where the gauge was <= 0.
+    The build raises the whole-depth build's first error: DepthExceeded at
+    the shallowest failing limit, or GaugeNotPositive at a shallower depth
+    (its first candidate and least value, as a whole depth names them).
     """
     if tag_order not in ("mid", "left"):
         raise ValueError(f"unknown tag_order {tag_order!r}")
     # a + w * c is a + w / 2, a and a + w exactly at c = 0.5, 0 and 1
     offsets = ((0.5, 0.0, 1.0) if tag_order == "mid" else (0.0, 0.5, 1.0)) + _WEYL8
-    counts, pieces, stop = {}, [], [math.inf]  # active cells per depth; codes in row order
+    # active cells per depth, codes in row order, (depth, k, value, t) of each gauge <= 0
+    counts, pieces, stop, bad = {}, [], [math.inf], []
 
     def segment(idx, depth, held, gaps):
         """A run's slots (``held`` codes before its cells ``gaps``; none past a limit), its
@@ -341,9 +332,10 @@ def cousin_build(g, max_depth=_MAX_DEPTH, tag_order="mid", cell_budget=_CELL_BUD
                     break
                 cand = a[todo] + w * c
                 d = np.atleast_1d(g(cand))
-                if np.min(d) <= 0.0:
-                    bad = cand[int(np.argmin(d))]
-                    raise GaugeNotPositive(f"gauge evaluated to {np.min(d)} at t={bad}")
+                if np.min(d) <= 0.0:  # this run ends; its depth is the deepest any run reaches
+                    bad.append((depth, k, np.min(d), cand[int(np.argmin(d))]))
+                    stop[0] = min(stop[0], depth + 1)
+                    return np.zeros(0, np.uint16), idx, depth, []
                 ok = w < d
                 choice[todo[ok]] = k
                 todo = todo[~ok]
@@ -388,8 +380,12 @@ def cousin_build(g, max_depth=_MAX_DEPTH, tag_order="mid", cell_budget=_CELL_BUD
         pieces.append(slots[done:].copy())
 
     finish(np.zeros(1, np.int64), 0, np.zeros(0, np.uint16), np.zeros(0, np.int64))
+    first = min(bad, default=(math.inf,))
     for depth, active in sorted(counts.items()):
-        _check_limits(depth, active, max_depth, cell_budget)
+        if depth <= first[0]:
+            _check_limits(depth, active, max_depth, cell_budget)
+    if bad:
+        raise GaugeNotPositive(f"gauge evaluated to {first[2]} at t={first[3]}")
     return CousinPartition(np.concatenate(pieces), offsets)
 
 

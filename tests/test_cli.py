@@ -4,7 +4,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from gaugeset import integrators
+from gaugeset import corpus, integrators
 from gaugeset.cli import main
 
 
@@ -28,6 +28,30 @@ def test_integrate_g2_henstock_matches_flag(runner, tmp_path):
     assert rep["deterministic"] is True
     assert rep["estimate"] == [0.0, 0.5]
     assert all(lv["wall_ms"] == 0.0 for lv in rep["levels"])
+
+
+# each method's corpus flag, and its verdicts on a "yes" and on a "no"
+_FLAG_VERDICTS = {
+    "henstock": ("henstock", "converged", "diverged"),
+    "mcshane": ("mcshane", "converged", "diverged"),
+    "birkhoff": ("birkhoff", "converged", "diverged"),
+    "hkp": ("hkp", "hkp-consistent", "not-hkp"),
+    "vh": ("vH", "converged", "diverged"),
+    "vms": ("vMS", "converged", "diverged"),
+}
+
+
+@pytest.mark.parametrize("method", sorted(_FLAG_VERDICTS))
+@pytest.mark.parametrize("entry", ["G1", "G2", "G3", "G4", "G5", "G6"])
+def test_every_method_on_every_entry_gives_its_flag_verdict(runner, tmp_path, entry, method):
+    # the entry's recommended settings; every one of these flags is yes or no
+    key, yes, no = _FLAG_VERDICTS[method]
+    flag = corpus.corpus_get(entry).flag(key)
+    assert flag in ("yes", "no")
+    res = runner.invoke(main, ["integrate", entry, "--method", method,
+                               "--out", str(tmp_path), "--deterministic"])
+    assert (res.exit_code, res.output.splitlines()[0]) == (
+        0, f"verdict: {yes if flag == 'yes' else no}"), res.output
 
 
 def test_integrate_csv_table(runner, tmp_path):

@@ -14,6 +14,7 @@ import math
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -128,7 +129,7 @@ def test_a_wide_block_holds_its_values_and_chunks_only(monkeypatch):
     # what the calling thread made meanwhile: the next block's whole tags
     # and their temporaries, about 1.5 MiB against an L of 0.9 MiB, so it
     # failed when they met two tasks' peaks.  The tags are now made in the
-    # task; the run peaks at 1.91x its serial peak
+    # task; the run peaks at 1.95x its serial peak
     G4 = corpus.corpus_get("G4")
     G, _ = decomposition.subtract_selection(G4, decomposition.steiner_selection(G4))
     sched = corpus.named_schedule("uniform")
@@ -235,8 +236,9 @@ def _outcome(fn):
 def _nominal(tags, w, eval_blocks, blocks, ms):
     """The library's exact nominal column sums of one level, {block: sums}."""
     out = {}
-    it._level_sums(len(w), lambda rows: w[rows, 0], [lambda rows: tags[rows]], eval_blocks,
-                   blocks, ms, lambda i, s: out.update(s) or [])
+    it._level_sums(len(w), lambda rows: SimpleNamespace(rows=rows, w=w[rows, 0]),
+                   [lambda blk: tags[blk.rows]], eval_blocks, blocks, ms,
+                   lambda i, s: out.update(s) or [])
     return out
 
 

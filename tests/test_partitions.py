@@ -360,7 +360,7 @@ def _expanded_build(name):
     """(gauge, partition) of a pinned build, or of one that only the expansion property reads:
     the deepest holds cells of depth _MAX_DEPTH, the deepest the build accepts; the stripes'
     blocks hold hundreds of runs of one depth, and deep-0's cells reach depth 60, past 53,
-    so their blocks expand by np.cumsum, not by a run's start plus j w."""
+    where np.cumsum's ends are rounded."""
     if name == "deepest":
         return _deep(_MAX_DEPTH), cousin_build(_deep(_MAX_DEPTH))
     if name == "stripes":  # depth 15 on even stripes of width 2^-12, 17 on odd ones
@@ -383,11 +383,8 @@ def test_row_blocks_expand_to_the_whole_arrays_bits(name, split, length):
     lo, hi = min(split, len(P)), min(split + length, len(P))
     whole = (P.a, P.b, P.t, P.widths)
     for rows in (slice(0, lo), slice(lo, hi), slice(hi, len(P))):
-        a, b, tags, w = P.block(rows)
-        for x, y in zip((a, b, tags(), w), whole):
+        for x, y in zip(P.block(rows), whole):
             assert x.tobytes() == y[rows].tobytes()
-        some = np.arange(len(a))[::7]  # the tags of some of the block's rows alone
-        assert tags(some).tobytes() == P.t[rows][some].tobytes()
     if name in ("deepest", "deep-0"):
         depth = 60 if name == "deep-0" else _MAX_DEPTH
         assert P.widths.min() == 2.0 ** -depth and is_delta_fine(P, g, require_perron=True)
@@ -465,6 +462,17 @@ def test_a_deep_region_in_the_first_run_of_a_failing_build_costs_little():
     assert _raised(lambda: cousin_build(g, cell_budget=100_000)) == (
         "active cell count 131072 exceeds budget at depth 17", 17, 131072)
     assert points[0] <= 1_441_781 + 3 * _ROW_BLOCK + 2_000
+
+
+def test_a_gauge_non_positive_below_the_failing_depth_raises_the_depth_error():
+    # the gauge above, -1 within 2^-24 of 0.001: the first run meets it below depth 17,
+    # where the whole-depth build had already raised for the budget
+    def fn(ts):
+        out = np.minimum(2.0 ** -16.5, np.maximum(1.5 * 2.0 ** -30, np.abs(ts - 0.001) / 4.0))
+        return np.where(np.abs(ts - 0.001) < 2.0 ** -24, -1.0, out)
+
+    assert _raised(lambda: cousin_build(Gauge.from_callable(fn), cell_budget=100_000)) == (
+        "active cell count 131072 exceeds budget at depth 17", 17, 131072)
 
 
 # -- the bisection budget before a build ------------------------------------------

@@ -3,10 +3,13 @@
 The oracle below is the probe stage as it ran over whole arrays: each
 re-tagging variant made all N tags at once (``rng.uniform`` over every
 cell), and each tag set was evaluated, weighted and reduced in one piece.
-The library makes, evaluates and reduces each tag set _ROW_BLOCK rows at a
-time (integrators._level_sums), so every level sum must equal the oracle's
-exactly.
+The library expands each _ROW_BLOCK rows once and makes, evaluates and
+reduces every tag set in them (integrators._level_sums), each seeded set
+drawing from its own advanced generator, so every level sum must equal the
+oracle's exactly.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -33,7 +36,7 @@ class _Rows:
 
     def block(self, rows):
         P = self.P
-        return P.a[rows], P.b[rows], lambda i=slice(None): P.t[rows][i], P.widths[rows]
+        return P.a[rows], P.b[rows], P.t[rows], P.widths[rows]
 
 
 def _free_tags_oracle(P, gauge, rng):
@@ -100,18 +103,24 @@ def _eval_fn(m):
 
 
 def _streamed_sums(P, gauge, mode, eval_fn, cells):
-    """Library sums of the level's tag sets, nominal first, on one fresh rng."""
-    rng = np.random.default_rng(_SEED)
+    """Library sums of the level's tag sets, nominal first, from the seed _SEED; with
+    (N, m) primitive values ``cells``, variational sums, each exact (a running worst of
+    inf), with the probes falling back to the build tags."""
     eval_blocks = lambda ts, blocks: [eval_fn(ts)]
+    tags, makers = it._probe_tag_sets(_Rows(P), gauge, _SEED, mode)
     sums = []
 
     def visit(i, s):
         sums.append(s[0])
         return [0]
 
-    L = _Rows(P)
-    it._level_sums(len(L), lambda rows: P.widths[rows], it._probe_tag_sets(L, gauge, rng, mode),
-                   eval_blocks, [0], eval_fn(P.t[:1]).shape[1:], visit, cells)
+    def expand(rows):
+        blk = tags(rows)
+        blk.cells = None if cells is None else {0: cells[rows]}
+        return blk
+
+    it._level_sums(len(P), expand, makers, eval_blocks, [0], eval_fn(P.t[:1]).shape[1:], visit,
+                   None if cells is None else {0: math.inf})
     return sums
 
 
@@ -134,7 +143,7 @@ def test_streamed_level_sums_equal_whole_array_sums(n, m, mode):
             for i, vt in enumerate([tags, *_probe_tag_sets_oracle(P, gauge, rng, mode)])]
 
     cols = _streamed_sums(P, gauge, mode, eval_fn, None)
-    gaps = _streamed_sums(P, gauge, mode, eval_fn, {0: cells})
+    gaps = _streamed_sums(P, gauge, mode, eval_fn, cells)
     assert len(cols) == len(gaps) == len(want) == (19 if mode == "henstock" else 23)
     for (want_cols, want_gap), got_cols, got_gap in zip(want, cols, gaps):
         assert got_cols.tobytes() == want_cols.tobytes()
@@ -142,10 +151,14 @@ def test_streamed_level_sums_equal_whole_array_sums(n, m, mode):
 
 
 def _made_tags(P, gauge, seed):
-    """Each henstock probe variant's tags, made row block by row block."""
-    rng = np.random.default_rng(seed)
-    return [np.concatenate([make(slice(lo, lo + B))() for lo in range(0, len(P), B)])
-            for make in list(it._probe_tag_sets(P, gauge, rng, "henstock"))[1:]]
+    """Each henstock probe variant's tags, made block-major as the level loop makes them."""
+    expand, makers = it._probe_tag_sets(P, gauge, seed, "henstock")
+    made = [[] for _ in makers[1:]]
+    for lo in range(0, len(P), B):
+        blk = expand(slice(lo, lo + B))
+        for out, make in zip(made, makers[1:]):
+            out.append(make(blk)())
+    return [np.concatenate(x) for x in made]
 
 
 def _open_fallbacks(P, g, seed):
@@ -182,6 +195,62 @@ def test_gauge_bound_open_rows_fall_back(tag_order):
     P = cousin_build(g, tag_order=tag_order)
     assert len(P) > 2 * B
     assert _open_fallbacks(P, g, [1, 7701]) > 0
+
+
+class _UnitCells:
+    """n cells that are each [0, 1] of width 1, tagged 0: under a gauge of 2 no candidate
+    falls back, and a seeded tag is its draw, lo + (hi - lo) u with lo = 0 and hi = 1."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def block(self, rows):
+        k = len(range(*rows.indices(self.n)))
+        return np.zeros(k), np.ones(k), np.zeros(k), np.ones(k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.sampled_from([1, B - 1, B + 1, 3 * B + 7]), st.integers(1, 3 * B + 7)),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from(["henstock", "mcshane"]))
+def test_each_seeded_tag_set_draws_its_slice_of_one_generator(n, seed, mode):
+    # the drawing sets are henstock's 8 seeded probes, or the free nominal and those 8;
+    # made block-major, each from its own advanced generator, their draws must be those
+    # of one generator drawn set after set, as the tag-set-major stream drew them
+    key = [seed, 7701, 3]
+    expand, makers = it._probe_tag_sets(_UnitCells(n), Gauge.constant(2.0), key, mode)
+    drawing = makers[1:9] if mode == "henstock" else makers[:9]
+    made = [[] for _ in drawing]
+    for lo in range(0, n, B):
+        blk = expand(slice(lo, lo + B))
+        for out, make in zip(made, drawing):
+            tags = make(blk)
+            out.append(tags() if callable(tags) else tags)
+    rng = np.random.default_rng(key)
+    for out in made:
+        assert np.concatenate(out).tobytes() == rng.random(n).tobytes()
+
+
+@pytest.mark.parametrize("run", [
+    lambda G1: it.henstock_integrate(G1, corpus.named_schedule("henstock-origin"), 1e-3),
+    lambda G1: it.vh_check(G1, G1.exact_primitive(), corpus.named_schedule("vh-origin")),
+], ids=["henstock", "vh"])
+def test_the_level_loop_expands_each_row_block_once(monkeypatch, run):
+    build, calls, blocks = it.cousin_build, [], []
+
+    def counted(*args, **kwargs):
+        P = build(*args, **kwargs)
+        expand = P.block
+        P.block = lambda rows: calls.append(rows) or expand(rows)
+        blocks.append(-(-len(P) // B))
+        return P
+
+    monkeypatch.setattr(it, "cousin_build", counted)
+    rep = run(corpus.corpus_get("G1"))
+    assert len(blocks) == len(rep.levels) == 12 and sum(blocks) > 2 * len(blocks)
+    assert len(calls) == sum(blocks)
 
 
 def _tree_sum_oracle(x):
@@ -256,8 +325,8 @@ def test_broadcast_sums_equal_materialized_sums(n, m, kind):
         assert got.tobytes() == want.tobytes()
     # gaps fold only when the cells are broadcast too
     for c in (cells, np.random.default_rng([n, m, 4]).normal(size=(n, m))):
-        want = _streamed_sums(P, gauge, "henstock", full, {0: np.ascontiguousarray(c)})
-        got = _streamed_sums(P, gauge, "henstock", view, {0: c})
+        want = _streamed_sums(P, gauge, "henstock", full, np.ascontiguousarray(c))
+        got = _streamed_sums(P, gauge, "henstock", view, c)
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
 

@@ -12,11 +12,13 @@ process may use) against the serial loop (_pool patched to give None).
 import dataclasses
 import functools
 import hashlib
+import json
 import math
 import multiprocessing
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -121,6 +123,46 @@ def test_pooled_one_block_levels_equal_serial_reports(monkeypatch, tmp_path, op)
     assert ex.futures
 
 
+class _MinusOnes:
+    """A primitive whose every cell value is (-1, -1): against G2, a cell's gap is 1 + w t."""
+
+    def query_batch(self, a, b):
+        return np.full((len(a), 2), -1.0)
+
+
+# the reports' sha256, pinned from the tag-set-major stream, where no tag set after the
+# freeze evaluated the frozen block at all
+_FROZEN_MID_LEVEL = "409f181279b39fc30905f7e426d815d327a4804f8736f2c8adc371897c2ee00e"
+
+
+def test_a_block_frozen_mid_level_keeps_its_bits(monkeypatch):
+    # level 1 has 512 cells, whose gaps against _MinusOnes sum to about 512.5, under the
+    # bound; level 2 has 2^16 cells in two row blocks, and its first probe freezes that
+    # block.  Each later probe, with tags right of the nominal's left ends, sums higher:
+    # their first row blocks were evaluated already, and none may reach its worst.
+    # G2's own block runs every probe
+    G2 = corpus.corpus_get("G2")
+    sched = it.GaugeSchedule((it.Gauge.constant(1.5 * 2.0 ** -9),
+                              it.Gauge.constant(1.5 * 2.0 ** -16)), name="two-levels")
+    eval_blocks = it._pooled(lambda ts, blocks: (G2.eval_support(ts),) * 2, G2.eval_support)
+    ex = _Pool()
+    try:
+        for use in (None, ex):
+            _use(monkeypatch, use)
+            reps = it._vh_pass(eval_blocks, G2.grid, ["minus-ones", "G2"],
+                               [_MinusOnes(), G2.exact_primitive()], sched, "perron", 1e-4, 0)
+            assert [r.verdict for r in reps] == ["diverged", "converged"]
+            assert [len(r.levels) for r in reps] == [2, 2]
+            digest = hashlib.sha256()
+            for r in reps:
+                digest.update(json.dumps(r.to_json_dict(True), sort_keys=True).encode())
+                digest.update("\n".join(r.csv_rows(True)).encode())
+            assert digest.hexdigest() == _FROZEN_MID_LEVEL
+    finally:
+        ex.shutdown()
+    assert ex.futures
+
+
 # G2's levels are at most 32,768 cells of 2 columns, G4's support is one column
 # broadcast to 64: every level is cheap and stays on the calling thread
 @pytest.mark.parametrize("op", ["integrate G2 --method henstock", "integrate G4 --method mcshane",
@@ -165,6 +207,18 @@ def _level(n):
     return (edges[:-1] + edges[1:]) / 2.0, np.diff(edges)[:, None]
 
 
+def _stream(w, makers, eval_blocks, m, visit, cells=None):
+    """integrators._level_sums of one block of width m over the row blocks of widths w
+    (n, 1); with (n, m) primitive values ``cells``, variational sums, each exact (a
+    running worst of inf).  A maker reads its row block's rows."""
+    def expand(rows):
+        return SimpleNamespace(rows=rows, w=w[rows, 0],
+                               cells=None if cells is None else {0: cells[rows]})
+
+    it._level_sums(len(w), expand, makers, eval_blocks, [0], (m,), visit,
+                   None if cells is None else {0: math.inf})
+
+
 def _sums(tags, w, eval_blocks, probes=(), cells=None):
     """Every tag set's sums of one level, nominal first, for one block of width 2."""
     sums = []
@@ -173,8 +227,7 @@ def _sums(tags, w, eval_blocks, probes=(), cells=None):
         sums.append(s[0])
         return [0]
 
-    it._level_sums(len(w), lambda rows: w[rows, 0], [lambda rows: tags[rows], *probes],
-                   eval_blocks, [0], (2,), visit, cells)
+    _stream(w, [lambda blk: tags[blk.rows], *probes], eval_blocks, 2, visit, cells)
     return sums
 
 
@@ -192,8 +245,8 @@ def test_an_error_in_the_second_of_three_blocks_is_the_serial_one(monkeypatch, k
         return np.column_stack([ts, 1.0 - ts])
 
     eval_blocks = it._pooled(lambda ts, blocks: (f(ts),))
-    probes = [] if kind == "nominal" else [lambda rows: probe[rows]]
-    cells = {0: np.zeros((n, 2))} if kind == "variational" else None
+    probes = [] if kind == "nominal" else [lambda blk: probe[blk.rows]]
+    cells = np.zeros((n, 2)) if kind == "variational" else None
     outcomes, ex = [], _Pool()
     try:
         for use in (None, ex):
@@ -205,8 +258,9 @@ def test_an_error_in_the_second_of_three_blocks_is_the_serial_one(monkeypatch, k
     finally:
         ex.shutdown()
     assert outcomes[0] == outcomes[1] == (ValueError, f"no value at t={bad!r}")
-    # the first block runs here, a short last block joins the next tag set's task:
-    # the nominal's blocks 2 and 3, or those two tasks and the probe's blocks 2 and 3
+    # the first block runs here, and each tag set's block after it is a task, but the
+    # short last blocks share one: the nominal's blocks 2 and 3, or the probe's block 1,
+    # the nominal's and the probe's block 2, and both sets' blocks 3
     assert len(ex.futures) == (2 if kind == "nominal" else 4)
     assert all(f.done() for f in ex.futures)
 
@@ -227,7 +281,7 @@ def test_an_error_mid_stream_in_a_batched_small_level_is_the_serial_one(monkeypa
         return np.cos(ts[:, None] + c)
 
     eval_blocks = it._pooled(lambda ts, blocks: (f(ts),))
-    cells = {0: np.zeros((n, m))} if kind == "variational" else None
+    cells = np.zeros((n, m)) if kind == "variational" else None
     outcomes, seen, ex = [], [], _Pool()
 
     def visit(i, sums):
@@ -239,9 +293,8 @@ def test_an_error_mid_stream_in_a_batched_small_level_is_the_serial_one(monkeypa
             _use(monkeypatch, use)
             del seen[:]
             with pytest.raises(ValueError) as e:
-                it._level_sums(len(w), lambda rows: w[rows, 0],
-                               [lambda rows, p=p: p[rows] for p in [tags, *probes]],
-                               eval_blocks, [0], (m,), visit, cells)
+                _stream(w, [lambda blk, p=p: p[blk.rows] for p in [tags, *probes]],
+                        eval_blocks, m, visit, cells)
             outcomes.append((type(e.value), str(e.value), list(seen)))
             assert not any(f.running() for f in ex.futures)
     finally:
@@ -309,12 +362,12 @@ def test_the_nominal_fallback_holds_in_a_batched_small_level(monkeypatch, spike)
         return out
 
     eval_blocks = it._pooled(lambda ts, blocks: (f(ts),))
-    probes = [lambda rows, j=j: tags[rows] + j * 1e-7 / n for j in range(1, 19)]
+    probes = [lambda blk, j=j: tags[blk.rows] + j * 1e-7 / n for j in range(1, 19)]
 
     def sums():
         out = []
-        it._level_sums(len(w), lambda rows: w[rows, 0], [lambda rows: tags[rows], *probes],
-                       eval_blocks, [0], (m,), lambda i, s: out.append(s[0]) or [0])
+        _stream(w, [lambda blk: tags[blk.rows], *probes], eval_blocks, m,
+                lambda i, s: out.append(s[0]) or [0])
         return [np.asarray(s).view(np.int64).tolist() for s in out]
 
     outcomes, ex = [], _Pool()
